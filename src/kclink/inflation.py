@@ -3,10 +3,12 @@
 When a dataset fails the chi-square conformity check, a standard remedy is
 to question a single suspiciously small uncertainty claim and ask: what is
 the smallest uncertainty for that laboratory at which the whole dataset
-passes?  This module answers that by bisecting the pass/fail boundary of
-the full (re-linked) conformity test, then reporting the boundary rounded
-up to a fixed number of significant digits so the published value is the
-smallest conventionally reportable uncertainty that passes.
+passes?  Linking the other laboratories once gives their KCRVs ``y0``, KCRV
+covariance ``V0`` and residual ``q0``; adding the target back with
+covariance ``S(u)`` gives ``q2(u) = q0 + e' (S(u) + V0)^-1 e`` with
+``e = x - y0``, so the boundary ``q2(u) = N - 2`` is exactly a root of a
+quadratic in ``u``.  It is reported rounded up to three significant digits
+and confirmed by one full re-analysis.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from dataclasses import dataclass, replace
 from .linking import LinkingResult, Standard, link
 from .model import ComparisonDataset, KclinkError, LabResult, validate_dataset
 
-# Points of the pre-bisection scan used to detect a non-monotone pass/fail
-# boundary (multiple sign changes of q2 - dof across the bracket).
-_SCAN_POINTS = 33
+_SIGNIFICANT_DIGITS = 3
 
 
 class InflationError(KclinkError):
@@ -31,11 +31,10 @@ class InflationResult:
     """Outcome of the minimal-inflation search.
 
     ``minimal_u`` is the value to report: the smallest uncertainty with
-    ``significant_digits`` significant digits at which the dataset passes.
-    ``critical_u`` is the underlying pass/fail boundary located by
-    bisection to the requested relative tolerance (``minimal_u`` equals
-    ``critical_u`` rounded up, re-verified against the test).
-    ``relinked`` is the full analysis at ``minimal_u``.
+    three significant digits at which the dataset passes.  ``critical_u``
+    is the exact pass/fail boundary (``minimal_u`` is ``critical_u``
+    rounded up and confirmed by a full re-analysis).  ``relinked`` is the
+    full analysis at ``minimal_u``.
     """
 
     label: str
@@ -44,7 +43,6 @@ class InflationResult:
     minimal_u: float
     critical_u: float
     relinked: LinkingResult
-    warnings: tuple[str, ...] = ()
 
 
 def _with_uncertainty(
@@ -56,21 +54,15 @@ def _with_uncertainty(
     coefficient is held fixed, i.e. the covariance is rescaled in
     proportion to the new uncertainty.
     """
-    new_labs: list[LabResult] = []
-    for lab in dataset.labs:
-        if lab.label != label:
-            new_labs.append(lab)
-            continue
+    def rescaled(lab: LabResult) -> LabResult:
         cov = lab.cov_ab
-        if standard == "A":
-            if cov is not None:
-                cov = cov * (u / lab.u_a)
-            new_labs.append(replace(lab, u_a=u, cov_ab=cov))
-        else:
-            if cov is not None:
-                cov = cov * (u / lab.u_b)
-            new_labs.append(replace(lab, u_b=u, cov_ab=cov))
-    return validate_dataset(new_labs)
+        if cov is not None:
+            cov = cov * (u / _measured(lab, standard)[1])
+        return replace(lab, **{f"u_{standard.lower()}": u}, cov_ab=cov)
+
+    return validate_dataset(
+        [rescaled(lab) if lab.label == label else lab for lab in dataset.labs]
+    )
 
 
 def _round_up_significant(x: float, digits: int) -> float:
@@ -95,31 +87,97 @@ def _next_up_significant(x: float, digits: int) -> float:
     return round(stepped, decimals) if decimals > 0 else stepped
 
 
+def _measured(lab: LabResult, standard: Standard) -> tuple[float, float]:
+    if standard == "A":
+        return lab.value_a, lab.u_a
+    return lab.value_b, lab.u_b
+
+
+def _nonnegative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
+    """Where a*u^2 + b*u + c >= 0, as sorted intervals (cancellation-free roots)."""
+    if a == 0.0:
+        if b == 0.0:
+            return [(-math.inf, math.inf)] if c >= 0.0 else []
+        root = -c / b
+        return [(root, math.inf)] if b > 0.0 else [(-math.inf, root)]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return [(-math.inf, math.inf)] if a > 0.0 else []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    lo, hi = sorted((q / a, c / q)) if q != 0.0 else (0.0, 0.0)
+    return [(-math.inf, lo), (hi, math.inf)] if a > 0.0 else [(lo, hi)]
+
+
+def _critical_u(
+    dataset: ComparisonDataset, lab: LabResult, standard: Standard, dof: int
+) -> float | None:
+    """Smallest u >= the original at which q2(u) <= dof; None if none.
+
+    With ``k = dof - q0`` and ``M = S(u) + V0`` the data pass iff
+    ``f(u) = k det(M) - e' adj(M) e >= 0``, a quadratic in ``u`` because
+    the target's correlation stays fixed (``S_so(u) = r u_o u``).  The data
+    fail at ``u0``, so the boundary is the first root above it, or ``u0``
+    itself when rounding puts it inside a passing interval of ``f``.
+    """
+    other: Standard = "B" if standard == "A" else "A"
+    card = {"A": dataset.card_a, "B": dataset.card_b}
+    if card[standard] == 1:
+        return None  # the target alone fixes this KCRV: q2 ignores u
+    rest = [entry for entry in dataset.labs if entry is not lab]
+    linked = lab.is_linking
+    if linked and card[other] == 1:
+        # the target alone fixes the other KCRV, fitting that value exactly:
+        # keep it in the rest as an exclusive lab, and let the target enter
+        # as an exclusive lab on the inflated standard
+        s = standard.lower()
+        rest.append(replace(lab, **{f"value_{s}": None, f"u_{s}": None},
+                            cov_ab=None))
+        linked = False
+    loo = link(validate_dataset(rest))
+    k = dof - loo.conformity.q2
+    if not k > 0.0:
+        return None
+
+    kcrv = loo.kcrv
+    y0 = {"A": kcrv.y_hat_a, "B": kcrv.y_hat_b}
+    v0 = {"A": kcrv.u_a**2, "B": kcrv.u_b**2}
+    x_s, u0 = _measured(lab, standard)
+    e_s, v_ss = x_s - y0[standard], v0[standard]
+    # an exclusive target is the same form with no other component
+    e_o = c = v_so = 0.0
+    m_oo = 1.0
+    if linked:
+        x_o, u_o = _measured(lab, other)
+        e_o, c = x_o - y0[other], lab.covariance / u0  # c = r * u_o
+        m_oo, v_so = u_o**2 + v0[other], kcrv.cov_ab
+    alpha = k * (m_oo - c * c) - e_o * e_o
+    beta = -2.0 * c * (k * v_so - e_s * e_o)
+    gamma = (
+        k * (v_ss * m_oo - v_so * v_so)
+        - e_s * e_s * m_oo
+        + 2.0 * e_s * e_o * v_so
+        - e_o * e_o * v_ss
+    )
+    for lo, hi in _nonnegative_intervals(alpha, beta, gamma):
+        if hi >= u0:
+            return max(lo, u0)
+    return None
+
+
 def minimal_inflation(
-    dataset: ComparisonDataset,
-    label: str,
-    standard: Standard,
-    tolerance: float = 1e-4,
-    *,
-    significant_digits: int | None = 3,
-    max_doublings: int = 16,
+    dataset: ComparisonDataset, label: str, standard: Standard
 ) -> InflationResult:
     """Find the smallest uncertainty for one lab that makes the data conform.
 
-    The target uncertainty is bracketed by doubling until the re-linked
-    dataset passes (capped at ``2**max_doublings`` times the original) and
-    the boundary is then bisected until the bracket's relative width drops
-    below ``tolerance``.  Before bisecting, q2 - dof is scanned across the
-    bracket; if the sign changes more than once the search falls back to
-    the leftmost crossing and a warning is attached.
-
-    With ``significant_digits`` set (default 3), the reported ``minimal_u``
-    is the boundary rounded up to that many significant digits and
-    re-checked against the test; pass ``None`` for the raw bisection value.
+    ``critical_u`` is the exact boundary from one leave-one-out analysis
+    (see the module docstring); ``minimal_u`` is that boundary rounded up
+    to three significant digits, stepped up while a full re-analysis still
+    fails.  A target that reported a covariance keeps its correlation
+    coefficient fixed while the covariance rescales.
 
     Raises :class:`InflationError` if the lab did not measure the named
-    standard or no uncertainty within the cap makes the dataset pass (the
-    misfit is then not attributable to this laboratory).
+    standard or no uncertainty makes the dataset pass (the misfit is then
+    not attributable to this laboratory).
     """
     if standard not in ("A", "B"):
         raise InflationError(f"unknown standard {standard!r} (expected 'A' or 'B')")
@@ -127,90 +185,32 @@ def minimal_inflation(
         lab = dataset.lab(label)
     except KeyError:
         raise InflationError(f"unknown laboratory label: {label}") from None
-    original_u = lab.u_a if standard == "A" else lab.u_b
+    original_u = _measured(lab, standard)[1]
     if original_u is None:
-        raise InflationError(
-            f"{label} did not measure standard {standard}"
-        )
-    if not 0.0 < tolerance < 1.0:
-        raise InflationError("tolerance must be a relative step in (0, 1)")
+        raise InflationError(f"{label} did not measure standard {standard}")
 
     baseline = link(dataset)
     if baseline.conformity.passed:
-        return InflationResult(
-            label=label,
-            standard=standard,
-            original_u=original_u,
-            minimal_u=original_u,
-            critical_u=original_u,
-            relinked=baseline,
-        )
+        return InflationResult(label, standard, original_u, minimal_u=original_u,
+                               critical_u=original_u, relinked=baseline)
 
-    def excess(u: float) -> float:
-        report = link(_with_uncertainty(dataset, label, standard, u)).conformity
-        return report.q2 - report.dof
-
-    # bracket [lo, hi] with excess(lo) > 0 (failing) and excess(hi) <= 0
-    lo = original_u
-    hi = original_u
-    for _ in range(max_doublings):
-        hi = hi * 2.0
-        if excess(hi) <= 0.0:
-            break
-    else:
+    critical_u = _critical_u(dataset, lab, standard, baseline.conformity.dof)
+    if critical_u is None:
         raise InflationError(
-            f"no uncertainty up to 2**{max_doublings} times the original "
-            f"makes the dataset pass; the misfit is not attributable to "
-            f"{label} (standard {standard})"
+            f"no uncertainty makes the dataset pass; the misfit is not "
+            f"attributable to {label} (standard {standard})"
         )
 
-    warnings: list[str] = []
-    points = [
-        lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)
-    ]
-    # endpoints are known: lo fails, hi passes
-    passes = [False] + [excess(u) <= 0.0 for u in points[1:-1]] + [True]
-    crossings = [k for k in range(1, len(passes)) if passes[k] != passes[k - 1]]
-    if len(crossings) > 1:
-        # more than one pass/fail transition across the bracket: narrow the
-        # search to the leftmost one instead of trusting plain bisection
-        warnings.append(
-            "q2 is not monotone in the inflated uncertainty; using the "
-            "leftmost conformity crossing"
-        )
-        first = crossings[0]
-        lo = points[first - 1]
-        hi = points[first]
-
-    while (hi - lo) / hi > tolerance:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    critical_u = hi
-
-    if significant_digits is None:
-        minimal_u = critical_u
-    else:
-        minimal_u = _round_up_significant(lo, significant_digits)
-        minimal_u = max(minimal_u, original_u)
-        for _ in range(100):
-            if excess(minimal_u) <= 0.0:
-                break
-            minimal_u = _next_up_significant(minimal_u, significant_digits)
-        else:
-            raise InflationError(
-                "could not settle on a rounded passing uncertainty"
-            )
-
-    relinked = link(_with_uncertainty(dataset, label, standard, minimal_u))
-    return InflationResult(
-        label=label,
-        standard=standard,
-        original_u=original_u,
-        minimal_u=minimal_u,
-        critical_u=critical_u,
-        relinked=relinked,
-        warnings=tuple(warnings),
+    minimal_u = max(
+        _round_up_significant(critical_u, _SIGNIFICANT_DIGITS), original_u
     )
+    for _ in range(100):
+        relinked = link(_with_uncertainty(dataset, label, standard, minimal_u))
+        if relinked.conformity.passed:
+            break
+        minimal_u = _next_up_significant(minimal_u, _SIGNIFICANT_DIGITS)
+    else:
+        raise InflationError("could not settle on a rounded passing uncertainty")
+
+    return InflationResult(label, standard, original_u, minimal_u=minimal_u,
+                           critical_u=critical_u, relinked=relinked)

@@ -6,9 +6,14 @@ objective is written in correlation-coefficient form and evaluated with
 numpy, minimised by an iterative dense grid search, and differentiated by
 finite differences.  Sums mirroring the estimator's five auxiliary
 quantities are accumulated naively (plain ``sum``) in reversed lab order.
+The minimal-inflation reference re-validates and re-links the whole
+dataset at every trial uncertainty and bisects the pass/fail crossings.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,3 +226,89 @@ def random_dataset(rng: np.random.Generator, max_labs: int = 8):
         labs.append(LabResult(f"R{index:02d}", value_b=value(offset_b),
                               u_b=uncertainty()))
     return validate_dataset(labs)
+
+
+class BisectedInflation(NamedTuple):
+    """Reference inflation search result (see :func:`bisect_minimal_inflation`)."""
+
+    critical_u: float | None
+    minimal_u: float | None
+    crossings: tuple[tuple[float, bool], ...]
+
+
+def bisect_minimal_inflation(
+    dataset: ComparisonDataset,
+    label: str,
+    standard: str,
+    digits: int = 3,
+    per_octave: int = 16,
+    octaves: int = 16,
+) -> BisectedInflation:
+    """Minimal inflation found by re-validating and re-linking every trial.
+
+    Each trial rebuilds the labs with the target's uncertainty replaced
+    (its correlation coefficient held fixed) and runs the full
+    ``validate_dataset`` + ``link``.  A geometric scan of
+    ``[u0, 2**octaves * u0]`` with ``per_octave`` points per octave finds
+    the pass/fail crossings, and each is bisected to a relative width of
+    1e-13.  ``crossings`` lists them as ``(u, passes_above)``.
+
+    ``critical_u`` is the first fail-to-pass crossing and ``minimal_u`` is
+    it rounded up (in decimal) to ``digits`` significant digits, stepped
+    up while the data still fail; both are None when no scanned
+    uncertainty passes, and ``minimal_u`` is None when no rounded value
+    within 100 steps passes.
+    """
+    from decimal import ROUND_CEILING, Decimal
+
+    from kclink.linking import link
+    from kclink.model import validate_dataset
+
+    target = dataset.lab(label)
+    u0 = target.u_a if standard == "A" else target.u_b
+    u_other = target.u_b if standard == "A" else target.u_a
+    r = 0.0 if target.cov_ab is None else target.cov_ab / (target.u_a * target.u_b)
+
+    def passes(u: float) -> bool:
+        fields = {"u_a": u} if standard == "A" else {"u_b": u}
+        if target.cov_ab is not None:
+            fields["cov_ab"] = r * u * u_other
+        labs = [
+            replace(lab, **fields) if lab.label == label else lab
+            for lab in dataset.labs
+        ]
+        return link(validate_dataset(labs)).conformity.passed
+
+    def bisect(lo: float, hi: float, passes_lo: bool) -> float:
+        # the returned end lies on the far side of the crossing
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            if passes(mid) == passes_lo:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    grid = [u0 * 2.0 ** (k / per_octave) for k in range(octaves * per_octave + 1)]
+    verdicts = [passes(u) for u in grid]
+    crossings = tuple(
+        (bisect(lo, hi, before), not before)
+        for lo, hi, before, after in zip(grid, grid[1:], verdicts, verdicts[1:])
+        if before != after
+    )
+    rising = [u for u, passes_above in crossings if passes_above]
+    if not rising:
+        return BisectedInflation(None, None, crossings)
+    critical_u = rising[0]
+
+    def quantum(value: Decimal) -> Decimal:
+        return Decimal(1).scaleb(value.adjusted() - digits + 1)
+
+    rounded = Decimal(repr(critical_u))
+    rounded = rounded.quantize(quantum(rounded), rounding=ROUND_CEILING)
+    for _ in range(100):
+        if passes(float(rounded)):
+            return BisectedInflation(critical_u, float(rounded), crossings)
+        rounded += quantum(rounded)
+        rounded = rounded.quantize(quantum(rounded))
+    return BisectedInflation(critical_u, None, crossings)

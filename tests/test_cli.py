@@ -98,6 +98,12 @@ class TestInflateCommand:
         assert "11.2" in out
         assert "(passed)" in out
 
+    def test_tolerance_option_is_gone(self, gauge_block_file):
+        code = main(["inflate", "--input", str(gauge_block_file),
+                     "--lab", "INMETRO1", "--standard", "B",
+                     "--tolerance", "1e-4"])
+        assert code == 1
+
     def test_unknown_lab_exits_1(self, gauge_block_file, capsys):
         code = main(["inflate", "--input", str(gauge_block_file),
                      "--lab", "NOBODY", "--standard", "B"])

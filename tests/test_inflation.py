@@ -1,5 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
+from kclink import inflation
 from kclink.inflation import (
     InflationError,
     _next_up_significant,
@@ -8,6 +12,8 @@ from kclink.inflation import (
 )
 from kclink.linking import link
 from kclink.model import LabResult, validate_dataset
+
+from . import oracles
 
 
 def failing_three_lab_dataset():
@@ -23,10 +29,27 @@ class TestGoldenInflation:
     def test_reported_minimal_uncertainty(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
         assert found.original_u == 4.0
-        assert found.minimal_u == pytest.approx(11.2, abs=0.05)
-        assert found.critical_u <= found.minimal_u
+        assert found.minimal_u == 11.2
+        assert found.critical_u == pytest.approx(11.1426943354, rel=1e-9)
         assert found.relinked.conformity.passed
-        assert not found.warnings
+
+    def test_one_leave_one_out_and_three_links(self, gauge_block, monkeypatch):
+        calls = []
+
+        def counting_link(dataset):
+            calls.append(len(dataset.labs))
+            return link(dataset)
+
+        monkeypatch.setattr(inflation, "link", counting_link)
+        minimal_inflation(gauge_block, "INMETRO1", "B")
+        n = len(gauge_block.labs)
+        assert calls == [n, n - 1, n]
+
+    def test_matches_bisection_oracle(self, gauge_block):
+        found = minimal_inflation(gauge_block, "INMETRO1", "B")
+        ref = oracles.bisect_minimal_inflation(gauge_block, "INMETRO1", "B")
+        assert ref.minimal_u == found.minimal_u
+        assert found.critical_u == pytest.approx(ref.critical_u, rel=1e-8)
 
     def test_relinked_matches_reference(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -58,15 +81,18 @@ class TestGoldenInflation:
             assert not link(trial).conformity.passed
 
     def test_values_below_the_boundary_fail(self, gauge_block):
-        found = minimal_inflation(gauge_block, "INMETRO1", "B",
-                                  tolerance=1e-6)
-        below = found.critical_u * (1.0 - 5e-6)
-        trial = validate_dataset([
-            lab if lab.label != "INMETRO1"
-            else LabResult("INMETRO1", value_b=-98.0, u_b=below)
-            for lab in gauge_block.labs
-        ])
-        assert not link(trial).conformity.passed
+        found = minimal_inflation(gauge_block, "INMETRO1", "B")
+
+        def passes(u):
+            trial = validate_dataset([
+                lab if lab.label != "INMETRO1"
+                else LabResult("INMETRO1", value_b=-98.0, u_b=u)
+                for lab in gauge_block.labs
+            ])
+            return link(trial).conformity.passed
+
+        assert not passes(found.critical_u * (1.0 - 1e-9))
+        assert passes(found.critical_u * (1.0 + 1e-9))
 
 
 class TestSearchBehaviour:
@@ -78,8 +104,7 @@ class TestSearchBehaviour:
 
     def test_agrees_with_fine_grid_scan(self):
         dataset = failing_three_lab_dataset()
-        found = minimal_inflation(dataset, "B2", "B", tolerance=1e-6,
-                                  significant_digits=None)
+        found = minimal_inflation(dataset, "B2", "B")
         step = 1e-3
         u = 1.0
         while u < 64.0:
@@ -91,14 +116,14 @@ class TestSearchBehaviour:
             if link(trial).conformity.passed:
                 break
             u += step
-        assert abs(found.minimal_u - u) <= step + 1e-6 * found.minimal_u
+        assert 0.0 <= u - found.critical_u <= step
 
     def test_raw_and_rounded_answers_are_consistent(self):
         dataset = failing_three_lab_dataset()
-        raw = minimal_inflation(dataset, "B2", "B", significant_digits=None)
-        rounded = minimal_inflation(dataset, "B2", "B")
-        assert rounded.minimal_u >= raw.critical_u * (1.0 - 1e-4)
-        assert rounded.relinked.conformity.passed
+        found = minimal_inflation(dataset, "B2", "B")
+        assert found.critical_u <= found.minimal_u
+        assert found.minimal_u == _round_up_significant(found.critical_u, 3)
+        assert found.relinked.conformity.passed
 
     def test_linking_lab_keeps_correlation_fixed(self):
         dataset = validate_dataset([
@@ -128,10 +153,6 @@ class TestSearchBehaviour:
         with pytest.raises(InflationError, match="unknown standard"):
             minimal_inflation(gauge_block, "METAS", "X")
 
-    def test_bad_tolerance(self, gauge_block):
-        with pytest.raises(InflationError, match="tolerance"):
-            minimal_inflation(gauge_block, "INMETRO1", "B", tolerance=0.0)
-
     def test_misfit_not_attributable_to_lab(self):
         # the A side is inconsistent; no B-side inflation can fix it
         dataset = validate_dataset([
@@ -142,6 +163,124 @@ class TestSearchBehaviour:
         ])
         with pytest.raises(InflationError, match="not attributable"):
             minimal_inflation(dataset, "B1", "B")
+
+
+class TestClosedFormEdgeCases:
+    def test_skipped_window(self):
+        # the data pass only inside a bounded window of u_A; doubling from
+        # u0 stepped from about 59.5 to 119 straight over it
+        dataset = validate_dataset([
+            LabResult("R01", value_a=-121.90712121017867,
+                      u_a=17.268007619688778),
+            LabResult("R02", value_a=-178.98029637502196,
+                      u_a=1.8602972582700692,
+                      value_b=-48.314776879533355, u_b=4.399585789516358,
+                      cov_ab=-3.7229649136912033),
+            LabResult("R03", value_b=-51.71346562763472,
+                      u_b=4.153856715801936),
+            LabResult("R04", value_b=-55.239520244680975,
+                      u_b=0.875926431612875),
+        ])
+        found = minimal_inflation(dataset, "R02", "A")
+        assert found.minimal_u == 69.3
+        assert found.relinked.conformity.passed
+        for u in (69.2, 120.0):
+            trial = inflation._with_uncertainty(dataset, "R02", "A", u)
+            assert not link(trial).conformity.passed
+
+    @pytest.mark.parametrize("target", [
+        LabResult("T", value_a=3.0, u_a=1.0),
+        LabResult("T", value_a=3.0, u_a=1.0, value_b=0.2, u_b=1.0,
+                  cov_ab=0.3),
+    ])
+    def test_sole_measurer_of_inflated_standard(self, target):
+        # the target alone fixes KCRV A, so q2 does not depend on u_A
+        dataset = validate_dataset([
+            target,
+            LabResult("B1", value_b=0.0, u_b=1.0),
+            LabResult("B2", value_b=6.0, u_b=1.0),
+        ])
+        assert not link(dataset).conformity.passed
+        with pytest.raises(InflationError, match="not attributable"):
+            minimal_inflation(dataset, "T", "A")
+
+    def test_linking_sole_measurer_of_other_standard(self):
+        # C1 alone fixes KCRV A and its A value is fitted exactly, so on B
+        # it acts as an exclusive lab: u*^2 = e^2 / (dof - q0) - v0 with
+        # the rest's KCRV 0.25, variance 0.5 and residual 0.125
+        dataset = validate_dataset([
+            LabResult("C1", value_a=5.0, u_a=1.0, value_b=6.0, u_b=1.0,
+                      cov_ab=0.5),
+            LabResult("B1", value_b=0.0, u_b=1.0),
+            LabResult("B2", value_b=0.5, u_b=1.0),
+        ])
+        found = minimal_inflation(dataset, "C1", "B")
+        expected = math.sqrt(5.75**2 / (2 - 0.125) - 0.5)
+        assert found.critical_u == pytest.approx(expected, rel=1e-12)
+        ref = oracles.bisect_minimal_inflation(dataset, "C1", "B")
+        assert found.minimal_u == ref.minimal_u
+        assert found.relinked.conformity.passed
+
+    def test_failing_by_rounding_at_the_boundary(self):
+        # u_A of R01 sits on the exact boundary: the full analysis fails by
+        # rounding while the closed form's root lands just below u0
+        dataset = validate_dataset([
+            LabResult("R01", value_a=-110.06521184974373,
+                      u_a=44.98848444112468),
+            LabResult("R02", value_a=-57.801008492983,
+                      u_a=26.600436466485313),
+            LabResult("R03", value_b=85.52966427543814,
+                      u_b=0.5379662436654565),
+        ])
+        assert not link(dataset).conformity.passed
+        found = minimal_inflation(dataset, "R01", "A")
+        assert found.critical_u == found.original_u
+        assert found.minimal_u == 45.0
+        assert found.relinked.conformity.passed
+
+    def test_rest_alone_fails(self):
+        # without C1 the A side already has q0 = 50 > dof = 3
+        dataset = validate_dataset([
+            LabResult("A1", value_a=0.0, u_a=1.0),
+            LabResult("A2", value_a=10.0, u_a=1.0),
+            LabResult("C1", value_a=5.0, u_a=1.0, value_b=1.0, u_b=1.0,
+                      cov_ab=0.2),
+            LabResult("B1", value_b=0.0, u_b=1.0),
+        ])
+        with pytest.raises(InflationError, match="not attributable"):
+            minimal_inflation(dataset, "C1", "B")
+        ref = oracles.bisect_minimal_inflation(dataset, "C1", "B")
+        assert ref.critical_u is None
+
+
+def test_agrees_with_bisection_oracle_on_random_datasets():
+    rng = np.random.default_rng(20261017)
+    attributable = sole = sole_other = 0
+    for _ in range(250):
+        dataset = oracles.random_dataset(rng)
+        if link(dataset).conformity.passed:
+            continue
+        lab = dataset.labs[int(rng.integers(len(dataset.labs)))]
+        measured = [s for s, seen in (("A", lab.in_group_a),
+                                      ("B", lab.in_group_b)) if seen]
+        standard = measured[int(rng.integers(len(measured)))]
+        other = "B" if standard == "A" else "A"
+        card = {"A": dataset.card_a, "B": dataset.card_b}
+        sole += card[standard] == 1
+        sole_other += lab.is_linking and card[other] == 1 < card[standard]
+
+        ref = oracles.bisect_minimal_inflation(dataset, lab.label, standard)
+        # a quadratic boundary crosses at most twice
+        assert len(ref.crossings) <= 2
+        if ref.minimal_u is None:
+            with pytest.raises(InflationError):
+                minimal_inflation(dataset, lab.label, standard)
+            continue
+        found = minimal_inflation(dataset, lab.label, standard)
+        attributable += 1
+        assert found.minimal_u == ref.minimal_u
+        assert found.critical_u == pytest.approx(ref.critical_u, rel=1e-8)
+    assert attributable >= 10 and sole >= 3 and sole_other >= 3
 
 
 class TestRounding:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from kclink.linking import (
@@ -199,6 +199,14 @@ class TestComputeQ2:
         assert report_like.passed
 
     @given(moderate_datasets(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    @example(
+        validate_dataset([
+            LabResult("H01", value_a=1124.0, u_a=0.1),
+            LabResult("H02", value_b=0.0, u_b=1.0),
+        ]),
+        0.00390625,
+        0.0,
+    )
     @settings(max_examples=150, deadline=None)
     def test_chi_square_decomposition(self, dataset, t_a, t_b):
         # direct objective equals the recentred quadratic form plus q2
@@ -213,7 +221,19 @@ class TestComputeQ2:
             1.0 - kcrv.r_tilde**2
         )
         recomposed = quad + result.conformity.q2
-        assert abs(direct - recomposed) <= 1e-9 * max(direct, recomposed, 1e-6)
+        # the stored estimates are rounded: an error eps in y_hat shifts
+        # the direct objective by the quad's gradient times eps/u, i.e.
+        # 2 (R^-1 z) . (ulp(y_hat) / u) for one ulp in each estimate
+        r = kcrv.r_tilde
+        g_a = (z_a - r * z_b) / (1.0 - r * r)
+        g_b = (z_b - r * z_a) / (1.0 - r * r)
+        rounding = 2.0 * (
+            abs(g_a) * math.ulp(kcrv.y_hat_a) / kcrv.u_a
+            + abs(g_b) * math.ulp(kcrv.y_hat_b) / kcrv.u_b
+        )
+        assert abs(direct - recomposed) <= (
+            1e-9 * max(direct, recomposed, 1e-6) + rounding
+        )
 
 
 class TestPosteriorDensity:
