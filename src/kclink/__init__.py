@@ -5,39 +5,20 @@ that share linking laboratories: both key comparison reference values
 (KCRVs) with uncertainties and mutual covariance, per-laboratory degrees
 of equivalence, and a chi-square conformity check, plus diagnostics
 (minimal uncertainty inflation) and reproducible synthetic-data tooling.
+
+The top level holds the user-facing names only; the building blocks
+(``compute_aux``, ``sample_lab``, ...) stay importable from their modules.
 """
 
 from .inflation import InflationError, InflationResult, minimal_inflation
-from .io import (
-    ParseError,
-    ReportDocument,
-    emit_plot_data,
-    parse_dataset,
-    parse_dataset_with_units,
-    render_report,
-    round_half_up,
-)
-from .linking import (
-    AuxQuantities,
-    ConformityReport,
-    DegreeOfEquivalence,
-    KcrvEstimate,
-    LinkingResult,
-    compute_aux,
-    compute_doe,
-    compute_kcrv,
-    compute_q2,
-    link,
-    posterior_density,
-)
+from .io import ParseError, emit_plot_data, parse_dataset, render_report, write_dataset
+from .linking import LinkingResult, link, posterior_density
 from .model import (
     ComparisonDataset,
-    CorrelationView,
     InternalInconsistencyError,
     KclinkError,
     LabResult,
     ValidationError,
-    to_correlation,
     validate_dataset,
 )
 from .synthetic import (
@@ -45,46 +26,30 @@ from .synthetic import (
     SyntheticScenario,
     generate_scenario,
     load_scenario,
-    sample_lab,
-    scenario_from_dict,
 )
 from .version import __version__
 
 __all__ = [
-    "AuxQuantities",
     "ComparisonDataset",
-    "ConformityReport",
-    "CorrelationView",
-    "DegreeOfEquivalence",
     "InflationError",
     "InflationResult",
     "InternalInconsistencyError",
     "KclinkError",
-    "KcrvEstimate",
     "LabResult",
     "LinkingResult",
     "ParseError",
-    "ReportDocument",
     "ScenarioLayout",
     "SyntheticScenario",
     "ValidationError",
     "__version__",
-    "compute_aux",
-    "compute_doe",
-    "compute_kcrv",
-    "compute_q2",
     "emit_plot_data",
     "generate_scenario",
     "link",
     "load_scenario",
     "minimal_inflation",
     "parse_dataset",
-    "parse_dataset_with_units",
     "posterior_density",
     "render_report",
-    "round_half_up",
-    "sample_lab",
-    "scenario_from_dict",
-    "to_correlation",
     "validate_dataset",
+    "write_dataset",
 ]

@@ -3,7 +3,9 @@
 Subcommands: ``link`` analyses a dataset file, ``inflate`` finds the
 minimal uncertainty inflation restoring conformity, ``synth`` generates a
 synthetic dataset from a scenario file, and ``selftest`` re-checks the
-built-in examples against their published reference results.
+built-in examples against their published reference results.  The
+subcommands only wire options to the library: every file is read, rendered
+and written by :mod:`kclink.io`.
 
 Exit codes: 0 on success with a passing conformity check, 2 when the
 analysis ran but the conformity check failed, 1 on any error.
@@ -12,16 +14,15 @@ analysis ran but the conformity check failed, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import golden
 from .inflation import minimal_inflation
-from .io import emit_plot_data, parse_dataset_with_units, render_report
+from .io import emit_plot_data, parse_dataset_with_units, render_report, write_dataset
 from .linking import LinkingResult, link
-from .model import KclinkError
+from .model import ComparisonDataset, KclinkError
 from .synthetic import generate_scenario, load_scenario
 from .version import __version__
 
@@ -35,24 +36,28 @@ def _print_warnings(result: LinkingResult) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _read(args: argparse.Namespace) -> ComparisonDataset:
+    dataset, file_units = parse_dataset_with_units(args.input, args.format)
+    if args.units is None:
+        args.units = file_units
+    return dataset
+
+
 def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
-    document = render_report(
+    report = render_report(
         result,
         format=args.report_format,
         decimals=args.decimals,
         units=args.units,
     )
     if args.output:
-        Path(args.output).write_text(document.primary() + "\n", encoding="utf-8")
+        Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
-        print(document.primary())
+        print(report)
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    dataset, file_units = parse_dataset_with_units(args.input, args.format)
-    if args.units is None:
-        args.units = file_units
-    result = link(dataset)
+    result = link(_read(args))
     _print_warnings(result)
     _emit_report(result, args)
     if args.plot_data:
@@ -61,10 +66,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_inflate(args: argparse.Namespace) -> int:
-    dataset, file_units = parse_dataset_with_units(args.input, args.format)
-    if args.units is None:
-        args.units = file_units
-    found = minimal_inflation(dataset, args.lab, args.standard)
+    found = minimal_inflation(_read(args), args.lab, args.standard)
     print(
         f"{found.label} (standard {found.standard}): "
         f"minimal passing uncertainty {found.minimal_u:g} "
@@ -79,41 +81,9 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed_override is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=args.seed_override)
     dataset = generate_scenario(scenario)
-    out = Path(args.output)
-    if out.suffix.lower() == ".json":
-        payload = [
-            {
-                "label": lab.label,
-                "x_a": lab.value_a,
-                "u_a": lab.u_a,
-                "x_b": lab.value_b,
-                "u_b": lab.u_b,
-                "cov_ab": lab.cov_ab,
-            }
-            for lab in dataset.labs
-        ]
-        out.write_text(
-            json.dumps({"labs": payload}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["label", "x_a", "u_a", "x_b", "u_b", "cov_ab"])
-            for lab in dataset.labs:
-                writer.writerow(
-                    [
-                        lab.label,
-                        *("" if v is None else repr(v) for v in (
-                            lab.value_a, lab.u_a, lab.value_b, lab.u_b,
-                            lab.cov_ab,
-                        )),
-                    ]
-                )
+    out = write_dataset(dataset, args.output)
     print(
         f"wrote {len(dataset.labs)} laboratories "
         f"({len(dataset.only_a)} A-only, {len(dataset.linking)} linking, "
@@ -194,38 +164,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_link = sub.add_parser("link", help="analyse a comparison dataset")
-    p_link.add_argument("--input", required=True, help="dataset file")
-    p_link.add_argument("--format", choices=("csv", "json"), default=None,
+    # the dataset and report options shared by link and inflate
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--input", required=True, help="dataset file")
+    report.add_argument("--format", choices=("csv", "json"), default=None,
                         help="input format (default: from file suffix)")
-    p_link.add_argument("--output", default=None,
+    report.add_argument("--output", default=None,
                         help="write the report here instead of stdout")
-    p_link.add_argument("--report-format", choices=("text", "json"),
+    report.add_argument("--report-format", choices=("text", "json"),
                         default="text")
-    p_link.add_argument("--decimals", type=int, default=3,
+    report.add_argument("--decimals", type=int, default=3,
                         help="display decimals in the report (default 3)")
-    p_link.add_argument("--units", default=None,
+    report.add_argument("--units", default=None,
                         help="unit label echoed in the report")
+
+    p_link = sub.add_parser("link", parents=[report],
+                            help="analyse a comparison dataset")
     p_link.add_argument("--plot-data", default=None,
                         help="also write DOE plot data (CSV) to this path")
     p_link.set_defaults(func=_cmd_link)
 
     p_inflate = sub.add_parser(
         "inflate",
+        parents=[report],
         help="find the minimal uncertainty inflation restoring conformity",
         description="Smallest 3-significant-digit uncertainty of one lab at "
                     "which the data pass; the exact boundary comes from one "
                     "analysis without that lab.",
     )
-    p_inflate.add_argument("--input", required=True)
-    p_inflate.add_argument("--format", choices=("csv", "json"), default=None)
     p_inflate.add_argument("--lab", required=True, help="target laboratory")
     p_inflate.add_argument("--standard", required=True, choices=("A", "B"))
-    p_inflate.add_argument("--output", default=None)
-    p_inflate.add_argument("--report-format", choices=("text", "json"),
-                           default="text")
-    p_inflate.add_argument("--decimals", type=int, default=3)
-    p_inflate.add_argument("--units", default=None)
     p_inflate.set_defaults(func=_cmd_inflate)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -252,10 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if not exit_request.code else EXIT_ERROR
     try:
         return args.func(args)
-    except KclinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (KclinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

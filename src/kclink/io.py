@@ -1,4 +1,4 @@
-"""Dataset parsing, report rendering and plot-data emission.
+"""Dataset files in; reports, plot data and dataset files out.
 
 Input files are CSV (columns ``label, x_a, u_a, x_b, u_b, cov_ab``, empty
 cells meaning "absent") or JSON (an array of objects with the same field
@@ -6,16 +6,18 @@ names, optionally wrapped as ``{"units": ..., "labs": [...]}``).  Numbers
 are accepted with either a decimal point or a decimal comma and with
 either ASCII or typographic minus signs; output always uses points.
 
-Reports carry full-precision values alongside display-rounded ones;
-display rounding is half-up and never feeds back into any computation.
+:func:`parse_dataset` is the one reader and :func:`write_dataset` the one
+writer of dataset files.  :func:`render_report` builds only the requested
+report format; reports carry full-precision values alongside
+display-rounded ones, and display rounding is half-up and never feeds back
+into any computation.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Literal
 
@@ -44,14 +46,16 @@ def parse_number(text: str) -> float | None:
     return float(cleaned)
 
 
-def _field(raw: object, name: str) -> float | None:
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        return parse_number(raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"field {name} must be a number, got {raw!r}")
-    return float(raw)
+def _lab(record: dict, where: str) -> LabResult:
+    """Build a lab from a ``{column: raw}`` mapping: strings go through
+    :func:`parse_number`, anything else reaches :class:`LabResult` as is."""
+    try:
+        return LabResult(record.get("label"), *[
+            parse_number(raw) if isinstance(raw, str) else raw
+            for raw in map(record.get, _CSV_COLUMNS[1:])
+        ])
+    except (ValueError, KclinkError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -63,7 +67,7 @@ def _parse_csv(path: Path) -> list[LabResult]:
     labs: list[LabResult] = []
     with open(path, encoding="utf-8", newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if lineno == 1 and _looks_like_header(row):
                 continue
@@ -72,20 +76,8 @@ def _parse_csv(path: Path) -> list[LabResult]:
                     f"{path}:{lineno}: expected at most {len(_CSV_COLUMNS)} "
                     f"columns, got {len(row)}"
                 )
-            cells = list(row) + [""] * (len(_CSV_COLUMNS) - len(row))
-            try:
-                labs.append(
-                    LabResult(
-                        label=cells[0].strip(),
-                        value_a=parse_number(cells[1]),
-                        u_a=parse_number(cells[2]),
-                        value_b=parse_number(cells[3]),
-                        u_b=parse_number(cells[4]),
-                        cov_ab=parse_number(cells[5]),
-                    )
-                )
-            except (ValueError, KclinkError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            record = dict(zip(_CSV_COLUMNS, row), label=row[0].strip())
+            labs.append(_lab(record, f"{path}:{lineno}"))
     return labs
 
 
@@ -108,19 +100,7 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
     for index, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: lab entry {index} is not an object")
-        try:
-            labs.append(
-                LabResult(
-                    label=str(entry.get("label", "")),
-                    value_a=_field(entry.get("x_a"), "x_a"),
-                    u_a=_field(entry.get("u_a"), "u_a"),
-                    value_b=_field(entry.get("x_b"), "x_b"),
-                    u_b=_field(entry.get("u_b"), "u_b"),
-                    cov_ab=_field(entry.get("cov_ab"), "cov_ab"),
-                )
-            )
-        except (ValueError, KclinkError) as exc:
-            raise ParseError(f"{path}: lab entry {index}: {exc}") from None
+        labs.append(_lab(entry, f"{path}: lab entry {index}"))
     return labs, units
 
 
@@ -159,27 +139,9 @@ def parse_dataset_with_units(
 def round_half_up(value: float, decimals: int) -> float:
     """Round half away from zero at the given number of decimals."""
     quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """A rendered analysis report.
-
-    ``text`` is the human-readable table; ``data`` is the JSON-ready
-    structure with full-precision and display-rounded values.  ``format``
-    records which rendering was requested.
-    """
-
-    format: str
-    text: str
-    data: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2)
-
-    def primary(self) -> str:
-        return self.to_json() if self.format == "json" else self.text
+    # 309 integer digits cover every finite float
+    context = Context(prec=max(decimals, 0) + 309)
+    return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context))
 
 
 def _lab_echo(lab: LabResult) -> dict:
@@ -261,15 +223,19 @@ def render_report(
     *,
     decimals: int = 3,
     units: str | None = None,
-) -> ReportDocument:
-    """Render a linking result as a report document.
+) -> str:
+    """Render a linking result as a text table or as a JSON document.
 
-    The document always carries both the text rendering and the JSON data;
-    ``format`` selects which one :meth:`ReportDocument.primary` returns.
-    JSON output is deterministic: identical results give identical bytes.
+    Only the requested format is built.  The JSON document carries
+    full-precision values and a ``display`` block rounded to ``decimals``;
+    it is deterministic: identical results give identical bytes.
     """
     if format not in ("text", "json"):
         raise KclinkError(f"unknown report format: {format!r}")
+    if decimals < 0:
+        raise KclinkError(f"decimals must be non-negative, got {decimals}")
+    if format == "text":
+        return _render_text(result, decimals, units)
     kcrv = result.kcrv
     conf = result.conformity
     data = {
@@ -325,11 +291,29 @@ def render_report(
             "ratio": None if conf.ratio is None else round_half_up(conf.ratio, 2),
         },
     }
-    return ReportDocument(
-        format=format,
-        text=_render_text(result, decimals, units),
-        data=data,
-    )
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
+    """Write ``{"labs": [...]}`` JSON when the suffix is ``.json``, otherwise
+    CSV with a header row and ``repr`` numbers.
+
+    :func:`parse_dataset` reads either back to the same labs, as long as no
+    label has surrounding whitespace (CSV labels are stripped on reading).
+    """
+    path = Path(path)
+    records = [_lab_echo(lab) for lab in dataset.labs]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if path.suffix.lower() == ".json":
+            handle.write(json.dumps({"labs": records}, indent=2, sort_keys=True) + "\n")
+        else:
+            writer = csv.writer(handle)
+            writer.writerow(_CSV_COLUMNS)
+            for label, *numbers in (record.values() for record in records):
+                writer.writerow(
+                    [label, *("" if v is None else repr(v) for v in numbers)]
+                )
+    return path
 
 
 def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:

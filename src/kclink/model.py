@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Real
 from typing import Iterable
 
 
@@ -44,9 +45,9 @@ class LabResult:
         laboratories (both values present).  ``None`` means "not
         reported" and is treated as zero during the analysis.
 
-    Uncertainties must be positive and any covariance must satisfy
-    ``|cov_ab| < u_a * u_b``, i.e. the implied correlation coefficient
-    lies strictly inside (-1, 1).
+    Numbers are real (not ``bool`` or ``str``) and stored as ``float``;
+    uncertainties are positive and any covariance satisfies ``|cov_ab| <
+    u_a * u_b``, i.e. the implied correlation lies strictly inside (-1, 1).
     """
 
     label: str
@@ -59,6 +60,15 @@ class LabResult:
     def __post_init__(self) -> None:
         if not self.label or not isinstance(self.label, str):
             raise ValidationError("laboratory label must be a non-empty string")
+        for name in ("value_a", "u_a", "value_b", "u_b", "cov_ab"):
+            value = getattr(self, name)
+            if value is None or type(value) is float:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValidationError(
+                    f"{self.label}: {name} must be a real number, got {value!r}"
+                )
+            object.__setattr__(self, name, float(value))
         for standard, value, u in (
             ("A", self.value_a, self.u_a),
             ("B", self.value_b, self.u_b),

@@ -84,6 +84,33 @@ class TestLinkCommand:
         path.write_text("A1,zzz,1.0,,,\n", encoding="utf-8")
         assert main(["link", "--input", str(path)]) == 1
 
+    def test_gauge_block_scaled_by_1e30(self, tmp_path, capsys):
+        # valid input far above the 28 digits of the default decimal context
+        rows = [row.split(",") for row in GAUGE_BLOCK_CSV.splitlines()[1:]]
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("".join(
+            ",".join([label, *(cell and repr(float(cell) * 1e30)
+                               for cell in cells)]) + "\n"
+            for label, *cells in rows
+        ), encoding="utf-8")
+        assert main(["link", "--input", str(scaled), "--decimals", "1"]) == 2
+        out = capsys.readouterr().out
+        assert "(failed)" in out and "y_A = -103614581130471" in out
+
+    def test_negative_decimals_exit_1(self, gauge_block_file, capsys):
+        code = main(["link", "--input", str(gauge_block_file),
+                     "--decimals", "-1"])
+        assert code == 1
+        assert "error: decimals must be non-negative" in capsys.readouterr().err
+
+    def test_many_decimals(self, gauge_block_file, capsys):
+        code = main(["link", "--input", str(gauge_block_file),
+                     "--report-format", "json", "--decimals", "400"])
+        assert code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["display"]["decimals"] == 400
+        assert report["display"]["kcrv"]["y_a"] == report["kcrv"]["y_a"]
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["link"]) == 1
         assert main(["nonsense"]) == 1
@@ -124,6 +151,24 @@ class TestSynthCommand:
         assert len(lines) == 1 + 17
         # generated file feeds straight back into link
         assert main(["link", "--input", str(out)]) in (0, 2)
+
+    def test_file_layouts(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(SCENARIO_JSON, encoding="utf-8")
+        as_csv, as_json = tmp_path / "labs.csv", tmp_path / "labs.json"
+        for out in (as_csv, as_json):
+            main(["synth", "--scenario", str(scenario), "--output", str(out)])
+        rows = as_csv.read_bytes().split(b"\r\n")
+        assert rows[0] == b"label,x_a,u_a,x_b,u_b,cov_ab"
+        assert rows[1].startswith(b"LAB-01,") and rows[1].endswith(b",,,")
+        assert rows[-1] == b""
+        text = as_json.read_text(encoding="utf-8")
+        assert text.startswith('{\n  "labs": [\n    {\n      "cov_ab": null,')
+        assert text.endswith("\n  ]\n}\n")
+        document = json.loads(text)
+        assert list(document) == ["labs"] and len(document["labs"]) == 17
+        assert all(list(lab) == sorted(["label", "x_a", "u_a", "x_b", "u_b",
+                                        "cov_ab"]) for lab in document["labs"])
 
     def test_json_output_and_seed_override(self, tmp_path):
         scenario = tmp_path / "scenario.json"

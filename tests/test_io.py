@@ -1,6 +1,11 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kclink.io import (
     ParseError,
@@ -10,8 +15,12 @@ from kclink.io import (
     parse_number,
     render_report,
     round_half_up,
+    write_dataset,
 )
 from kclink.linking import link
+from kclink.model import KclinkError, validate_dataset
+
+from .strategies import datasets
 
 
 GAUGE_BLOCK_CSV = """\
@@ -161,6 +170,24 @@ class TestParseDataset:
         with pytest.raises(ParseError, match="array"):
             parse_dataset(scalar)
 
+    def test_json_null_label(self, tmp_path):
+        path = tmp_path / "labs.json"
+        path.write_text(json.dumps([
+            {"label": None, "x_a": 1.0, "u_a": 1.0},
+            {"label": "B1", "x_b": 2.0, "u_b": 1.0},
+        ]), encoding="utf-8")
+        with pytest.raises(ParseError, match="lab entry 0: laboratory label"):
+            parse_dataset(path)
+
+    def test_json_string_and_boolean_numbers(self, tmp_path):
+        path = tmp_path / "labs.json"
+        path.write_text(json.dumps([
+            {"label": "A1", "x_a": "1,5", "u_a": 1},
+            {"label": "B1", "x_b": 2.0, "u_b": True},
+        ]), encoding="utf-8")
+        with pytest.raises(ParseError, match="lab entry 1: B1: u_b must be a real"):
+            parse_dataset(path)
+
     def test_format_inference_and_override(self, tmp_path, gauge_block_csv):
         renamed = tmp_path / "data.txt"
         renamed.write_text(GAUGE_BLOCK_CSV, encoding="utf-8")
@@ -181,32 +208,37 @@ class TestRoundHalfUp:
     def test_half_up(self, value, decimals, expected):
         assert round_half_up(value, decimals) == expected
 
+    @pytest.mark.parametrize("value, decimals", [
+        (1e300, 0),
+        (1e13, 15),
+        (-1.7976931348623157e308, 3),
+        (5e-324, 400),
+    ])
+    def test_any_finite_float(self, value, decimals):
+        assert round_half_up(value, decimals) == value
+
 
 class TestRenderReport:
     def test_text_footer_at_one_decimal(self, gauge_block):
-        document = render_report(link(gauge_block), "text", decimals=1,
-                                 units="nm")
-        assert "y_A = -103.6 nm" in document.text
-        assert "u(y_A) = 4.9 nm" in document.text
-        assert "y_B = -100.5 nm" in document.text
-        assert "u(y_B) = 3.6 nm" in document.text
-        assert "q2/(N-2) = 1.07 (failed)" in document.text
+        text = render_report(link(gauge_block), "text", decimals=1, units="nm")
+        assert "y_A = -103.6 nm" in text
+        assert "u(y_A) = 4.9 nm" in text
+        assert "y_B = -100.5 nm" in text
+        assert "u(y_B) = 3.6 nm" in text
+        assert "q2/(N-2) = 1.07 (failed)" in text
 
     def test_text_contains_doe_rows(self, gauge_block):
-        document = render_report(link(gauge_block), "text", decimals=1)
+        text = render_report(link(gauge_block), "text", decimals=1)
         assert any(line.startswith("METAS") and "7.6" in line
-                   for line in document.text.splitlines())
+                   for line in text.splitlines())
 
     def test_warning_section_only_when_needed(self, gauge_block, synthetic):
-        with_warnings = render_report(link(gauge_block), "text")
-        assert "warnings:" in with_warnings.text
-        without = render_report(link(synthetic), "text")
-        assert "warnings:" not in without.text
+        assert "warnings:" in render_report(link(gauge_block), "text")
+        assert "warnings:" not in render_report(link(synthetic), "text")
 
     def test_json_full_precision_round_trip(self, synthetic):
         result = link(synthetic)
-        document = render_report(result, "json")
-        parsed = json.loads(document.to_json())
+        parsed = json.loads(render_report(result, "json"))
         assert parsed["kcrv"]["y_a"] == result.kcrv.y_hat_a
         assert parsed["kcrv"]["u_b"] == result.kcrv.u_b
         assert parsed["kcrv"]["cov_ab"] == result.kcrv.cov_ab
@@ -221,13 +253,13 @@ class TestRenderReport:
 
     def test_json_rendering_is_deterministic(self, synthetic):
         result = link(synthetic)
-        first = render_report(result, "json").to_json()
-        second = render_report(link(synthetic), "json").to_json()
+        first = render_report(result, "json")
+        second = render_report(link(synthetic), "json")
         assert first == second
 
     def test_display_block_is_rounded_copy(self, gauge_block):
         result = link(gauge_block)
-        data = render_report(result, "json", decimals=1).data
+        data = json.loads(render_report(result, "json", decimals=1))
         assert data["display"]["kcrv"]["y_a"] == -103.6
         assert data["display"]["ratio"] == 1.07
         # full-precision fields unaffected by display rounding
@@ -235,8 +267,8 @@ class TestRenderReport:
 
     def test_primary_selects_format(self, synthetic):
         result = link(synthetic)
-        assert render_report(result, "text").primary().startswith("distributed")
-        assert render_report(result, "json").primary().startswith("{")
+        assert render_report(result, "text").startswith("distributed")
+        assert render_report(result, "json").startswith("{")
 
     def test_zero_dof_ratio_renders(self):
         from kclink.model import LabResult, validate_dataset
@@ -245,9 +277,49 @@ class TestRenderReport:
             LabResult("A1", value_a=5.0, u_a=2.0),
             LabResult("B1", value_b=7.0, u_b=3.0),
         ])
-        document = render_report(link(dataset), "text")
-        assert "q2/(N-2) = n/a (passed)" in document.text
-        assert render_report(link(dataset), "json").data["conformity"]["ratio"] is None
+        text = render_report(link(dataset), "text")
+        assert "q2/(N-2) = n/a (passed)" in text
+        data = json.loads(render_report(link(dataset), "json"))
+        assert data["conformity"]["ratio"] is None
+
+    def test_negative_decimals(self, synthetic):
+        with pytest.raises(KclinkError, match="decimals"):
+            render_report(link(synthetic), "json", decimals=-1)
+
+    def test_numpy_scalars_render_like_floats(self, gauge_block, tmp_path):
+        as_numpy = validate_dataset(
+            replace(lab, **{name: np.float64(getattr(lab, name))
+                            for name in ("value_a", "u_a", "value_b", "u_b")
+                            if getattr(lab, name) is not None})
+            for lab in gauge_block.labs
+        )
+        for format in ("text", "json"):
+            assert (render_report(link(as_numpy), format)
+                    == render_report(link(gauge_block), format))
+        plot = emit_plot_data(link(as_numpy), tmp_path / "numpy.csv")
+        plain = emit_plot_data(link(gauge_block), tmp_path / "plain.csv")
+        assert "np." not in plot.read_text(encoding="utf-8")
+        assert plot.read_bytes() == plain.read_bytes()
+
+
+# labels survive both formats, quoting and all, as long as they carry no
+# surrounding whitespace (CSV labels are stripped on reading)
+labels = st.one_of(
+    st.text(min_size=1), st.text(alphabet=',"\'\r\nx;', min_size=1)
+).map(str.strip).filter(bool)
+
+
+class TestWriteDataset:
+    @given(dataset=datasets(), names=st.lists(labels, min_size=9, max_size=9,
+                                              unique=True),
+           suffix=st.sampled_from([".csv", ".json"]))
+    def test_round_trip(self, dataset, names, suffix):
+        dataset = validate_dataset(
+            replace(lab, label=name) for lab, name in zip(dataset.labs, names)
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
+            assert parse_dataset(path).labs == dataset.labs
 
 
 class TestEmitPlotData:

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +52,22 @@ class TestLabResult:
     def test_empty_label(self):
         with pytest.raises(ValidationError, match="label"):
             LabResult("", value_a=1.0, u_a=1.0)
+
+    @pytest.mark.parametrize("bad", ["1.0", True, np.bool_(True), [1.0]])
+    def test_rejects_non_real_numbers(self, bad):
+        with pytest.raises(ValidationError, match="real number"):
+            LabResult("L", value_a=bad, u_a=1.0)
+        with pytest.raises(ValidationError, match="cov_ab"):
+            LabResult("L", value_a=1.0, u_a=2.0, value_b=2.0, u_b=3.0,
+                      cov_ab=bad)
+
+    def test_real_numbers_are_stored_as_float(self):
+        lab = LabResult("L", value_a=np.float64(1.5), u_a=np.int64(2),
+                        value_b=Fraction(1, 4), u_b=3, cov_ab=np.float32(0.5))
+        assert [type(v) for v in (lab.value_a, lab.u_a, lab.value_b,
+                                  lab.u_b, lab.cov_ab)] == [float] * 5
+        assert (lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab) == (
+            1.5, 2.0, 0.25, 3.0, 0.5)
 
 
 class TestToCorrelation:
