@@ -19,7 +19,7 @@ import csv
 import json
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
-from typing import Literal
+from typing import Iterable, Literal
 
 from .linking import LinkingResult
 from .model import ComparisonDataset, KclinkError, LabResult, validate_dataset
@@ -46,16 +46,14 @@ def parse_number(text: str) -> float | None:
     return float(cleaned)
 
 
-def _lab(record: dict, where: str) -> LabResult:
-    """Build a lab from a ``{column: raw}`` mapping: strings go through
-    :func:`parse_number`, anything else reaches :class:`LabResult` as is."""
-    try:
-        return LabResult(record.get("label"), *[
-            parse_number(raw) if isinstance(raw, str) else raw
-            for raw in map(record.get, _CSV_COLUMNS[1:])
-        ])
-    except (ValueError, KclinkError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
+def _lab(label: object, cells: Iterable[object]) -> LabResult:
+    """Build a lab from its label and raw number cells: a string label is
+    stripped, string cells go through :func:`parse_number`, and anything
+    else reaches :class:`LabResult` as is."""
+    return LabResult(
+        label.strip() if isinstance(label, str) else label,
+        *[parse_number(raw) if isinstance(raw, str) else raw for raw in cells],
+    )
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -76,8 +74,10 @@ def _parse_csv(path: Path) -> list[LabResult]:
                     f"{path}:{lineno}: expected at most {len(_CSV_COLUMNS)} "
                     f"columns, got {len(row)}"
                 )
-            record = dict(zip(_CSV_COLUMNS, row), label=row[0].strip())
-            labs.append(_lab(record, f"{path}:{lineno}"))
+            try:
+                labs.append(_lab(row[0], row[1:]))
+            except (ValueError, KclinkError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
     return labs
 
 
@@ -100,7 +100,10 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
     for index, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: lab entry {index} is not an object")
-        labs.append(_lab(entry, f"{path}: lab entry {index}"))
+        try:
+            labs.append(_lab(entry.get("label"), map(entry.get, _CSV_COLUMNS[1:])))
+        except (ValueError, KclinkError) as exc:
+            raise ParseError(f"{path}: lab entry {index}: {exc}") from None
     return labs, units
 
 
@@ -299,7 +302,7 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     CSV with a header row and ``repr`` numbers.
 
     :func:`parse_dataset` reads either back to the same labs, as long as no
-    label has surrounding whitespace (CSV labels are stripped on reading).
+    label has surrounding whitespace (labels are stripped on reading).
     """
     path = Path(path)
     records = [_lab_echo(lab) for lab in dataset.labs]

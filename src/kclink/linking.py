@@ -12,6 +12,16 @@ prior, the posterior for the pair of measurands is a bivariate Gaussian
 whose mode and covariance have closed forms in five data-only sums.  All
 sums are accumulated with exactly rounded summation (``math.fsum``) so
 results do not depend on the order in which laboratories are listed.
+
+Squares are written as products: ``x * x`` is correctly rounded, while
+``x**2`` goes through the platform's ``pow``, which may be off by one unit
+in the last place, and results would then no longer scale bit-exactly
+under a power-of-two change of units.
+
+:func:`link` walks the laboratories twice: :func:`compute_aux` gathers the
+five sums, which fix the KCRVs, and :func:`compute_residuals` then gives
+the degrees of equivalence and the chi-square from the residuals against
+those KCRVs.
 """
 
 from __future__ import annotations
@@ -133,8 +143,19 @@ class LinkingResult:
     warnings: tuple[str, ...]
 
 
-def _linking_denominator(lab: LabResult) -> float:
-    den = lab.u_a**2 * lab.u_b**2 - lab.covariance**2
+def _bivariate_denominator(lab: LabResult) -> float | None:
+    """The lab-kind rule shared by both walks over the labs.
+
+    A linking lab with a nonzero covariance contributes one bivariate term
+    with denominator ``u_a^2 * u_b^2 - cov_ab^2``, returned here.  Any other
+    lab (``None``) contributes one univariate term per standard it
+    measured; for a zero-covariance linking lab this keeps the uncorrelated
+    reduction (independent weighted means) an identity rather than a limit.
+    """
+    cov = lab.covariance
+    if not cov:
+        return None
+    den = (lab.u_a * lab.u_a) * (lab.u_b * lab.u_b) - cov * cov
     if not den > 0.0:
         # unreachable for validated labs (|cov| < u_a*u_b)
         raise InternalInconsistencyError(
@@ -155,24 +176,23 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
     t_s1: list[float] = []
     t_s2: list[float] = []
     for lab in dataset.labs:
-        if lab.is_linking and lab.covariance != 0.0:
-            den = _linking_denominator(lab)
-            cov = lab.covariance
-            t_a.append(lab.u_b**2 / den)
-            t_b.append(lab.u_a**2 / den)
+        den = _bivariate_denominator(lab)
+        if den is not None:
+            cov, v_a, v_b = lab.covariance, lab.u_a * lab.u_a, lab.u_b * lab.u_b
+            t_a.append(v_b / den)
+            t_b.append(v_a / den)
             t_c.append(cov / den)
-            t_s1.append((lab.u_b**2 * lab.value_a - cov * lab.value_b) / den)
-            t_s2.append((lab.u_a**2 * lab.value_b - cov * lab.value_a) / den)
+            t_s1.append((v_b * lab.value_a - cov * lab.value_b) / den)
+            t_s2.append((v_a * lab.value_b - cov * lab.value_a) / den)
             continue
-        # a zero-covariance linking lab contributes exactly like one
-        # exclusive lab per standard, keeping the uncorrelated reduction
-        # (independent weighted means) an identity rather than a limit
         if lab.in_group_a:
-            t_a.append(1.0 / lab.u_a**2)
-            t_s1.append(lab.value_a / lab.u_a**2)
+            v_a = lab.u_a * lab.u_a
+            t_a.append(1.0 / v_a)
+            t_s1.append(lab.value_a / v_a)
         if lab.in_group_b:
-            t_b.append(1.0 / lab.u_b**2)
-            t_s2.append(lab.value_b / lab.u_b**2)
+            v_b = lab.u_b * lab.u_b
+            t_b.append(1.0 / v_b)
+            t_s2.append(lab.value_b / v_b)
     return AuxQuantities(
         a=fsum(t_a), b=fsum(t_b), c=fsum(t_c), s1=fsum(t_s1), s2=fsum(t_s2)
     )
@@ -228,74 +248,56 @@ def _doe_uncertainty(label: str, u_x: float, u_y: float) -> float:
     return sqrt(radicand)
 
 
-def compute_doe(
+def compute_residuals(
     dataset: ComparisonDataset, kcrv: KcrvEstimate
-) -> tuple[DegreeOfEquivalence, ...]:
-    """Degrees of equivalence: one A entry per lab that measured A, then one
-    B entry per lab that measured B, in input order.
+) -> tuple[tuple[DegreeOfEquivalence, ...], ConformityReport]:
+    """Degrees of equivalence and the residual chi-square, in one walk.
 
-    ``d = x - y_hat`` and ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)``; the
-    variances subtract because each result is itself part of the reference
-    value, with covariance between them equal to the KCRV variance.
+    The DOEs are one A entry per lab that measured A, then one B entry per
+    lab that measured B, in input order: ``d = x - y_hat`` and
+    ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)``; the variances subtract because
+    each result is itself part of the reference value, with covariance
+    between them equal to the KCRV variance.
+
+    q2 substitutes the estimates into the weighted sum of squared
+    deviations; linking laboratories with a covariance contribute their
+    full bivariate quadratic form.  The test passes when q2 does not exceed
+    N - 2, the number of reported values minus the two estimated
+    quantities.
     """
-    does: list[DegreeOfEquivalence] = []
-    for lab in dataset.group_a():
-        does.append(
-            DegreeOfEquivalence(
-                label=lab.label,
-                standard="A",
-                d=lab.value_a - kcrv.y_hat_a,
-                u_d=_doe_uncertainty(lab.label, lab.u_a, kcrv.u_a),
-            )
-        )
-    for lab in dataset.group_b():
-        does.append(
-            DegreeOfEquivalence(
-                label=lab.label,
-                standard="B",
-                d=lab.value_b - kcrv.y_hat_b,
-                u_d=_doe_uncertainty(lab.label, lab.u_b, kcrv.u_b),
-            )
-        )
-    return tuple(does)
-
-
-def compute_q2(dataset: ComparisonDataset, kcrv: KcrvEstimate) -> ConformityReport:
-    """Residual chi-square of the KCRVs against the data.
-
-    Direct substitution of the estimates into the weighted sum of squared
-    deviations; linking laboratories contribute their full bivariate
-    quadratic form.  The test passes when q2 does not exceed N - 2, the
-    number of reported values minus the two estimated quantities.
-    """
+    does_a: list[DegreeOfEquivalence] = []
+    does_b: list[DegreeOfEquivalence] = []
     terms: list[float] = []
     for lab in dataset.labs:
-        if lab.is_linking and lab.covariance != 0.0:
-            den = _linking_denominator(lab)
+        den = _bivariate_denominator(lab)
+        if lab.in_group_a:
             d_a = lab.value_a - kcrv.y_hat_a
+            u_d = _doe_uncertainty(lab.label, lab.u_a, kcrv.u_a)
+            does_a.append(DegreeOfEquivalence(lab.label, "A", d_a, u_d))
+            if den is None:
+                terms.append(d_a * d_a / (lab.u_a * lab.u_a))
+        if lab.in_group_b:
             d_b = lab.value_b - kcrv.y_hat_b
+            u_d = _doe_uncertainty(lab.label, lab.u_b, kcrv.u_b)
+            does_b.append(DegreeOfEquivalence(lab.label, "B", d_b, u_d))
+            if den is None:
+                terms.append(d_b * d_b / (lab.u_b * lab.u_b))
+        if den is not None:
             terms.append(
                 (
-                    d_a * d_a * lab.u_b**2
+                    d_a * d_a * (lab.u_b * lab.u_b)
                     - 2.0 * lab.covariance * d_a * d_b
-                    + d_b * d_b * lab.u_a**2
+                    + d_b * d_b * (lab.u_a * lab.u_a)
                 )
                 / den
             )
-            continue
-        if lab.in_group_a:
-            d = lab.value_a - kcrv.y_hat_a
-            terms.append(d * d / lab.u_a**2)
-        if lab.in_group_b:
-            d = lab.value_b - kcrv.y_hat_b
-            terms.append(d * d / lab.u_b**2)
     q2 = fsum(terms)
     dof = dataset.n_total - 2
     if dof > 0:
-        return ConformityReport(q2=q2, dof=dof, ratio=q2 / dof, passed=q2 <= dof)
-    return ConformityReport(
-        q2=q2, dof=dof, ratio=None, passed=q2 <= ZERO_DOF_TIE_TOLERANCE
-    )
+        conformity = ConformityReport(q2, dof, q2 / dof, q2 <= dof)
+    else:
+        conformity = ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
+    return tuple(does_a + does_b), conformity
 
 
 def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
@@ -316,8 +318,7 @@ def link(dataset: ComparisonDataset) -> LinkingResult:
     """Run the full analysis: sums, KCRVs, DOEs and conformity check."""
     aux = compute_aux(dataset)
     kcrv = compute_kcrv(aux)
-    does = compute_doe(dataset, kcrv)
-    conformity = compute_q2(dataset, kcrv)
+    does, conformity = compute_residuals(dataset, kcrv)
     warnings = list(dataset.warnings)
     if conformity.dof == 0:
         warnings.append(

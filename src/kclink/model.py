@@ -9,7 +9,7 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from numbers import Real
 from typing import Iterable
@@ -45,9 +45,10 @@ class LabResult:
         laboratories (both values present).  ``None`` means "not
         reported" and is treated as zero during the analysis.
 
-    Numbers are real (not ``bool`` or ``str``) and stored as ``float``;
-    uncertainties are positive and any covariance satisfies ``|cov_ab| <
-    u_a * u_b``, i.e. the implied correlation lies strictly inside (-1, 1).
+    Numbers are real (not ``bool`` or ``str``), within the float range and
+    stored as ``float``; uncertainties are positive and any covariance
+    satisfies ``|cov_ab| < u_a * u_b``, i.e. the implied correlation lies
+    strictly inside (-1, 1).
     """
 
     label: str
@@ -68,7 +69,12 @@ class LabResult:
                 raise ValidationError(
                     f"{self.label}: {name} must be a real number, got {value!r}"
                 )
-            object.__setattr__(self, name, float(value))
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValidationError(
+                    f"{self.label}: {name} is beyond the float range"
+                ) from None
         for standard, value, u in (
             ("A", self.value_a, self.u_a),
             ("B", self.value_b, self.u_b),
@@ -123,59 +129,85 @@ class LabResult:
 
 
 @dataclass(frozen=True)
-class CorrelationView:
-    """Correlation coefficient between a linking laboratory's two results."""
-
-    r_ab: float
-
-    def __post_init__(self) -> None:
-        if not isfinite(self.r_ab) or not -1.0 < self.r_ab < 1.0:
-            raise ValidationError(
-                "correlation coefficient must lie strictly inside (-1, 1)"
-            )
-
-    def to_covariance(self, u_a: float, u_b: float) -> float:
-        """Covariance implied by this correlation and the two uncertainties.
-
-        Grouped as ``r * (u_a * u_b)`` so that converting a covariance to a
-        correlation and back reproduces it to one unit in the last place.
-        """
-        return self.r_ab * (u_a * u_b)
-
-
-def to_correlation(result: LabResult) -> CorrelationView:
-    """Express a linking laboratory's covariance as a correlation coefficient.
-
-    An absent covariance counts as zero.
-    """
-    if not result.is_linking:
-        raise ValidationError(
-            f"{result.label}: correlation requires measurements of both standards"
-        )
-    return CorrelationView(result.covariance / (result.u_a * result.u_b))
-
-
-@dataclass(frozen=True)
 class ComparisonDataset:
     """A validated, partitioned collection of laboratory results.
+
+    Built from ``labs`` alone, which it validates: an empty input,
+    duplicate labels or a standard that no laboratory measured raise
+    :class:`ValidationError`.  Per-laboratory invariants (missing
+    uncertainties, covariance bounds, ...) are enforced by
+    :class:`LabResult` itself.
 
     ``only_a``, ``only_b`` and ``linking`` hold the laboratory labels of
     the three disjoint participation groups, in input order.  Every lab
     belongs to exactly one of them.  ``warnings`` records non-fatal
-    findings from validation (see :func:`validate_dataset`).
+    findings: an empty linking group, linking labs that did not report a
+    covariance (treated as zero), and the degenerate case in which every
+    linking covariance is zero or absent, where the joint analysis reduces
+    to two independent inverse-variance weighted means.
     """
 
     labs: tuple[LabResult, ...]
-    only_a: tuple[str, ...]
-    only_b: tuple[str, ...]
-    linking: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
+    only_a: tuple[str, ...] = field(init=False)
+    only_b: tuple[str, ...] = field(init=False)
+    linking: tuple[str, ...] = field(init=False)
+    warnings: tuple[str, ...] = field(init=False)
+    _by_label: dict[str, LabResult] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labs = tuple(self.labs)
+        if not labs:
+            raise ValidationError("dataset contains no laboratories")
+        by_label: dict[str, LabResult] = {}
+        only_a: list[str] = []
+        only_b: list[str] = []
+        linking: list[LabResult] = []
+        for lab in labs:
+            if lab.label in by_label:
+                raise ValidationError(f"duplicate laboratory label: {lab.label}")
+            by_label[lab.label] = lab
+            if lab.is_linking:
+                linking.append(lab)
+            elif lab.in_group_a:
+                only_a.append(lab.label)
+            else:
+                only_b.append(lab.label)
+        if not only_a and not linking:
+            raise ValidationError("no laboratory measured standard A")
+        if not only_b and not linking:
+            raise ValidationError("no laboratory measured standard B")
+
+        warnings: list[str] = []
+        if not linking:
+            warnings.append(
+                "no linking laboratories: the two comparisons are analysed "
+                "as independent weighted means"
+            )
+        else:
+            unreported = [lab.label for lab in linking if lab.cov_ab is None]
+            if unreported:
+                warnings.append(
+                    "covariance not reported by linking laboratories "
+                    f"({', '.join(unreported)}); treated as zero"
+                )
+            if all(lab.covariance == 0.0 for lab in linking):
+                warnings.append(
+                    "all linking covariances are zero or absent: the linking "
+                    "degenerates to independent per-group weighted means"
+                )
+
+        for name, value in (
+            ("labs", labs),
+            ("only_a", tuple(only_a)),
+            ("only_b", tuple(only_b)),
+            ("linking", tuple(lab.label for lab in linking)),
+            ("warnings", tuple(warnings)),
+            ("_by_label", by_label),
+        ):
+            object.__setattr__(self, name, value)
 
     def lab(self, label: str) -> LabResult:
-        for entry in self.labs:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
+        return self._by_label[label]
 
     def group_a(self) -> tuple[LabResult, ...]:
         """Labs that measured standard A (exclusive and linking), input order."""
@@ -203,62 +235,6 @@ class ComparisonDataset:
 
 
 def validate_dataset(raw: Iterable[LabResult]) -> ComparisonDataset:
-    """Validate a collection of lab results and partition it into groups.
-
-    Raises :class:`ValidationError` for duplicate labels, an empty input,
-    or a standard that no laboratory measured.  Per-laboratory invariants
-    (missing uncertainties, covariance bounds, ...) are enforced by
-    :class:`LabResult` itself.
-
-    Non-fatal findings are collected as warnings on the returned dataset:
-    an empty linking group, linking labs that did not report a covariance
-    (treated as zero), and the degenerate case in which every linking
-    covariance is zero or absent, where the joint analysis reduces to two
-    independent inverse-variance weighted means.
-    """
-    labs = tuple(raw)
-    if not labs:
-        raise ValidationError("dataset contains no laboratories")
-
-    seen: set[str] = set()
-    for lab in labs:
-        if lab.label in seen:
-            raise ValidationError(f"duplicate laboratory label: {lab.label}")
-        seen.add(lab.label)
-
-    only_a = tuple(l.label for l in labs if l.in_group_a and not l.in_group_b)
-    only_b = tuple(l.label for l in labs if l.in_group_b and not l.in_group_a)
-    linking = tuple(l.label for l in labs if l.is_linking)
-
-    if not only_a and not linking:
-        raise ValidationError("no laboratory measured standard A")
-    if not only_b and not linking:
-        raise ValidationError("no laboratory measured standard B")
-
-    warnings: list[str] = []
-    linking_results = [l for l in labs if l.is_linking]
-    if not linking_results:
-        warnings.append(
-            "no linking laboratories: the two comparisons are analysed "
-            "as independent weighted means"
-        )
-    else:
-        unreported = [l.label for l in linking_results if l.cov_ab is None]
-        if unreported:
-            warnings.append(
-                "covariance not reported by linking laboratories "
-                f"({', '.join(unreported)}); treated as zero"
-            )
-        if all(l.covariance == 0.0 for l in linking_results):
-            warnings.append(
-                "all linking covariances are zero or absent: the linking "
-                "degenerates to independent per-group weighted means"
-            )
-
-    return ComparisonDataset(
-        labs=labs,
-        only_a=only_a,
-        only_b=only_b,
-        linking=linking,
-        warnings=tuple(warnings),
-    )
+    """Validate a collection of lab results and partition it into groups;
+    the same as ``ComparisonDataset(tuple(raw))``."""
+    return ComparisonDataset(tuple(raw))

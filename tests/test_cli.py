@@ -97,6 +97,17 @@ class TestLinkCommand:
         out = capsys.readouterr().out
         assert "(failed)" in out and "y_A = -103614581130471" in out
 
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([
+            {"label": "A1", "x_a": 10**400, "u_a": 1.0},
+            {"label": "B1", "x_b": 2.0, "u_b": 1.0},
+        ]), encoding="utf-8")
+        assert main(["link", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: lab entry 0: A1: value_a is beyond the float range\n"
+        )
+
     def test_negative_decimals_exit_1(self, gauge_block_file, capsys):
         code = main(["link", "--input", str(gauge_block_file),
                      "--decimals", "-1"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from dataclasses import replace
@@ -18,7 +19,8 @@ from kclink.io import (
     write_dataset,
 )
 from kclink.linking import link
-from kclink.model import KclinkError, validate_dataset
+from kclink.golden import gauge_block_dataset, synthetic_dataset
+from kclink.model import KclinkError, LabResult, validate_dataset
 
 from .strategies import datasets
 
@@ -188,6 +190,17 @@ class TestParseDataset:
         with pytest.raises(ParseError, match="lab entry 1: B1: u_b must be a real"):
             parse_dataset(path)
 
+    def test_labels_are_stripped_in_both_formats(self, tmp_path):
+        dataset = validate_dataset([
+            LabResult(" A1 ", value_a=1.0, u_a=1.0),
+            LabResult("\tC1", value_a=2.0, u_a=1.0, value_b=3.0, u_b=1.0),
+            LabResult("B1  ", value_b=4.0, u_b=1.0),
+        ])
+        from_csv = parse_dataset(write_dataset(dataset, tmp_path / "labs.csv"))
+        from_json = parse_dataset(write_dataset(dataset, tmp_path / "labs.json"))
+        assert from_csv == from_json
+        assert [lab.label for lab in from_json.labs] == ["A1", "C1", "B1"]
+
     def test_format_inference_and_override(self, tmp_path, gauge_block_csv):
         renamed = tmp_path / "data.txt"
         renamed.write_text(GAUGE_BLOCK_CSV, encoding="utf-8")
@@ -265,14 +278,24 @@ class TestRenderReport:
         # full-precision fields unaffected by display rounding
         assert data["kcrv"]["y_a"] == result.kcrv.y_hat_a
 
+    # sha256 prefixes of the reports at decimals=3: the report bytes are a
+    # contract, so any change to them must be deliberate
+    @pytest.mark.parametrize("dataset, units, format, digest", [
+        (gauge_block_dataset, "nm", "json", "30866f58d3138b4c"),
+        (gauge_block_dataset, "nm", "text", "fa4263e2c2cbffb1"),
+        (synthetic_dataset, None, "json", "4c28fe4f7bb7f0fb"),
+        (synthetic_dataset, None, "text", "f2940a8c74603734"),
+    ])
+    def test_report_bytes_are_pinned(self, dataset, units, format, digest):
+        report = render_report(link(dataset()), format, decimals=3, units=units)
+        assert hashlib.sha256(report.encode()).hexdigest()[:16] == digest
+
     def test_primary_selects_format(self, synthetic):
         result = link(synthetic)
         assert render_report(result, "text").startswith("distributed")
         assert render_report(result, "json").startswith("{")
 
     def test_zero_dof_ratio_renders(self):
-        from kclink.model import LabResult, validate_dataset
-
         dataset = validate_dataset([
             LabResult("A1", value_a=5.0, u_a=2.0),
             LabResult("B1", value_b=7.0, u_b=3.0),
@@ -303,7 +326,7 @@ class TestRenderReport:
 
 
 # labels survive both formats, quoting and all, as long as they carry no
-# surrounding whitespace (CSV labels are stripped on reading)
+# surrounding whitespace (labels are stripped on reading)
 labels = st.one_of(
     st.text(min_size=1), st.text(alphabet=',"\'\r\nx;', min_size=1)
 ).map(str.strip).filter(bool)

@@ -10,9 +10,8 @@ from kclink.linking import (
     AuxQuantities,
     KcrvEstimate,
     compute_aux,
-    compute_doe,
     compute_kcrv,
-    compute_q2,
+    compute_residuals,
     link,
     posterior_density,
 )
@@ -152,7 +151,8 @@ class TestComputeDoe:
         ])
         kcrv = compute_kcrv(compute_aux(dataset))
         assert kcrv.y_hat_a == 5.0
-        does = {e.label: e for e in compute_doe(dataset, kcrv) if e.standard == "A"}
+        does, _ = compute_residuals(dataset, kcrv)
+        does = {e.label: e for e in does if e.standard == "A"}
         assert does["A1"].d == 0.0
         assert does["A1"].u_d == math.sqrt(2.0**2 - kcrv.u_a**2)
 
@@ -163,7 +163,7 @@ class TestComputeDoe:
             r_tilde=0.0,
         )
         with pytest.raises(InternalInconsistencyError, match="exceeds"):
-            compute_doe(dataset, bogus)
+            compute_residuals(dataset, bogus)
 
     @given(datasets())
     @settings(max_examples=100, deadline=None)
@@ -194,8 +194,8 @@ class TestComputeQ2:
         assert any("no degrees of freedom" in w for w in result.warnings)
 
     def test_exact_tie_passes(self):
-        report_like = compute_q2(two_lab_dataset(),
-                                 compute_kcrv(compute_aux(two_lab_dataset())))
+        _, report_like = compute_residuals(
+            two_lab_dataset(), compute_kcrv(compute_aux(two_lab_dataset())))
         assert report_like.passed
 
     @given(moderate_datasets(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -331,6 +331,15 @@ class TestLink:
         ])
 
     @given(datasets(), st.integers(min_value=-30, max_value=30))
+    @example(  # glibc's pow misrounds 994.5421484110846 / 4 squared
+        validate_dataset([
+            LabResult("H01", value_a=0.0, u_a=1.0),
+            LabResult("H02", value_a=0.0, u_a=1.0, value_b=0.0, u_b=6.0),
+            LabResult("H03", value_a=0.0, u_a=994.5421484110846,
+                      value_b=0.0, u_b=5.0, cov_ab=2486.3553710277115),
+        ]),
+        -2,
+    )
     @settings(max_examples=100, deadline=None)
     def test_scale_covariance_power_of_two_is_exact(self, dataset, k):
         # multiplying by a power of two commutes with every IEEE operation,

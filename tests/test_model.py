@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from kclink.linking import link
 from kclink.model import (
-    CorrelationView,
+    ComparisonDataset,
     LabResult,
     ValidationError,
-    to_correlation,
     validate_dataset,
 )
 
@@ -70,48 +70,48 @@ class TestLabResult:
             1.5, 2.0, 0.25, 3.0, 0.5)
 
 
-class TestToCorrelation:
-    def test_published_linking_row(self):
-        lab = LabResult("LAB-09", value_a=111.0, u_a=2.4,
-                        value_b=120.1, u_b=6.5, cov_ab=12.48)
-        assert to_correlation(lab).r_ab == pytest.approx(0.8, abs=1e-12)
-
-    def test_zero_covariance(self):
-        lab = LabResult("L", value_a=1.0, u_a=2.0, value_b=2.0, u_b=3.0,
-                        cov_ab=0.0)
-        assert to_correlation(lab).r_ab == 0.0
-
-    def test_absent_covariance_counts_as_zero(self):
-        lab = LabResult("L", value_a=1.0, u_a=2.0, value_b=2.0, u_b=3.0)
-        assert to_correlation(lab).r_ab == 0.0
-
-    def test_unit_uncertainties(self):
-        lab = LabResult("L", value_a=0.0, u_a=1.0, value_b=0.0, u_b=1.0,
-                        cov_ab=0.5)
-        assert to_correlation(lab).r_ab == 0.5
-
-    def test_requires_linking_lab(self):
-        with pytest.raises(ValidationError, match="both standards"):
-            to_correlation(LabResult("L", value_a=1.0, u_a=1.0))
-
-    @given(
-        u_a=st.floats(min_value=1e-3, max_value=1e3),
-        u_b=st.floats(min_value=1e-3, max_value=1e3),
-        r=st.floats(min_value=-0.999, max_value=0.999),
-    )
-    def test_round_trip_within_one_ulp(self, u_a, u_b, r):
-        cov = r * (u_a * u_b)
-        lab = LabResult("L", value_a=0.0, u_a=u_a, value_b=0.0, u_b=u_b,
-                        cov_ab=cov)
-        back = to_correlation(lab).to_covariance(u_a, u_b)
-        assert abs(back - cov) <= math.ulp(abs(cov))
+    @pytest.mark.parametrize("name", ["value_a", "u_a", "cov_ab"])
+    def test_integer_beyond_float_range(self, name):
+        fields = dict(value_a=1.0, u_a=2.0, value_b=2.0, u_b=3.0)
+        fields[name] = 10**400
+        with pytest.raises(ValidationError, match=f"{name} is beyond"):
+            LabResult("L", **fields)
 
 
-class TestCorrelationView:
-    @pytest.mark.parametrize("r", [1.0, -1.0, 1.5, math.nan])
-    def test_rejects_out_of_range(self, r):
-        with pytest.raises(ValidationError):
-            CorrelationView(r)
+class TestComparisonDataset:
+    @pytest.mark.parametrize("labs, message", [
+        ((), "no laboratories"),
+        ((LabResult("L", value_a=1.0, u_a=1.0),
+          LabResult("L", value_b=1.0, u_b=1.0)), "duplicate"),
+        ((LabResult("L", value_a=5.0, u_a=2.0),), "standard B"),
+        ((LabResult("L", value_b=5.0, u_b=2.0),), "standard A"),
+    ])
+    def test_constructor_validates(self, labs, message):
+        with pytest.raises(ValidationError, match=message):
+            ComparisonDataset(labs)
+
+    def test_groups_are_derived_not_given(self):
+        with pytest.raises(TypeError):
+            ComparisonDataset(labs=(), only_a=(), only_b=(), linking=())
+
+    def test_hand_built_dataset_links(self):
+        dataset = ComparisonDataset((
+            LabResult("A1", value_a=-1.0, u_a=1.0),
+            LabResult("A2", value_a=1.0, u_a=1.0),
+            LabResult("B1", value_b=-2.0, u_b=1.0),
+            LabResult("B2", value_b=2.0, u_b=1.0),
+        ))
+        assert (dataset.only_a, dataset.only_b, dataset.linking) == (
+            ("A1", "A2"), ("B1", "B2"), ())
+        conformity = link(dataset).conformity
+        assert (conformity.dof, conformity.ratio, conformity.passed) == (
+            2, 5.0, False)
+
+    def test_list_input_is_stored_as_tuple(self, gauge_block):
+        dataset = ComparisonDataset(list(gauge_block.labs))
+        assert dataset.labs == gauge_block.labs
+        assert dataset == gauge_block
+        assert dataset.lab("NRC") is gauge_block.lab("NRC")
 
 
 class TestValidateDataset:
