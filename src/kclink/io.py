@@ -10,14 +10,20 @@ either ASCII or typographic minus signs; output always uses points.
 writer of dataset files.  :func:`render_report` builds only the requested
 report format; reports carry full-precision values alongside
 display-rounded ones, and display rounding is half-up and never feeds back
-into any computation.
+into any computation.  The JSON report's bytes are those of
+``json.dumps(document, sort_keys=True, indent=2)`` of its documented
+structure, written row by row without building ``document``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Literal
 
@@ -26,6 +32,8 @@ from .model import ComparisonDataset, KclinkError, LabResult, validate_dataset
 from .version import __version__
 
 _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
+# a lab's fields in the order of _CSV_COLUMNS
+_lab_fields = attrgetter("label", "value_a", "u_a", "value_b", "u_b", "cov_ab")
 
 
 class ParseError(KclinkError):
@@ -61,32 +69,35 @@ def _looks_like_header(row: list[str]) -> bool:
     return any(cell in _CSV_COLUMNS for cell in tail)
 
 
-def _parse_csv(path: Path) -> list[LabResult]:
+def _parse_csv(path: Path) -> tuple[list[LabResult], None]:
     labs: list[LabResult] = []
     with open(path, encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not "".join(row).strip():
-                continue
-            if lineno == 1 and _looks_like_header(row):
-                continue
-            if len(row) > len(_CSV_COLUMNS):
-                raise ParseError(
-                    f"{path}:{lineno}: expected at most {len(_CSV_COLUMNS)} "
-                    f"columns, got {len(row)}"
-                )
-            try:
-                labs.append(_lab(row[0], row[1:]))
-            except (ValueError, KclinkError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return labs
+        reader = csv.reader(handle)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not "".join(row).strip() or lineno == 1 and _looks_like_header(row):
+                    continue
+                if len(row) > len(_CSV_COLUMNS):
+                    raise ParseError(
+                        f"{path}:{lineno}: expected at most {len(_CSV_COLUMNS)} "
+                        f"columns, got {len(row)}"
+                    )
+                try:
+                    labs.append(_lab(row[0], row[1:]))
+                except (ValueError, KclinkError) as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+        except csv.Error as exc:  # e.g. a cell beyond the reader's field size limit
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    return labs, None
 
 
 def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    text = path.read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # malformed, an integer beyond int's digit limit, or nested too deep
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
     units = None
     if isinstance(data, dict):
         units = data.get("units")
@@ -105,6 +116,9 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
         except (ValueError, KclinkError) as exc:
             raise ParseError(f"{path}: lab entry {index}: {exc}") from None
     return labs, units
+
+
+_READERS = {"csv": _parse_csv, "json": _parse_json}
 
 
 def parse_dataset(
@@ -127,46 +141,35 @@ def parse_dataset_with_units(
     path = Path(path)
     if format is None:
         format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        labs = _parse_csv(path)
-        units = None
-    elif format == "json":
-        labs, units = _parse_json(path)
-    else:
+    if format not in _READERS:
         raise ParseError(f"unknown dataset format: {format!r}")
+    try:
+        labs, units = _READERS[format](path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if units is not None and not isinstance(units, str):
         raise ParseError(f"{path}: units must be a string")
     return validate_dataset(labs), units
 
 
+@lru_cache(maxsize=32)
+def _rounding(decimals: int) -> tuple[Decimal, Context]:
+    # 309 integer digits cover every finite float; the shared context only
+    # collects status flags, which nothing reads
+    return Decimal(1).scaleb(-decimals), Context(prec=max(decimals, 0) + 309)
+
+
 def round_half_up(value: float, decimals: int) -> float:
     """Round half away from zero at the given number of decimals."""
-    quantum = Decimal(1).scaleb(-decimals)
-    # 309 integer digits cover every finite float
-    context = Context(prec=max(decimals, 0) + 309)
+    quantum, context = _rounding(decimals)
     return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context))
 
 
-def _lab_echo(lab: LabResult) -> dict:
-    return {
-        "label": lab.label,
-        "x_a": lab.value_a,
-        "u_a": lab.u_a,
-        "x_b": lab.value_b,
-        "u_b": lab.u_b,
-        "cov_ab": lab.cov_ab,
-    }
-
-
 def _fmt(value: float | None, decimals: int) -> str:
-    if value is None:
-        return "-"
-    return f"{round_half_up(value, decimals):.{decimals}f}"
+    return "-" if value is None else f"{round_half_up(value, decimals):.{decimals}f}"
 
 
-def _render_text(
-    result: LinkingResult, decimals: int, units: str | None
-) -> str:
+def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str:
     unit_suffix = f" {units}" if units else ""
     doe = {(entry.label, entry.standard): entry for entry in result.does}
     width = max(len("lab"), max(len(lab.label) for lab in result.dataset.labs))
@@ -202,9 +205,7 @@ def _render_text(
         f"KCRV B: y_B = {_fmt(kcrv.y_hat_b, decimals)}{unit_suffix}, "
         f"u(y_B) = {_fmt(kcrv.u_b, decimals)}{unit_suffix}"
     )
-    lines.append(
-        f"cov(y_A, y_B) = {kcrv.cov_ab:.6g}, r = {_fmt(kcrv.r_tilde, 3)}"
-    )
+    lines.append(f"cov(y_A, y_B) = {kcrv.cov_ab:.6g}, r = {_fmt(kcrv.r_tilde, 3)}")
     conf = result.conformity
     ratio = "n/a" if conf.ratio is None else _fmt(conf.ratio, 2)
     verdict = "passed" if conf.passed else "failed"
@@ -214,10 +215,71 @@ def _render_text(
     )
     if result.warnings:
         lines.append("warnings:")
-        for warning in result.warnings:
-            lines.append(f"  - {warning}")
+        lines.extend(f"  - {warning}" for warning in result.warnings)
     lines.append("")
     return "\n".join(lines)
+
+
+_float = float.__repr__  # json's text for a finite float
+_str = encode_basestring_ascii  # json's text for a str (ensure_ascii)
+
+
+def _strings(values: Iterable[str], indent: str) -> str:
+    """A JSON array of strings, closing at ``indent``."""
+    items = ",".join([f"\n{indent}  {_str(value)}" for value in values])
+    return f"[{items}\n{indent}]" if items else "[]"
+
+
+def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str:
+    # the fixed shape in sorted key order; a dataset always has labs and DOEs.
+    # Rows inline None as "null": a call per field costs about a float's text.
+    aux, kcrv, conf = result.aux, result.kcrv, result.conformity
+    labs = [
+        f'\n      {{\n        "cov_ab": {"null" if c is None else _float(c)},\n'
+        f'        "label": {_str(label)},\n'
+        f'        "u_a": {"null" if u_a is None else _float(u_a)},\n'
+        f'        "u_b": {"null" if u_b is None else _float(u_b)},\n'
+        f'        "x_a": {"null" if x_a is None else _float(x_a)},\n'
+        f'        "x_b": {"null" if x_b is None else _float(x_b)}\n      }}'
+        for label, x_a, u_a, x_b, u_b, c in map(_lab_fields, result.dataset.labs)
+    ]
+    does = [
+        f'\n    {{\n      "d": {_float(entry.d)},\n'
+        f'      "label": {_str(entry.label)},\n'
+        f'      "standard": {_str(entry.standard)},\n'
+        f'      "u_d": {_float(entry.u_d)}\n    }}'
+        for entry in result.does
+    ]
+    ratio, shown = ("null", "null") if conf.ratio is None else (
+        _float(conf.ratio), _float(round_half_up(conf.ratio, 2)))
+    return (
+        f'{{\n  "aux": {{\n    "a": {_float(aux.a)},\n    "b": {_float(aux.b)},\n'
+        f'    "c": {_float(aux.c)},\n    "s1": {_float(aux.s1)},\n'
+        f'    "s2": {_float(aux.s2)}\n  }},\n'
+        f'  "conformity": {{\n    "dof": {int.__repr__(conf.dof)},\n'
+        f'    "passed": {"true" if conf.passed else "false"},\n'
+        f'    "q2": {_float(conf.q2)},\n    "ratio": {ratio}\n  }},\n'
+        f'  "display": {{\n    "decimals": {int.__repr__(decimals)},\n    "kcrv": {{\n'
+        f'      "u_a": {_float(round_half_up(kcrv.u_a, decimals))},\n'
+        f'      "u_b": {_float(round_half_up(kcrv.u_b, decimals))},\n'
+        f'      "y_a": {_float(round_half_up(kcrv.y_hat_a, decimals))},\n'
+        f'      "y_b": {_float(round_half_up(kcrv.y_hat_b, decimals))}\n    }},\n'
+        f'    "ratio": {shown}\n  }},\n'
+        f'  "doe": [{",".join(does)}\n  ],\n'
+        f'  "input": {{\n    "groups": {{\n'
+        f'      "linking": {_strings(result.dataset.linking, "      ")},\n'
+        f'      "only_a": {_strings(result.dataset.only_a, "      ")},\n'
+        f'      "only_b": {_strings(result.dataset.only_b, "      ")}\n    }},\n'
+        f'    "labs": [{",".join(labs)}\n    ]\n  }},\n'
+        f'  "kcrv": {{\n    "cov_ab": {_float(kcrv.cov_ab)},\n'
+        f'    "r_tilde": {_float(kcrv.r_tilde)},\n    "u_a": {_float(kcrv.u_a)},\n'
+        f'    "u_b": {_float(kcrv.u_b)},\n    "y_a": {_float(kcrv.y_hat_a)},\n'
+        f'    "y_b": {_float(kcrv.y_hat_b)}\n  }},\n'
+        f'  "tool": {{\n    "name": "kclink",\n'
+        f'    "version": {_str(__version__)}\n  }},\n'
+        f'  "units": {"null" if units is None else _str(units)},\n'
+        f'  "warnings": {_strings(result.warnings, "  ")}\n}}'
+    )
 
 
 def render_report(
@@ -239,62 +301,7 @@ def render_report(
         raise KclinkError(f"decimals must be non-negative, got {decimals}")
     if format == "text":
         return _render_text(result, decimals, units)
-    kcrv = result.kcrv
-    conf = result.conformity
-    data = {
-        "tool": {"name": "kclink", "version": __version__},
-        "units": units,
-        "input": {
-            "labs": [_lab_echo(lab) for lab in result.dataset.labs],
-            "groups": {
-                "only_a": list(result.dataset.only_a),
-                "linking": list(result.dataset.linking),
-                "only_b": list(result.dataset.only_b),
-            },
-        },
-        "aux": {
-            "a": result.aux.a,
-            "b": result.aux.b,
-            "c": result.aux.c,
-            "s1": result.aux.s1,
-            "s2": result.aux.s2,
-        },
-        "kcrv": {
-            "y_a": kcrv.y_hat_a,
-            "u_a": kcrv.u_a,
-            "y_b": kcrv.y_hat_b,
-            "u_b": kcrv.u_b,
-            "cov_ab": kcrv.cov_ab,
-            "r_tilde": kcrv.r_tilde,
-        },
-        "doe": [
-            {
-                "label": entry.label,
-                "standard": entry.standard,
-                "d": entry.d,
-                "u_d": entry.u_d,
-            }
-            for entry in result.does
-        ],
-        "conformity": {
-            "q2": conf.q2,
-            "dof": conf.dof,
-            "ratio": conf.ratio,
-            "passed": conf.passed,
-        },
-        "warnings": list(result.warnings),
-        "display": {
-            "decimals": decimals,
-            "kcrv": {
-                "y_a": round_half_up(kcrv.y_hat_a, decimals),
-                "u_a": round_half_up(kcrv.u_a, decimals),
-                "y_b": round_half_up(kcrv.y_hat_b, decimals),
-                "u_b": round_half_up(kcrv.u_b, decimals),
-            },
-            "ratio": None if conf.ratio is None else round_half_up(conf.ratio, 2),
-        },
-    }
-    return json.dumps(data, sort_keys=True, indent=2)
+    return _render_json(result, decimals, units)
 
 
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
@@ -305,30 +312,38 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     label has surrounding whitespace (labels are stripped on reading).
     """
     path = Path(path)
-    records = [_lab_echo(lab) for lab in dataset.labs]
+    rows = list(map(_lab_fields, dataset.labs))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if path.suffix.lower() == ".json":
+            records = [dict(zip(_CSV_COLUMNS, row)) for row in rows]
             handle.write(json.dumps({"labs": records}, indent=2, sort_keys=True) + "\n")
         else:
             writer = csv.writer(handle)
             writer.writerow(_CSV_COLUMNS)
-            for label, *numbers in (record.values() for record in records):
-                writer.writerow(
-                    [label, *("" if v is None else repr(v) for v in numbers)]
-                )
+            writer.writerows(
+                [label, *("" if v is None else repr(v) for v in numbers)]
+                for label, *numbers in rows
+            )
     return path
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it by default (QUOTE_MINIMAL)."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
 def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:
     """Write the DOE chart data as CSV: label, standard, d, u_d and the
     expanded (k = 2) uncertainty, one row per degree of equivalence."""
+    rows = [
+        f"{_csv_field(entry.label)},{entry.standard},{_float(entry.d)},"
+        f"{_float(entry.u_d)},{_float(2.0 * entry.u_d)}\r\n"
+        for entry in result.does
+    ]
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "standard", "d", "u_d", "U_d_k2"])
-        for entry in result.does:
-            writer.writerow(
-                [entry.label, entry.standard,
-                 repr(entry.d), repr(entry.u_d), repr(2.0 * entry.u_d)]
-            )
+        handle.write("label,standard,d,u_d,U_d_k2\r\n" + "".join(rows))
     return path

@@ -27,13 +27,14 @@ those KCRVs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, pi, sqrt
+from math import exp, fsum, inf, isfinite, pi, sqrt
 from typing import Literal
 
 from .model import (
     ComparisonDataset,
     InternalInconsistencyError,
     LabResult,
+    ValidationError,
 )
 
 Standard = Literal["A", "B"]
@@ -235,9 +236,12 @@ def _doe_uncertainty(label: str, u_x: float, u_y: float) -> float:
     The estimator is a minimum-variance combination that includes x, hence
     u(y) <= u(x) for every lab in the dataset.  A tiny negative radicand
     from floating-point cancellation is treated as zero; anything beyond
-    tolerance is an internal inconsistency, never silently clamped.
+    tolerance is an internal inconsistency, never silently clamped.  A
+    u(x)^2 beyond the float range is a :class:`ValidationError`.
     """
     radicand = u_x * u_x - u_y * u_y
+    if 0.0 <= radicand < inf:
+        return sqrt(radicand)
     if radicand < 0.0:
         if radicand < -_RADICAND_RTOL * u_x * u_x:
             raise InternalInconsistencyError(
@@ -245,7 +249,7 @@ def _doe_uncertainty(label: str, u_x: float, u_y: float) -> float:
                 f"(radicand {radicand})"
             )
         return 0.0
-    return sqrt(radicand)
+    raise ValidationError(f"{label}: the DOE variance exceeds the float range")
 
 
 def compute_residuals(
@@ -291,7 +295,13 @@ def compute_residuals(
                 )
                 / den
             )
-    q2 = fsum(terms)
+    try:
+        q2 = fsum(terms)
+    except (OverflowError, ValueError):  # a sum past the float range, inf - inf
+        q2 = inf
+    # a non-finite KCRV makes some d, and with it q2, non-finite as well
+    if not isfinite(q2):
+        raise ValidationError("the residual chi-square exceeds the float range")
     dof = dataset.n_total - 2
     if dof > 0:
         conformity = ConformityReport(q2, dof, q2 / dof, q2 <= dof)

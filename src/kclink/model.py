@@ -209,14 +209,6 @@ class ComparisonDataset:
     def lab(self, label: str) -> LabResult:
         return self._by_label[label]
 
-    def group_a(self) -> tuple[LabResult, ...]:
-        """Labs that measured standard A (exclusive and linking), input order."""
-        return tuple(lab for lab in self.labs if lab.in_group_a)
-
-    def group_b(self) -> tuple[LabResult, ...]:
-        """Labs that measured standard B (exclusive and linking), input order."""
-        return tuple(lab for lab in self.labs if lab.in_group_b)
-
     def linking_labs(self) -> tuple[LabResult, ...]:
         return tuple(lab for lab in self.labs if lab.is_linking)
 

@@ -8,16 +8,25 @@ finite differences.  Sums mirroring the estimator's five auxiliary
 quantities are accumulated naively (plain ``sum``) in reversed lab order.
 The minimal-inflation reference re-validates and re-links the whole
 dataset at every trial uncertainty and bisects the pass/fail crossings.
+The report references build the JSON report as a nested dict handed to
+``json.dumps``, round with a fresh ``Decimal`` context per value and write
+plot data through ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import replace
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import NamedTuple
 
 import numpy as np
 
+from kclink.linking import LinkingResult
 from kclink.model import ComparisonDataset
+from kclink.version import __version__
 
 
 def chi_square(dataset: ComparisonDataset, y_a, y_b):
@@ -312,3 +321,94 @@ def bisect_minimal_inflation(
         rounded += quantum(rounded)
         rounded = rounded.quantize(quantum(rounded))
     return BisectedInflation(critical_u, None, crossings)
+
+
+def round_half_up(value: float, decimals: int) -> float:
+    """Half-up rounding of the shortest round-trip digits of ``value``."""
+    quantum = Decimal(1).scaleb(-decimals)
+    # 309 integer digits cover every finite float
+    context = Context(prec=max(decimals, 0) + 309)
+    return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context))
+
+
+def json_report(result: LinkingResult, decimals: int, units: str | None) -> str:
+    """The JSON report's documented structure, encoded by ``json.dumps``."""
+    kcrv = result.kcrv
+    conf = result.conformity
+    data = {
+        "tool": {"name": "kclink", "version": __version__},
+        "units": units,
+        "input": {
+            "labs": [
+                {
+                    "label": lab.label,
+                    "x_a": lab.value_a,
+                    "u_a": lab.u_a,
+                    "x_b": lab.value_b,
+                    "u_b": lab.u_b,
+                    "cov_ab": lab.cov_ab,
+                }
+                for lab in result.dataset.labs
+            ],
+            "groups": {
+                "only_a": list(result.dataset.only_a),
+                "linking": list(result.dataset.linking),
+                "only_b": list(result.dataset.only_b),
+            },
+        },
+        "aux": {
+            "a": result.aux.a,
+            "b": result.aux.b,
+            "c": result.aux.c,
+            "s1": result.aux.s1,
+            "s2": result.aux.s2,
+        },
+        "kcrv": {
+            "y_a": kcrv.y_hat_a,
+            "u_a": kcrv.u_a,
+            "y_b": kcrv.y_hat_b,
+            "u_b": kcrv.u_b,
+            "cov_ab": kcrv.cov_ab,
+            "r_tilde": kcrv.r_tilde,
+        },
+        "doe": [
+            {
+                "label": entry.label,
+                "standard": entry.standard,
+                "d": entry.d,
+                "u_d": entry.u_d,
+            }
+            for entry in result.does
+        ],
+        "conformity": {
+            "q2": conf.q2,
+            "dof": conf.dof,
+            "ratio": conf.ratio,
+            "passed": conf.passed,
+        },
+        "warnings": list(result.warnings),
+        "display": {
+            "decimals": decimals,
+            "kcrv": {
+                "y_a": round_half_up(kcrv.y_hat_a, decimals),
+                "u_a": round_half_up(kcrv.u_a, decimals),
+                "y_b": round_half_up(kcrv.y_hat_b, decimals),
+                "u_b": round_half_up(kcrv.u_b, decimals),
+            },
+            "ratio": None if conf.ratio is None else round_half_up(conf.ratio, 2),
+        },
+    }
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+def plot_data(result: LinkingResult) -> str:
+    """The DOE plot data as ``csv.writer`` writes it, one row at a time."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["label", "standard", "d", "u_d", "U_d_k2"])
+    for entry in result.does:
+        writer.writerow(
+            [entry.label, entry.standard,
+             repr(entry.d), repr(entry.u_d), repr(2.0 * entry.u_d)]
+        )
+    return buffer.getvalue()

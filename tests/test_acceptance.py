@@ -277,13 +277,13 @@ def test_criterion_5a_zero_covariance_reduction():
                 for lab in dataset.labs
             ])
             kcrv = compute_kcrv(compute_aux(stripped))
-            weight_a = math.fsum(1.0 / l.u_a**2 for l in stripped.group_a())
-            weight_b = math.fsum(1.0 / l.u_b**2 for l in stripped.group_b())
+            weight_a = math.fsum(1.0 / l.u_a**2 for l in stripped.labs if l.in_group_a)
+            weight_b = math.fsum(1.0 / l.u_b**2 for l in stripped.labs if l.in_group_b)
             mean_a = math.fsum(
-                l.value_a / l.u_a**2 for l in stripped.group_a()
+                l.value_a / l.u_a**2 for l in stripped.labs if l.in_group_a
             ) / weight_a
             mean_b = math.fsum(
-                l.value_b / l.u_b**2 for l in stripped.group_b()
+                l.value_b / l.u_b**2 for l in stripped.labs if l.in_group_b
             ) / weight_b
             assert kcrv.y_hat_a == mean_a
             assert kcrv.y_hat_b == mean_b

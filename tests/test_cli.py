@@ -108,6 +108,37 @@ class TestLinkCommand:
             f"error: {path}: lab entry 0: A1: value_a is beyond the float range\n"
         )
 
+    @pytest.mark.parametrize("name, content", [
+        ("big.json", '[{"label": "A1", "x_a": ' + "9" * 5000 + ', "u_a": 1}]'),
+        ("wide.csv", "A1," + "1" * 200_000 + ",1,,,\n"),
+        ("latin1.csv", "B\xe9,,,7.5,2.0,\n".encode("latin-1")),
+    ], ids=["big.json", "wide.csv", "latin1.csv"])
+    def test_unreadable_file_exits_1(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            path.write_bytes(content)
+        assert main(["link", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    @pytest.mark.parametrize("a_rows", [
+        "A1,1.5e154,1\nA2,-1.5e154,1\n",
+        "A1,1.7e308,1e110\nA2,-1.7e308,1e100\n",
+    ], ids=["q2-inf", "d-inf"])
+    @pytest.mark.parametrize("report_format", ["text", "json"])
+    def test_chi_square_beyond_float_range_exits_1(
+        self, tmp_path, capsys, a_rows, report_format
+    ):
+        path = tmp_path / "huge.csv"
+        path.write_text(a_rows + "B1,,,1,1\nB2,,,2,1\n", encoding="utf-8")
+        code = main(["link", "--input", str(path),
+                     "--report-format", report_format])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the residual chi-square exceeds the float range\n"
+        )
+
     def test_negative_decimals_exit_1(self, gauge_block_file, capsys):
         code = main(["link", "--input", str(gauge_block_file),
                      "--decimals", "-1"])

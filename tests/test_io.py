@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kclink.io import (
     ParseError,
@@ -22,6 +22,7 @@ from kclink.linking import link
 from kclink.golden import gauge_block_dataset, synthetic_dataset
 from kclink.model import KclinkError, LabResult, validate_dataset
 
+from . import oracles
 from .strategies import datasets
 
 
@@ -201,6 +202,28 @@ class TestParseDataset:
         assert from_csv == from_json
         assert [lab.label for lab in from_json.labs] == ["A1", "C1", "B1"]
 
+    @pytest.mark.parametrize("name, content, match", [
+        # beyond int's digit limit (or, without one, beyond the float range)
+        ("big.json", '[{"label": "A1", "x_a": ' + "9" * 5000 + ', "u_a": 1}]',
+         r"big\.json: "),
+        ("deep.json", "[" * 100_000, r"deep\.json: invalid JSON"),
+        # beyond the CSV reader's field size limit of 131072 characters
+        ("wide.csv", "B1,,,7.5,2.0,\nA1," + "1" * 200_000 + ",1,,,\n",
+         r"wide\.csv:2: field larger"),
+        ("latin1.csv", "A1,-96.0,13.0,,,\nB\xe9,,,7.5,2.0,\n".encode("latin-1"),
+         r"latin1\.csv: not UTF-8 text"),
+        ("latin1.json", '[{"label": "B\xe9"}]'.encode("latin-1"),
+         r"latin1\.json: not UTF-8 text"),
+    ], ids=["big.json", "deep.json", "wide.csv", "latin1.csv", "latin1.json"])
+    def test_unreadable_files(self, tmp_path, name, content, match):
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ParseError, match=match):
+            parse_dataset(path)
+
     def test_format_inference_and_override(self, tmp_path, gauge_block_csv):
         renamed = tmp_path / "data.txt"
         renamed.write_text(GAUGE_BLOCK_CSV, encoding="utf-8")
@@ -229,6 +252,12 @@ class TestRoundHalfUp:
     ])
     def test_any_finite_float(self, value, decimals):
         assert round_half_up(value, decimals) == value
+
+    @given(value=st.floats(allow_nan=False, allow_infinity=False),
+           decimals=st.integers(min_value=0, max_value=400))
+    def test_matches_a_fresh_decimal_context_per_value(self, value, decimals):
+        assert (repr(round_half_up(value, decimals))
+                == repr(oracles.round_half_up(value, decimals)))
 
 
 class TestRenderReport:
@@ -332,14 +361,68 @@ labels = st.one_of(
 ).map(str.strip).filter(bool)
 
 
+# any text: non-ASCII, quotes, backslashes, control and surrogate characters
+any_text = st.text(st.characters(blacklist_categories=()), min_size=1)
+# hand-built corner cases: empty linking group (and a zero-dof warning),
+# empty only_a and only_b groups, and no warnings at all
+EMPTY_LINKING = validate_dataset([
+    LabResult("A1", value_a=1.0, u_a=1.0), LabResult("B1", value_b=2.0, u_b=1.0),
+])
+ONLY_LINKING = validate_dataset([
+    LabResult("C1", value_a=1.0, u_a=1.0, value_b=2.0, u_b=1.0, cov_ab=0.5),
+    LabResult("C2", value_a=3.0, u_a=2.0, value_b=1.0, u_b=1.5, cov_ab=-0.25),
+])
+NO_WARNINGS = validate_dataset([
+    LabResult("A1", value_a=1.0, u_a=1.0),
+    LabResult("C1", value_a=2.0, u_a=1.0, value_b=3.0, u_b=1.0, cov_ab=0.5),
+    LabResult("B1", value_b=4.0, u_b=1.0),
+])
+
+
+def _relabelled(dataset, names):
+    return validate_dataset(
+        replace(lab, label=name) for lab, name in zip(dataset.labs, names)
+    )
+
+
+class TestReportBytes:
+    """The direct writers against ``json.dumps`` and ``csv.writer``."""
+
+    @given(dataset=datasets(),
+           names=st.lists(any_text, min_size=9, max_size=9, unique=True),
+           units=st.none() | any_text,
+           decimals=st.integers(min_value=0, max_value=20))
+    @example(dataset=synthetic_dataset(), names=[], units="µm", decimals=400)
+    @example(dataset=gauge_block_dataset(), names=[], units=None, decimals=3)
+    @example(dataset=EMPTY_LINKING, names=[], units="nm", decimals=1)
+    @example(dataset=ONLY_LINKING, names=["\"q\\", "\x00\n"], units="",
+             decimals=0)
+    @example(dataset=NO_WARNINGS, names=["é", "\ud800", "\t"], units=None,
+             decimals=6)
+    def test_json_report_is_json_dumps(self, dataset, names, units, decimals):
+        if names:
+            dataset = _relabelled(dataset, names)
+        result = link(dataset)
+        assert (render_report(result, "json", decimals=decimals, units=units)
+                == oracles.json_report(result, decimals, units))
+
+    @given(dataset=datasets(),
+           names=st.lists(st.text(',"\r\nx;') | st.text(min_size=1),
+                          min_size=9, max_size=9, unique=True).filter(all))
+    @example(dataset=NO_WARNINGS, names=['a,"b"', "\r\n", "µ;"])
+    def test_plot_data_is_csv_writer(self, dataset, names):
+        result = link(_relabelled(dataset, names))
+        with tempfile.TemporaryDirectory() as directory:
+            path = emit_plot_data(result, Path(directory) / "doe.csv")
+            assert path.read_bytes() == oracles.plot_data(result).encode("utf-8")
+
+
 class TestWriteDataset:
     @given(dataset=datasets(), names=st.lists(labels, min_size=9, max_size=9,
                                               unique=True),
            suffix=st.sampled_from([".csv", ".json"]))
     def test_round_trip(self, dataset, names, suffix):
-        dataset = validate_dataset(
-            replace(lab, label=name) for lab, name in zip(dataset.labs, names)
-        )
+        dataset = _relabelled(dataset, names)
         with tempfile.TemporaryDirectory() as directory:
             path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
             assert parse_dataset(path).labs == dataset.labs

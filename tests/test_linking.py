@@ -18,6 +18,7 @@ from kclink.linking import (
 from kclink.model import (
     InternalInconsistencyError,
     LabResult,
+    ValidationError,
     validate_dataset,
 )
 
@@ -45,13 +46,13 @@ class TestComputeAux:
         aux = compute_aux(gauge_block)
         assert aux.c == 0.0
         assert aux.a == math.fsum(
-            1.0 / lab.u_a**2 for lab in gauge_block.group_a()
+            1.0 / lab.u_a**2 for lab in gauge_block.labs if lab.in_group_a
         )
         assert aux.b == math.fsum(
-            1.0 / lab.u_b**2 for lab in gauge_block.group_b()
+            1.0 / lab.u_b**2 for lab in gauge_block.labs if lab.in_group_b
         )
         assert aux.s1 == math.fsum(
-            lab.value_a / lab.u_a**2 for lab in gauge_block.group_a()
+            lab.value_a / lab.u_a**2 for lab in gauge_block.labs if lab.in_group_a
         )
 
     def test_against_reversed_naive_resummation(self, synthetic):
@@ -136,10 +137,10 @@ class TestComputeDoe:
         a_entries = [e for e in result.does if e.standard == "A"]
         b_entries = [e for e in result.does if e.standard == "B"]
         assert sorted(e.label for e in a_entries) == sorted(
-            lab.label for lab in synthetic.group_a()
+            lab.label for lab in synthetic.labs if lab.in_group_a
         )
         assert sorted(e.label for e in b_entries) == sorted(
-            lab.label for lab in synthetic.group_b()
+            lab.label for lab in synthetic.labs if lab.in_group_b
         )
 
     def test_lab_sitting_exactly_on_the_kcrv(self):
@@ -197,6 +198,27 @@ class TestComputeQ2:
         _, report_like = compute_residuals(
             two_lab_dataset(), compute_kcrv(compute_aux(two_lab_dataset())))
         assert report_like.passed
+
+    # (x, u) of two A labs, next to B labs (1, 1) and (2, 1)
+    @pytest.mark.parametrize("a_labs, match", [
+        # q2 terms of 2.25e308: inf
+        (((1.5e154, 1.0), (-1.5e154, 1.0)), "residual chi-square exceeds"),
+        # q2 terms of 1e308: finite, but their sum overflows in fsum
+        (((1e154, 1.0), (-1e154, 1.0)), "residual chi-square exceeds"),
+        # d = x - y_hat = inf
+        (((1.7e308, 1e110), (-1.7e308, 1e100)), "residual chi-square exceeds"),
+        # u(x)^2 = inf, so u(d) would be inf
+        (((0.0, 1.0), (0.0, 1e160)), "A2: the DOE variance exceeds"),
+    ], ids=["q2-inf", "fsum-overflow", "d-inf", "u_d-inf"])
+    def test_results_beyond_the_float_range_raise(self, a_labs, match):
+        dataset = validate_dataset([
+            *(LabResult(f"A{i}", value_a=x, u_a=u)
+              for i, (x, u) in enumerate(a_labs, start=1)),
+            LabResult("B1", value_b=1.0, u_b=1.0),
+            LabResult("B2", value_b=2.0, u_b=1.0),
+        ])
+        with pytest.raises(ValidationError, match=match):
+            link(dataset)
 
     @given(moderate_datasets(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @example(
