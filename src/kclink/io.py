@@ -64,6 +64,14 @@ def _lab(label: object, cells: Iterable[object]) -> LabResult:
     )
 
 
+def _utf8(text: object) -> object:
+    """``text`` itself once a string is known to encode as UTF-8; a JSON
+    ``\\ud800`` escape decodes to a lone surrogate, which does not."""
+    if isinstance(text, str):
+        text.encode("utf-8")  # UnicodeEncodeError, a ValueError, if not
+    return text
+
+
 def _looks_like_header(row: list[str]) -> bool:
     tail = [cell.strip().lower() for cell in row[1:]]
     return any(cell in _CSV_COLUMNS for cell in tail)
@@ -100,7 +108,10 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     units = None
     if isinstance(data, dict):
-        units = data.get("units")
+        try:
+            units = _utf8(data.get("units"))
+        except ValueError as exc:
+            raise ParseError(f"{path}: units: {exc}") from None
         data = data.get("labs")
     if not isinstance(data, list):
         raise ParseError(
@@ -112,7 +123,8 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: lab entry {index} is not an object")
         try:
-            labs.append(_lab(entry.get("label"), map(entry.get, _CSV_COLUMNS[1:])))
+            label = _utf8(entry.get("label"))
+            labs.append(_lab(label, map(entry.get, _CSV_COLUMNS[1:])))
         except (ValueError, KclinkError) as exc:
             raise ParseError(f"{path}: lab entry {index}: {exc}") from None
     return labs, units

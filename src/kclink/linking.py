@@ -169,34 +169,41 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
     """Accumulate the five estimator sums over the dataset.
 
     Uses exactly rounded summation, so any permutation of the labs yields
-    bit-identical results.
+    bit-identical results.  A weight term or sum beyond the float range
+    (1 / u^2 or x / u^2 overflowing for a tiny u) is a
+    :class:`ValidationError`.
     """
     t_a: list[float] = []
     t_b: list[float] = []
     t_c: list[float] = []
     t_s1: list[float] = []
     t_s2: list[float] = []
-    for lab in dataset.labs:
-        den = _bivariate_denominator(lab)
-        if den is not None:
-            cov, v_a, v_b = lab.covariance, lab.u_a * lab.u_a, lab.u_b * lab.u_b
-            t_a.append(v_b / den)
-            t_b.append(v_a / den)
-            t_c.append(cov / den)
-            t_s1.append((v_b * lab.value_a - cov * lab.value_b) / den)
-            t_s2.append((v_a * lab.value_b - cov * lab.value_a) / den)
-            continue
-        if lab.in_group_a:
-            v_a = lab.u_a * lab.u_a
-            t_a.append(1.0 / v_a)
-            t_s1.append(lab.value_a / v_a)
-        if lab.in_group_b:
-            v_b = lab.u_b * lab.u_b
-            t_b.append(1.0 / v_b)
-            t_s2.append(lab.value_b / v_b)
-    return AuxQuantities(
-        a=fsum(t_a), b=fsum(t_b), c=fsum(t_c), s1=fsum(t_s1), s2=fsum(t_s2)
-    )
+    try:
+        for lab in dataset.labs:
+            den = _bivariate_denominator(lab)
+            if den is not None:
+                cov, v_a, v_b = lab.covariance, lab.u_a * lab.u_a, lab.u_b * lab.u_b
+                t_a.append(v_b / den)
+                t_b.append(v_a / den)
+                t_c.append(cov / den)
+                t_s1.append((v_b * lab.value_a - cov * lab.value_b) / den)
+                t_s2.append((v_a * lab.value_b - cov * lab.value_a) / den)
+                continue
+            if lab.in_group_a:
+                v_a = lab.u_a * lab.u_a
+                t_a.append(1.0 / v_a)
+                t_s1.append(lab.value_a / v_a)
+            if lab.in_group_b:
+                v_b = lab.u_b * lab.u_b
+                t_b.append(1.0 / v_b)
+                t_s2.append(lab.value_b / v_b)
+        sums = [fsum(terms) for terms in (t_a, t_b, t_c, t_s1, t_s2)]
+    except (ZeroDivisionError, OverflowError, ValueError):
+        # u * u underflowed to zero, a sum past the float range, or inf - inf
+        sums = [inf]
+    if not all(map(isfinite, sums)):
+        raise ValidationError("the weight sums exceed the float range")
+    return AuxQuantities(*sums)
 
 
 def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:

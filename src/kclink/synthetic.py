@@ -3,17 +3,27 @@
 Each laboratory is simulated by drawing ``n`` observations of its
 travelling standard(s) from a Gaussian population and reporting the sample
 mean, the standard deviation of the mean, and (for linking laboratories)
-the covariance of the two means.  Draws come from numpy's counter-based
-Philox generator (Philox4x64-10) seeded per laboratory through
-``SeedSequence(seed, spawn_key=(kind, index, attempt))``, so every lab has
-an independent substream and changing one group's size never perturbs the
-draws of other labs.  Normal variates are produced by the inverse-CDF
-transform, which consumes exactly one uniform per observation.
+the covariance of the two means.
+
+Substream layout: attempt ``attempt`` at lab ``index`` of a kind (0 for
+A-only, 1 for linking, 2 for B-only) reads numpy's Philox4x64-10 generator
+with key ``SeedSequence(seed, spawn_key=(kind, index,
+attempt)).generate_state(2, np.uint64)`` from counter 0.  Each raw 64-bit
+output gives one uniform ``((raw >> 11) + 0.5) / 2**53`` in (0, 1) (``raw
+>> 11`` is ``Generator.integers(0, 2**53)``) and one standard normal by the
+inverse CDF.  A single-standard lab takes ``n`` outputs.  A linking lab
+takes ``2n``: ``n`` normals for standard A, then ``n`` independent ones
+mixed with A's to give correlation ``rho`` for standard B.  So changing
+one group's size never perturbs the draws of other labs.
+
+A scenario's labs are keyed, drawn and reduced together, in blocks of
+``_BLOCK_LABS`` labs: see :func:`_keys` and :func:`_draw`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import warnings as _warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +45,11 @@ _MAX_ATTEMPTS = 8
 # true value; keeps the result a valid LabResult
 _DEGENERATE_U_FLOOR = 1e-15
 
+# labs drawn and reduced together, so memory does not grow with their number
+_BLOCK_LABS = 256
+
+_M32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class ScenarioLayout:
@@ -45,8 +60,11 @@ class ScenarioLayout:
     only_b: int
 
     def __post_init__(self) -> None:
-        if min(self.only_a, self.linking, self.only_b) < 0:
+        counts = (self.only_a, self.linking, self.only_b)
+        if min(counts) < 0:
             raise ValidationError("layout counts must be non-negative")
+        if max(counts) >= 2**32:  # a lab index is one 32-bit word of its key
+            raise ValidationError("layout counts must be below 2**32")
         if self.only_a + self.linking < 1 or self.only_b + self.linking < 1:
             raise ValidationError("each standard needs at least one laboratory")
 
@@ -75,143 +93,198 @@ class SyntheticScenario:
             raise ValidationError("seed must fit in 64 bits")
 
 
-def _rng(scenario: SyntheticScenario, kind: LabKind, index: int, attempt: int):
-    seq = np.random.SeedSequence(
-        entropy=scenario.seed, spawn_key=(_KIND_KEYS[kind], index, attempt)
-    )
-    return np.random.Generator(np.random.Philox(seq))
+def _hashmix(value, xor, mult):
+    """seed_seq's hashmix (O'Neill), on Python ints or on uint32 arrays."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
 
 
-def _standard_normal(rng, size: int) -> np.ndarray:
-    # uniforms strictly inside (0, 1) so the inverse CDF stays finite
-    u = (rng.integers(0, 2**53, size=size) + 0.5) / 2**53
-    return ndtri(u)
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32  # MIX_MULT_L, MIX_MULT_R
+    return value ^ value >> 16
 
 
-def _mean_and_u(obs: np.ndarray) -> tuple[float, float]:
-    n = obs.size
-    mean = float(np.mean(obs))
-    var = float(np.sum((obs - mean) ** 2)) / (n - 1)
-    return mean, float(np.sqrt(var / n))
+def _column(words) -> np.ndarray:
+    return np.array(words, dtype=np.uint32)[:, None]
 
 
-def sample_lab(
-    scenario: SyntheticScenario,
-    kind: LabKind,
-    index: int,
-    label: str | None = None,
-) -> LabResult:
+# each hashmix step xors with one constant of a chain and multiplies by the
+# next: INIT_A * MULT_A**i while entropy is mixed into the 4-word pool
+# (steps 0-3 take the seed words, 4-15 cross-mix the pool, then each spawn
+# word takes one step per pool slot), INIT_B * MULT_B**i for the output
+_A = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(29)]
+_B = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(5)]
+# hashes of every kind and attempt word into the 4 pool slots
+_KIND_HASH = _hashmix(np.arange(3, dtype=np.uint32), _column(_A[16:20]),
+                      _column(_A[17:21]))
+_INDEX_XOR, _INDEX_MULT = _column(_A[20:24]), _column(_A[21:25])
+_ATTEMPT_HASH = _hashmix(np.arange(_MAX_ATTEMPTS, dtype=np.uint32), _column(_A[24:28]),
+                         _column(_A[25:29]))
+_STATE_XOR, _STATE_MULT = _column(_B[:4]), _column(_B[1:])
+
+
+def _seed_pool(seed: int) -> np.ndarray:
+    """The entropy pool once the seed, padded to 4 words, is mixed in."""
+    words = (seed & _M32, seed >> 32 & _M32, 0, 0)
+    pool = [_hashmix(word, _A[i], _A[i + 1]) for i, word in enumerate(words)]
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for step, (src, dst) in enumerate(pairs, start=4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _A[step], _A[step + 1]))
+    return _column(pool)
+
+
+def _keys(pool: np.ndarray, kinds: np.ndarray, indices: np.ndarray, attempt: int):
+    """``SeedSequence(seed, spawn_key=(kind, index, attempt))
+    .generate_state(2, np.uint64)`` per lab, from the seed's ``pool``."""
+    words = _mix(pool, _KIND_HASH[:, kinds])
+    words = _mix(words, _hashmix(indices, _INDEX_XOR, _INDEX_MULT))
+    words = _mix(words, _ATTEMPT_HASH[:, attempt, None])
+    words = _hashmix(words, _STATE_XOR, _STATE_MULT)
+    # word pairs read as little-endian uint64, as numpy does
+    return words.T.astype("<u4", order="C").view("<u8").tolist()
+
+
+def _moments(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row means, standard deviations of the mean and deviations."""
+    n = obs.shape[1]
+    mean = np.add.reduce(obs, axis=1) / n
+    dev = obs - mean[:, None]
+    return mean, np.sqrt(np.add.reduce(dev**2, axis=1) / (n - 1) / n), dev
+
+
+def _reduce(sc: SyntheticScenario, kind: int, z: np.ndarray):
+    """One ``((x_a, u_a, x_b, u_b, cov), ok)`` pair per lab of one kind from its
+    normals; None marks an unmeasured value, ``ok`` a non-degenerate sample."""
+    n = sc.n
+    if kind == _KIND_KEYS["linking"]:
+        z_a, z_i = z[:, :n], z[:, n:]
+        z_b = sc.rho * z_a + np.sqrt(1.0 - sc.rho**2) * z_i
+        x_a, u_a, d_a = _moments(sc.y_a_true + sc.sigma_a * z_a)
+        x_b, u_b, d_b = _moments(sc.y_b_true + sc.sigma_b * z_b)
+        cov = np.add.reduce(d_a * d_b, axis=1) / (n - 1) / n
+        ok = (u_a > 0.0) & (u_b > 0.0) & (np.abs(cov) < u_a * u_b)
+        columns = [column.tolist() for column in (x_a, u_a, x_b, u_b, cov)]
+    else:
+        a_only = kind == _KIND_KEYS["a_only"]
+        y, sigma = (sc.y_a_true, sc.sigma_a) if a_only else (sc.y_b_true, sc.sigma_b)
+        x, u, _ = _moments(y + sigma * z)
+        ok = u > 0.0
+        measured, absent = [x.tolist(), u.tolist()], [None] * len(z)
+        columns = (measured + [absent] * 3 if a_only
+                   else [absent] * 2 + measured + [absent])
+    return list(zip(zip(*columns), ok.tolist()))
+
+
+def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int):
+    """The pairs of :func:`_reduce` for labs in layout order at
+    ``attempt``: ``philox`` re-keyed per lab, one inverse CDF for all."""
+    widths = (sc.n, 2 * sc.n, sc.n)  # raw outputs per lab of each kind
+    key = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = []
+    for kind, lab_key in zip(kinds.tolist(), _keys(pool, kinds, indices, attempt)):
+        key["key"] = lab_key
+        philox.state = state
+        raw.append(philox.random_raw(widths[kind]))
+    z = ndtri(((np.concatenate(raw) >> 11) + 0.5) / 2**53)
+    labs, end = [], 0
+    for kind, count in enumerate(np.bincount(kinds, minlength=3).tolist()):
+        if count:
+            start, end = end, end + count * widths[kind]
+            labs += _reduce(sc, kind, z[start:end].reshape(count, -1))
+    return labs
+
+
+def _floor(x: float | None, u: float | None) -> float | None:
+    return None if x is None else max(u, max(abs(x), 1.0) * _DEGENERATE_U_FLOOR)
+
+
+def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> list:
+    """The labelled labs of the given kinds and indices, in layout order."""
+    pool = _seed_pool(sc.seed)
+    philox = np.random.Philox(0)  # this call's own, re-keyed for every lab
+    labs: list[LabResult] = []
+    for first in range(0, len(labels), _BLOCK_LABS):
+        block = slice(first, first + _BLOCK_LABS)
+        drawn = _draw(sc, pool, philox, kinds[block], indices[block], 0)
+        for lab, (label, (row, ok)) in enumerate(zip(labels[block], drawn), first):
+            attempt = 0
+            while not ok:
+                _warnings.warn(f"{label}: degenerate sample (attempt {attempt + 1}), "
+                               f"redrawing from the next substream",
+                               RuntimeWarning, stacklevel=3)
+                attempt += 1
+                if attempt == _MAX_ATTEMPTS:
+                    x_a, u_a, x_b, u_b, cov = row
+                    row = x_a, _floor(x_a, u_a), x_b, _floor(x_b, u_b), cov and 0.0
+                    break
+                one = slice(lab, lab + 1)  # the lab alone, at its next substream
+                [(row, ok)] = _draw(sc, pool, philox, kinds[one], indices[one], attempt)
+            labs.append(LabResult(label, *row))
+    return labs
+
+
+def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int,
+               label: str | None = None) -> LabResult:
     """Simulate one laboratory and return its reported result.
 
-    ``index`` selects the lab's substream within its kind.  A sample with
-    zero spread (or, for a linking lab, a singular sample correlation) is
-    redrawn from the next substream with a warning; if every retry is
-    degenerate the observed mean is reported with a floored uncertainty.
+    ``index``, in [0, 2**32), selects the lab's substream within its kind;
+    degenerate samples are redrawn as by :func:`generate_scenario`.
     """
     if kind not in _KIND_KEYS:
         raise ValidationError(f"unknown laboratory kind: {kind!r}")
+    if not 0 <= operator.index(index) < 2**32:
+        raise ValidationError(f"laboratory index {index} is not in [0, 2**32)")
     if label is None:
         label = f"{kind}-{index + 1:02d}"
-
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = _rng(scenario, kind, index, attempt)
-        if kind == "linking":
-            z_a = _standard_normal(rng, scenario.n)
-            z_i = _standard_normal(rng, scenario.n)
-            z_b = scenario.rho * z_a + np.sqrt(1.0 - scenario.rho**2) * z_i
-            obs_a = scenario.y_a_true + scenario.sigma_a * z_a
-            obs_b = scenario.y_b_true + scenario.sigma_b * z_b
-            x_a, u_a = _mean_and_u(obs_a)
-            x_b, u_b = _mean_and_u(obs_b)
-            sample_cov = float(
-                np.sum((obs_a - x_a) * (obs_b - x_b))
-            ) / (scenario.n - 1)
-            cov = sample_cov / scenario.n
-            if u_a > 0.0 and u_b > 0.0 and abs(cov) < u_a * u_b:
-                return LabResult(
-                    label=label, value_a=x_a, u_a=u_a, value_b=x_b, u_b=u_b,
-                    cov_ab=cov,
-                )
-        else:
-            z = _standard_normal(rng, scenario.n)
-            if kind == "a_only":
-                x, u = _mean_and_u(scenario.y_a_true + scenario.sigma_a * z)
-            else:
-                x, u = _mean_and_u(scenario.y_b_true + scenario.sigma_b * z)
-            if u > 0.0:
-                if kind == "a_only":
-                    return LabResult(label=label, value_a=x, u_a=u)
-                return LabResult(label=label, value_b=x, u_b=u)
-        _warnings.warn(
-            f"{label}: degenerate sample (attempt {attempt + 1}), redrawing "
-            f"from the next substream",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    # every retry degenerate: report the (exact) mean with a floored u
-    if kind == "a_only":
-        u = max(abs(x), 1.0) * _DEGENERATE_U_FLOOR
-        return LabResult(label=label, value_a=x, u_a=u)
-    if kind == "b_only":
-        u = max(abs(x), 1.0) * _DEGENERATE_U_FLOOR
-        return LabResult(label=label, value_b=x, u_b=u)
-    u_a = max(u_a, max(abs(x_a), 1.0) * _DEGENERATE_U_FLOOR)
-    u_b = max(u_b, max(abs(x_b), 1.0) * _DEGENERATE_U_FLOOR)
-    return LabResult(
-        label=label, value_a=x_a, u_a=u_a, value_b=x_b, u_b=u_b, cov_ab=0.0
-    )
+    kinds, indices = np.array([[_KIND_KEYS[kind]], [index]], dtype=np.uint32)
+    return _sample(scenario, kinds, indices, [label])[0]
 
 
 def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     """Simulate the full comparison: labelled labs in layout order.
 
     Deterministic for a given scenario; labels run LAB-01, LAB-02, ... over
-    the A-only, linking and B-only groups in that order.
+    the A-only, linking and B-only groups in that order.  A sample with zero
+    spread (or, for a linking lab, a singular sample correlation) is redrawn
+    from the lab's next substream with a warning; after 8 degenerate attempts
+    the last one's means are reported with floored uncertainties.
     """
-    labs: list[LabResult] = []
-    counter = 0
-    for kind, count in (
-        ("a_only", scenario.layout.only_a),
-        ("linking", scenario.layout.linking),
-        ("b_only", scenario.layout.only_b),
-    ):
-        for index in range(count):
-            counter += 1
-            labs.append(sample_lab(scenario, kind, index, label=f"LAB-{counter:02d}"))
-    return validate_dataset(labs)
+    layout = scenario.layout
+    counts = (layout.only_a, layout.linking, layout.only_b)
+    kinds = np.repeat(np.arange(3, dtype=np.uint32), counts)
+    indices = np.concatenate([np.arange(count, dtype=np.uint32) for count in counts])
+    labels = [f"LAB-{i:02d}" for i in range(1, len(kinds) + 1)]
+    return validate_dataset(_sample(scenario, kinds, indices, labels))
 
 
 def scenario_from_dict(data: dict) -> SyntheticScenario:
     try:
         layout = data["layout"]
-        return SyntheticScenario(
-            y_a_true=float(data["y_a_true"]),
-            y_b_true=float(data["y_b_true"]),
-            sigma_a=float(data["sigma_a"]),
-            sigma_b=float(data["sigma_b"]),
-            rho=float(data["rho"]),
-            n=int(data["n"]),
-            layout=ScenarioLayout(
-                only_a=int(layout["only_a"]),
-                linking=int(layout["linking"]),
-                only_b=int(layout["only_b"]),
-            ),
-            seed=int(data["seed"]),
-        )
+        truth = [float(data[key]) for key in ("y_a_true", "y_b_true", "sigma_a",
+                                              "sigma_b", "rho")]
+        counts = [int(layout[key]) for key in ("only_a", "linking", "only_b")]
+        return SyntheticScenario(*truth, n=int(data["n"]),
+                                 layout=ScenarioLayout(*counts), seed=int(data["seed"]))
     except KeyError as missing:
         raise ValidationError(f"scenario is missing field {missing}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise ValidationError(f"malformed scenario: {exc}") from None
 
 
 def load_scenario(path: str | Path) -> SyntheticScenario:
     """Read a scenario specification from a JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: scenario must be a JSON object")
-    return scenario_from_dict(data)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits, too deep
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        if not isinstance(data, dict):
+            raise ValidationError("scenario must be a JSON object")
+        return scenario_from_dict(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -10,7 +10,10 @@ The minimal-inflation reference re-validates and re-links the whole
 dataset at every trial uncertainty and bisects the pass/fail crossings.
 The report references build the JSON report as a nested dict handed to
 ``json.dumps``, round with a fresh ``Decimal`` context per value and write
-plot data through ``csv.writer``.
+plot data through ``csv.writer``.  The synthetic-data reference simulates
+one laboratory at a time with its own ``SeedSequence`` and
+``Generator(Philox(...))``, draws with ``Generator.integers`` and reduces
+with 1-D ``np.mean``/``np.sum``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import NamedTuple
@@ -412,3 +416,97 @@ def plot_data(result: LinkingResult) -> str:
              repr(entry.d), repr(entry.u_d), repr(2.0 * entry.u_d)]
         )
     return buffer.getvalue()
+
+
+_KIND_KEYS = {"a_only": 0, "linking": 1, "b_only": 2}
+_MAX_ATTEMPTS = 8
+_DEGENERATE_U_FLOOR = 1e-15
+
+
+def _reference_normals(rng: np.random.Generator, size: int) -> np.ndarray:
+    from scipy.special import ndtri
+
+    # uniforms strictly inside (0, 1) so the inverse CDF stays finite
+    return ndtri((rng.integers(0, 2**53, size=size) + 0.5) / 2**53)
+
+
+def _reference_mean_and_u(obs: np.ndarray) -> tuple[float, float]:
+    n = obs.size
+    mean = float(np.mean(obs))
+    var = float(np.sum((obs - mean) ** 2)) / (n - 1)
+    return mean, float(np.sqrt(var / n))
+
+
+def reference_sample_lab(scenario, kind: str, index: int, label: str | None = None):
+    """One synthetic lab, simulated on its own, with the generator's
+    documented retries, warnings and floored fallback."""
+    from kclink.model import LabResult
+
+    if label is None:
+        label = f"{kind}-{index + 1:02d}"
+    for attempt in range(_MAX_ATTEMPTS):
+        seq = np.random.SeedSequence(
+            entropy=scenario.seed, spawn_key=(_KIND_KEYS[kind], index, attempt)
+        )
+        rng = np.random.Generator(np.random.Philox(seq))
+        if kind == "linking":
+            z_a = _reference_normals(rng, scenario.n)
+            z_i = _reference_normals(rng, scenario.n)
+            z_b = scenario.rho * z_a + np.sqrt(1.0 - scenario.rho**2) * z_i
+            obs_a = scenario.y_a_true + scenario.sigma_a * z_a
+            obs_b = scenario.y_b_true + scenario.sigma_b * z_b
+            x_a, u_a = _reference_mean_and_u(obs_a)
+            x_b, u_b = _reference_mean_and_u(obs_b)
+            sample_cov = float(
+                np.sum((obs_a - x_a) * (obs_b - x_b))
+            ) / (scenario.n - 1)
+            cov = sample_cov / scenario.n
+            if u_a > 0.0 and u_b > 0.0 and abs(cov) < u_a * u_b:
+                return LabResult(
+                    label=label, value_a=x_a, u_a=u_a, value_b=x_b, u_b=u_b,
+                    cov_ab=cov,
+                )
+        else:
+            z = _reference_normals(rng, scenario.n)
+            if kind == "a_only":
+                x, u = _reference_mean_and_u(scenario.y_a_true + scenario.sigma_a * z)
+            else:
+                x, u = _reference_mean_and_u(scenario.y_b_true + scenario.sigma_b * z)
+            if u > 0.0:
+                if kind == "a_only":
+                    return LabResult(label=label, value_a=x, u_a=u)
+                return LabResult(label=label, value_b=x, u_b=u)
+        warnings.warn(
+            f"{label}: degenerate sample (attempt {attempt + 1}), redrawing "
+            f"from the next substream",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    # every retry degenerate: report the (exact) mean with a floored u
+    if kind == "a_only":
+        u = max(abs(x), 1.0) * _DEGENERATE_U_FLOOR
+        return LabResult(label=label, value_a=x, u_a=u)
+    if kind == "b_only":
+        u = max(abs(x), 1.0) * _DEGENERATE_U_FLOOR
+        return LabResult(label=label, value_b=x, u_b=u)
+    u_a = max(u_a, max(abs(x_a), 1.0) * _DEGENERATE_U_FLOOR)
+    u_b = max(u_b, max(abs(x_b), 1.0) * _DEGENERATE_U_FLOOR)
+    return LabResult(
+        label=label, value_a=x_a, u_a=u_a, value_b=x_b, u_b=u_b, cov_ab=0.0
+    )
+
+
+def reference_scenario_labs(scenario) -> list:
+    """Every lab of a scenario in layout order, labelled LAB-01, ..."""
+    labs = []
+    for kind, count in (
+        ("a_only", scenario.layout.only_a),
+        ("linking", scenario.layout.linking),
+        ("b_only", scenario.layout.only_b),
+    ):
+        for index in range(count):
+            labs.append(reference_sample_lab(
+                scenario, kind, index, label=f"LAB-{len(labs) + 1:02d}"
+            ))
+    return labs

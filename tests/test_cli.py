@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -139,6 +140,35 @@ class TestLinkCommand:
             "error: the residual chi-square exceeds the float range\n"
         )
 
+    @pytest.mark.parametrize("a_rows", [
+        # x / u^2 of +-1e454: inf - inf in the weighted value sum
+        "A1,1e154,1e-150\nA2,-1e154,1e-150\n",
+        # finite terms of 1e308 whose sum overflows
+        "A1,1e150,1e-79\nA2,1e150,1e-79\n",
+        # u^2 underflows to zero: an infinite weight
+        "A1,1,1e-170\nA2,2,1\n",
+    ], ids=["inf-minus-inf", "fsum-overflow", "u2-underflow"])
+    def test_weight_sums_beyond_float_range_exit_1(self, tmp_path, capsys, a_rows):
+        path = tmp_path / "tiny.csv"
+        path.write_text(a_rows + "B1,,,1,1\nB2,,,2,1\n", encoding="utf-8")
+        assert main(["link", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the weight sums exceed the float range\n"
+        )
+
+    @pytest.mark.parametrize("option", ["--plot-data", None])
+    def test_lone_surrogate_label_exits_1(self, tmp_path, capsys, option):
+        path = tmp_path / "labs.json"
+        path.write_text('[{"label": "A\\ud800", "x_a": 1, "u_a": 1},'
+                        ' {"label": "B1", "x_b": 2, "u_b": 1}]', encoding="utf-8")
+        argv = ["link", "--input", str(path)]
+        if option:
+            argv += [option, str(tmp_path / "doe.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: lab entry 0: ")
+
     def test_negative_decimals_exit_1(self, gauge_block_file, capsys):
         code = main(["link", "--input", str(gauge_block_file),
                      "--decimals", "-1"])
@@ -226,6 +256,32 @@ class TestSynthCommand:
         again = tmp_path / "again.json"
         main(["synth", "--scenario", str(scenario), "--output", str(again)])
         assert json.loads(again.read_text())["labs"] == base_labs
+
+    @pytest.mark.parametrize("name, content, match", [
+        ("seed-inf.json", SCENARIO_JSON.replace("20260808", "Infinity"),
+         "malformed scenario"),
+        ("n-inf.json", SCENARIO_JSON.replace('"n": 50', '"n": Infinity'),
+         "malformed scenario"),
+        # beyond int's digit limit
+        ("digits.json", SCENARIO_JSON.replace("20260808", "9" * 5000), "invalid JSON"),
+        ("latin1.json", SCENARIO_JSON.replace("110", '"\xe9"').encode("latin-1"),
+         "not UTF-8 text"),
+        ("deep.json", "[" * 100_000, "invalid JSON"),
+        ("count.json", SCENARIO_JSON.replace('"only_a": 8', '"only_a": 4294967296'),
+         "below 2\\*\\*32"),
+    ], ids=["seed-inf", "n-inf", "digits", "latin1", "deep", "count"])
+    def test_unreadable_scenario_exits_1(self, tmp_path, capsys, name, content, match):
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "dataset.csv"
+        assert main(["synth", "--scenario", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert re.search(match, err)
+        assert not out.exists()
 
 
 class TestSelftestCommand:

@@ -224,6 +224,21 @@ class TestParseDataset:
         with pytest.raises(ParseError, match=match):
             parse_dataset(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ('[{"label": "A1", "x_a": 1, "u_a": 1},'
+         ' {"label": "B\\ud800", "x_b": 2, "u_b": 1}]',
+         r"lab entry 1: .*surrogates not allowed"),
+        ('{"units": "n\\udc00m", "labs": [{"label": "A1", "x_a": 1, "u_a": 1},'
+         ' {"label": "B1", "x_b": 2, "u_b": 1}]}',
+         r"units: .*surrogates not allowed"),
+    ], ids=["label", "units"])
+    def test_json_lone_surrogate_is_rejected(self, tmp_path, text, match):
+        # a lone surrogate escape decodes, but cannot be written as UTF-8
+        path = tmp_path / "labs.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=match):
+            parse_dataset(path)
+
     def test_format_inference_and_override(self, tmp_path, gauge_block_csv):
         renamed = tmp_path / "data.txt"
         renamed.write_text(GAUGE_BLOCK_CSV, encoding="utf-8")

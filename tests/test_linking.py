@@ -209,7 +209,14 @@ class TestComputeQ2:
         (((1.7e308, 1e110), (-1.7e308, 1e100)), "residual chi-square exceeds"),
         # u(x)^2 = inf, so u(d) would be inf
         (((0.0, 1.0), (0.0, 1e160)), "A2: the DOE variance exceeds"),
-    ], ids=["q2-inf", "fsum-overflow", "d-inf", "u_d-inf"])
+        # weighted values x/u^2 of +-1e454: inf - inf in their sum
+        (((1e154, 1e-150), (-1e154, 1e-150)), "weight sums exceed"),
+        # weighted values of 1e308 each: their sum overflows in fsum
+        (((1e150, 1e-79), (1e150, 1e-79)), "weight sums exceed"),
+        # u^2 underflows to zero: an infinite weight
+        (((1.0, 1e-170), (2.0, 1.0)), "weight sums exceed"),
+    ], ids=["q2-inf", "fsum-overflow", "d-inf", "u_d-inf", "weights-inf-minus-inf",
+            "weights-fsum-overflow", "weights-u2-underflow"])
     def test_results_beyond_the_float_range_raise(self, a_labs, match):
         dataset = validate_dataset([
             *(LabResult(f"A{i}", value_a=x, u_a=u)

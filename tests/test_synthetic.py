@@ -1,9 +1,14 @@
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import ndtri
 
+from kclink import synthetic
 from kclink.linking import link
 from kclink.model import ValidationError
 from kclink.synthetic import (
@@ -14,6 +19,8 @@ from kclink.synthetic import (
     sample_lab,
     scenario_from_dict,
 )
+
+from . import oracles
 
 REFERENCE_LAYOUT = ScenarioLayout(only_a=8, linking=4, only_b=5)
 
@@ -45,6 +52,13 @@ class TestScenarioValidation:
             ScenarioLayout(only_a=2, linking=0, only_b=0)
         with pytest.raises(ValidationError, match="non-negative"):
             ScenarioLayout(only_a=-1, linking=1, only_b=1)
+
+    @pytest.mark.parametrize("counts", [(2**32, 0, 1), (0, 2**32, 0), (1, 0, 2**32)])
+    def test_layout_counts_fit_one_key_word(self, counts):
+        # a lab index is one 32-bit word of its substream key
+        with pytest.raises(ValidationError, match=r"below 2\*\*32"):
+            ScenarioLayout(*counts)
+        ScenarioLayout(*(min(count, 2**32 - 1) for count in counts))
 
 
 class TestDeterminism:
@@ -101,6 +115,13 @@ class TestSampleLab:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="kind"):
             sample_lab(reference_scenario(), "c_only", 0)
+
+    @pytest.mark.parametrize("index", [-1, 2**32])
+    def test_index_outside_one_key_word(self, index):
+        with pytest.raises(ValidationError, match=r"not in \[0, 2\*\*32\)"):
+            sample_lab(reference_scenario(), "a_only", index)
+        with pytest.raises(TypeError):
+            sample_lab(reference_scenario(), "a_only", 1.0)
 
     def test_vanishing_sigma_reports_truth_exactly(self):
         # perturbations underflow next to the true value: every draw is
@@ -208,3 +229,98 @@ class TestScenarioFile:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValidationError, match="JSON object"):
             load_scenario(path)
+
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+kinds = st.sampled_from(["a_only", "linking", "b_only"])
+
+
+def recorded(call):
+    """``call()``'s result and the (category, message) of every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def reference_uniforms(seed, kind, index, width):
+    seq = np.random.SeedSequence(seed, spawn_key=(synthetic._KIND_KEYS[kind], index, 0))
+    draws = np.random.Generator(np.random.Philox(seq)).integers(0, 2**53, size=width)
+    return (draws + 0.5) / 2**53
+
+
+@st.composite
+def layouts(draw, most=5):
+    only_a, linking, only_b = (draw(st.integers(0, most)) for _ in range(3))
+    assume(only_a + linking >= 1 and only_b + linking >= 1)
+    return ScenarioLayout(only_a, linking, only_b)
+
+
+class TestBatchedGeneration:
+    """The batched generator against numpy's SeedSequence and Generator and
+    against the per-lab reference in ``oracles``."""
+
+    @given(seeds, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1)),
+                           min_size=1, max_size=6), st.integers(0, 7))
+    @example(0, [(0, 0), (1, 0), (2, 0)], 0)
+    @example(2**32 - 1, [(1, 2**32 - 1)], 7)
+    @example(2**32, [(0, 1), (2, 2**31)], 3)
+    @example(2**64 - 1, [(2, 2**32 - 1), (0, 0)], 7)
+    @settings(max_examples=200, deadline=None)
+    def test_keys_are_seed_sequence_states(self, seed, labs, attempt):
+        kind_keys, indices = np.array(labs, dtype=np.uint32).T
+        got = synthetic._keys(synthetic._seed_pool(seed), kind_keys, indices, attempt)
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(kind, index, attempt))
+            .generate_state(2, np.uint64).tolist()
+            for kind, index in labs
+        ]
+        assert got == want
+
+    @given(seeds, layouts(), st.integers(2, 40))
+    @example(2**64 - 1, ScenarioLayout(1, 1, 1), 2)
+    @settings(max_examples=60, deadline=None)
+    def test_draws_are_generator_integers(self, seed, layout, n):
+        # the uniforms handed to the inverse CDF, all labs in layout order
+        scenario = reference_scenario(seed=seed, n=n, layout=layout)
+        seen = []
+
+        def inverse_cdf(u):
+            seen.append(u.copy())
+            return ndtri(u)
+
+        with mock.patch.object(synthetic, "ndtri", inverse_cdf):
+            recorded(lambda: generate_scenario(scenario))
+        want = [
+            reference_uniforms(seed, kind, index, 2 * n if kind == "linking" else n)
+            for kind, count in (("a_only", layout.only_a), ("linking", layout.linking),
+                                ("b_only", layout.only_b))
+            for index in range(count)
+        ]
+        assert np.array_equal(seen[0], np.concatenate(want))
+
+    @given(seeds, layouts(), st.integers(2, 300),
+           st.sampled_from([20.0, 1e-30]), st.floats(-0.99, 0.99), st.integers(1, 6))
+    @example(7, ScenarioLayout(0, 3, 0), 2, 20.0, 0.5, 256)  # every attempt degenerate
+    @example(11, ScenarioLayout(4, 2, 3), 5, 1e-30, 0.0, 2)  # retries across blocks
+    @settings(max_examples=60, deadline=None)
+    def test_datasets_equal_the_reference(self, seed, layout, n, sigma_a, rho, block):
+        scenario = reference_scenario(
+            seed=seed, layout=layout, n=n, sigma_a=sigma_a, rho=rho
+        )
+        with mock.patch.object(synthetic, "_BLOCK_LABS", block):
+            got, got_warnings = recorded(lambda: generate_scenario(scenario).labs)
+        want, want_warnings = recorded(lambda: oracles.reference_scenario_labs(scenario))
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert got_warnings == want_warnings
+
+    @given(seeds, kinds, st.integers(0, 2**32 - 1), st.integers(2, 300),
+           st.sampled_from([20.0, 1e-30]))
+    @example(3, "linking", 0, 2, 20.0)
+    @example(2**64 - 1, "a_only", 2**32 - 1, 2, 1e-30)
+    @settings(max_examples=60, deadline=None)
+    def test_sample_lab_equals_the_reference(self, seed, kind, index, n, sigma_a):
+        scenario = reference_scenario(seed=seed, n=n, sigma_a=sigma_a)
+        got = recorded(lambda: sample_lab(scenario, kind, index))
+        want = recorded(lambda: oracles.reference_sample_lab(scenario, kind, index))
+        assert repr(got) == repr(want)
