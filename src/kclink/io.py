@@ -177,14 +177,15 @@ def round_half_up(value: float, decimals: int) -> float:
     return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context))
 
 
-def _fmt(value: float | None, decimals: int) -> str:
-    return "-" if value is None else f"{round_half_up(value, decimals):.{decimals}f}"
+def _fmt(value: float, decimals: int) -> str:
+    # NaN marks a value the lab did not measure
+    return "-" if value != value else f"{round_half_up(value, decimals):.{decimals}f}"
 
 
 def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str:
     unit_suffix = f" {units}" if units else ""
-    doe = {(entry.label, entry.standard): entry for entry in result.does}
-    width = max(len("lab"), max(len(lab.label) for lab in result.dataset.labs))
+    labels = [lab.label for lab in result.dataset.labs]
+    width = max(len("lab"), max(map(len, labels)))
     col = max(10, decimals + 7)
 
     lines = [f"distributed linking of two key comparisons (kclink {__version__})"]
@@ -197,15 +198,11 @@ def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for lab in result.dataset.labs:
-        entry_a = doe.get((lab.label, "A"))
-        entry_b = doe.get((lab.label, "B"))
+    (d_a, d_b), (u_d_a, u_d_b) = result.d.tolist(), result.u_d.tolist()
+    for label, *row in zip(labels, d_a, u_d_a, d_b, u_d_b):
         lines.append(
-            f"{lab.label:<{width}}  "
-            f"{_fmt(entry_a.d if entry_a else None, decimals):>{col}} "
-            f"{_fmt(entry_a.u_d if entry_a else None, decimals):>{col}} "
-            f"{_fmt(entry_b.d if entry_b else None, decimals):>{col}} "
-            f"{_fmt(entry_b.u_d if entry_b else None, decimals):>{col}}"
+            f"{label:<{width}}  "
+            + " ".join([f"{_fmt(value, decimals):>{col}}" for value in row])
         )
     lines.append("-" * len(header))
     kcrv = result.kcrv
@@ -256,11 +253,11 @@ def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str
         for label, x_a, u_a, x_b, u_b, c in map(_lab_fields, result.dataset.labs)
     ]
     does = [
-        f'\n    {{\n      "d": {_float(entry.d)},\n'
-        f'      "label": {_str(entry.label)},\n'
-        f'      "standard": {_str(entry.standard)},\n'
-        f'      "u_d": {_float(entry.u_d)}\n    }}'
-        for entry in result.does
+        f'\n    {{\n      "d": {_float(d)},\n'
+        f'      "label": {_str(label)},\n'
+        f'      "standard": "{standard}",\n'
+        f'      "u_d": {_float(u_d)}\n    }}'
+        for label, standard, d, u_d in result.doe_rows()
     ]
     ratio, shown = ("null", "null") if conf.ratio is None else (
         _float(conf.ratio), _float(round_half_up(conf.ratio, 2)))
@@ -351,9 +348,9 @@ def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:
     """Write the DOE chart data as CSV: label, standard, d, u_d and the
     expanded (k = 2) uncertainty, one row per degree of equivalence."""
     rows = [
-        f"{_csv_field(entry.label)},{entry.standard},{_float(entry.d)},"
-        f"{_float(entry.u_d)},{_float(2.0 * entry.u_d)}\r\n"
-        for entry in result.does
+        f"{_csv_field(label)},{standard},{_float(d)},"
+        f"{_float(u_d)},{_float(2.0 * u_d)}\r\n"
+        for label, standard, d, u_d in result.doe_rows()
     ]
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -9,33 +9,35 @@ the data.
 The estimator is the generalized-least-squares solution for two measurands
 observed by partially overlapping groups of laboratories: with a constant
 prior, the posterior for the pair of measurands is a bivariate Gaussian
-whose mode and covariance have closed forms in five data-only sums.  All
-sums are accumulated with exactly rounded summation (``math.fsum``) so
-results do not depend on the order in which laboratories are listed.
+whose mode and covariance have closed forms in five data-only sums.
 
 Squares are written as products: ``x * x`` is correctly rounded, while
 ``x**2`` goes through the platform's ``pow``, which may be off by one unit
 in the last place, and results would then no longer scale bit-exactly
 under a power-of-two change of units.
 
-:func:`link` walks the laboratories twice: :func:`compute_aux` gathers the
-five sums, which fix the KCRVs, and :func:`compute_residuals` then gives
+The engine works on the dataset's float64 columns: :func:`compute_aux`
+gives the five sums, which fix the KCRVs, and :func:`compute_residuals`
 the degrees of equivalence and the chi-square from the residuals against
-those KCRVs.
+those KCRVs.  Each per-lab term is computed elementwise in the expression
+order of its scalar formula, and each sum is ``math.fsum`` over the terms'
+``.tolist()``.  NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly
+rounded, as Python's float operations are, and ``fsum`` is exactly rounded
+whatever the order of its terms: the results are the bits a per-lab Python
+walk gives, and they do not depend on the order in which labs are listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress, repeat, starmap
 from math import exp, fsum, inf, isfinite, pi, sqrt
-from typing import Literal
+from typing import Iterator, Literal
 
-from .model import (
-    ComparisonDataset,
-    InternalInconsistencyError,
-    LabResult,
-    ValidationError,
-)
+import numpy as np
+
+from .model import ComparisonDataset, InternalInconsistencyError, ValidationError
 
 Standard = Literal["A", "B"]
 
@@ -134,35 +136,52 @@ class ConformityReport:
 
 @dataclass(frozen=True)
 class LinkingResult:
-    """Everything the linking analysis produces for one dataset."""
+    """Everything the linking analysis produces for one dataset.
+
+    The degrees of equivalence ``d`` and ``u_d`` are read-only columns
+    shaped like ``dataset.x``: NaN where a lab did not measure a standard.
+    ``does`` holds them as objects, built on first access.
+    """
 
     dataset: ComparisonDataset
     aux: AuxQuantities
     kcrv: KcrvEstimate
-    does: tuple[DegreeOfEquivalence, ...]
     conformity: ConformityReport
     warnings: tuple[str, ...]
+    d: np.ndarray = field(repr=False, compare=False)
+    u_d: np.ndarray = field(repr=False, compare=False)
 
-
-def _bivariate_denominator(lab: LabResult) -> float | None:
-    """The lab-kind rule shared by both walks over the labs.
-
-    A linking lab with a nonzero covariance contributes one bivariate term
-    with denominator ``u_a^2 * u_b^2 - cov_ab^2``, returned here.  Any other
-    lab (``None``) contributes one univariate term per standard it
-    measured; for a zero-covariance linking lab this keeps the uncorrelated
-    reduction (independent weighted means) an identity rather than a limit.
-    """
-    cov = lab.covariance
-    if not cov:
-        return None
-    den = (lab.u_a * lab.u_a) * (lab.u_b * lab.u_b) - cov * cov
-    if not den > 0.0:
-        # unreachable for validated labs (|cov| < u_a*u_b)
-        raise InternalInconsistencyError(
-            f"{lab.label}: singular covariance denominator"
+    def doe_rows(self) -> Iterator[tuple[str, Standard, float, float]]:
+        """``(label, standard, d, u_d)`` per degree of equivalence: one A
+        entry per lab that measured A, then one B entry per lab that
+        measured B, in input order."""
+        labels = [lab.label for lab in self.dataset.labs]
+        return chain.from_iterable(
+            compress(zip(labels, repeat(standard), d, u_d), measured)
+            for standard, measured, d, u_d in zip(
+                "AB", self.dataset.measured.tolist(), self.d.tolist(),
+                self.u_d.tolist())
         )
-    return den
+
+    @cached_property
+    def does(self) -> tuple[DegreeOfEquivalence, ...]:
+        return tuple(starmap(DegreeOfEquivalence, self.doe_rows()))
+
+
+def _bivariate(dataset: ComparisonDataset) -> tuple[np.ndarray, ...]:
+    """``u^2``, the mask of the labs with one bivariate term (a nonzero
+    covariance) and its denominator ``u_a^2 * u_b^2 - cov_ab^2``.  Other
+    labs add a univariate term per standard, so that for a zero-covariance
+    linking lab the uncorrelated reduction is an identity, not a limit."""
+    v = dataset.u * dataset.u
+    return v, dataset.cov.astype(bool), v[0] * v[1] - dataset.cov * dataset.cov
+
+
+def _term_sums(*terms: list[float]) -> list[float]:
+    try:
+        return [fsum(column) for column in terms]
+    except (OverflowError, ValueError):  # a sum past the float range, inf - inf
+        return [inf]
 
 
 def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
@@ -171,38 +190,36 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
     Uses exactly rounded summation, so any permutation of the labs yields
     bit-identical results.  A weight term or sum beyond the float range
     (1 / u^2 or x / u^2 overflowing for a tiny u) is a
-    :class:`ValidationError`.
+    :class:`ValidationError`, and so is a bivariate denominator that is not a
+    positive finite float, or a weight determinant ``a*b - c^2`` not positive.
     """
-    t_a: list[float] = []
-    t_b: list[float] = []
-    t_c: list[float] = []
-    t_s1: list[float] = []
-    t_s2: list[float] = []
-    try:
-        for lab in dataset.labs:
-            den = _bivariate_denominator(lab)
-            if den is not None:
-                cov, v_a, v_b = lab.covariance, lab.u_a * lab.u_a, lab.u_b * lab.u_b
-                t_a.append(v_b / den)
-                t_b.append(v_a / den)
-                t_c.append(cov / den)
-                t_s1.append((v_b * lab.value_a - cov * lab.value_b) / den)
-                t_s2.append((v_a * lab.value_b - cov * lab.value_a) / den)
-                continue
-            if lab.in_group_a:
-                v_a = lab.u_a * lab.u_a
-                t_a.append(1.0 / v_a)
-                t_s1.append(lab.value_a / v_a)
-            if lab.in_group_b:
-                v_b = lab.u_b * lab.u_b
-                t_b.append(1.0 / v_b)
-                t_s2.append(lab.value_b / v_b)
-        sums = [fsum(terms) for terms in (t_a, t_b, t_c, t_s1, t_s2)]
-    except (ZeroDivisionError, OverflowError, ValueError):
-        # u * u underflowed to zero, a sum past the float range, or inf - inf
-        sums = [inf]
+    with np.errstate(all="ignore"):
+        return _aux(dataset, *_bivariate(dataset))
+
+
+def _aux(dataset: ComparisonDataset, v, bivariate, den) -> AuxQuantities:
+    x, cov, measured = dataset.x, dataset.cov, dataset.measured
+    singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
+    if np.count_nonzero(singular):
+        raise ValidationError(
+            f"{dataset.labs[singular.argmax()].label}: u_a^2*u_b^2 - cov_ab^2 is "
+            "not a positive finite float (beyond the float range or precision)"
+        )
+    # a bivariate term, else a univariate one; the mask flattens A's, then B's
+    w = np.where(bivariate, v[::-1] / den, np.reciprocal(v))[measured].tolist()
+    s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[
+        measured].tolist()
+    n_a = dataset.card_a
+    sums = _term_sums(w[:n_a], w[n_a:], (cov / den)[bivariate].tolist(),
+                      s[:n_a], s[n_a:])
     if not all(map(isfinite, sums)):
         raise ValidationError("the weight sums exceed the float range")
+    a, b, c = sums[:3]
+    if not (a > 0.0 and b > 0.0 and a * b - c * c > 0.0):
+        raise ValidationError(
+            f"the weight sums are beyond the float range (a = {a}, b = {b}, "
+            f"a*b - c^2 = {a * b - c * c})"
+        )
     return AuxQuantities(*sums)
 
 
@@ -237,38 +254,41 @@ def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
     )
 
 
-def _doe_uncertainty(label: str, u_x: float, u_y: float) -> float:
+def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray):
     """sqrt(u(x)^2 - u(y)^2), guarding the theoretically impossible sign.
 
     The estimator is a minimum-variance combination that includes x, hence
     u(y) <= u(x) for every lab in the dataset.  A tiny negative radicand
     from floating-point cancellation is treated as zero; anything beyond
-    tolerance is an internal inconsistency, never silently clamped.  A
-    u(x)^2 beyond the float range is a :class:`ValidationError`.
+    tolerance is an internal inconsistency, never silently clamped, and a
+    u(x)^2 beyond the float range a :class:`ValidationError`, for the first lab.
     """
-    radicand = u_x * u_x - u_y * u_y
-    if 0.0 <= radicand < inf:
-        return sqrt(radicand)
-    if radicand < 0.0:
-        if radicand < -_RADICAND_RTOL * u_x * u_x:
-            raise InternalInconsistencyError(
-                f"{label}: KCRV uncertainty exceeds the reported uncertainty "
-                f"(radicand {radicand})"
-            )
-        return 0.0
+    radicand = v - v_y
+    u_d = np.sqrt(radicand)  # NaN where not measured
+    if np.count_nonzero(np.isfinite(u_d)) == dataset.n_total:
+        return u_d
+    tolerated = (radicand >= -_RADICAND_RTOL * dataset.u * dataset.u) & (radicand < inf)
+    failed = dataset.measured > tolerated
+    lab = int(failed.any(axis=0).argmax())
+    if not failed[:, lab].any():
+        return np.sqrt(np.maximum(radicand, 0.0))
+    row = 0 if failed[0, lab] else 1  # the A entry before the B entry
+    value, label = float(radicand[row, lab]), dataset.labs[lab].label
+    if value < 0.0:
+        raise InternalInconsistencyError(f"{label}: KCRV uncertainty exceeds the "
+                                         f"reported uncertainty (radicand {value})")
     raise ValidationError(f"{label}: the DOE variance exceeds the float range")
 
 
 def compute_residuals(
     dataset: ComparisonDataset, kcrv: KcrvEstimate
-) -> tuple[tuple[DegreeOfEquivalence, ...], ConformityReport]:
-    """Degrees of equivalence and the residual chi-square, in one walk.
+) -> tuple[np.ndarray, np.ndarray, ConformityReport]:
+    """Degrees of equivalence and the residual chi-square.
 
-    The DOEs are one A entry per lab that measured A, then one B entry per
-    lab that measured B, in input order: ``d = x - y_hat`` and
-    ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)``; the variances subtract because
-    each result is itself part of the reference value, with covariance
-    between them equal to the KCRV variance.
+    The DOEs ``d = x - y_hat`` and ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)`` are
+    read-only columns shaped like ``dataset.x``; the variances subtract
+    because each result is itself part of the reference value, with
+    covariance between them equal to the KCRV variance.
 
     q2 substitutes the estimates into the weighted sum of squared
     deviations; linking laboratories with a covariance contribute their
@@ -276,36 +296,20 @@ def compute_residuals(
     N - 2, the number of reported values minus the two estimated
     quantities.
     """
-    does_a: list[DegreeOfEquivalence] = []
-    does_b: list[DegreeOfEquivalence] = []
-    terms: list[float] = []
-    for lab in dataset.labs:
-        den = _bivariate_denominator(lab)
-        if lab.in_group_a:
-            d_a = lab.value_a - kcrv.y_hat_a
-            u_d = _doe_uncertainty(lab.label, lab.u_a, kcrv.u_a)
-            does_a.append(DegreeOfEquivalence(lab.label, "A", d_a, u_d))
-            if den is None:
-                terms.append(d_a * d_a / (lab.u_a * lab.u_a))
-        if lab.in_group_b:
-            d_b = lab.value_b - kcrv.y_hat_b
-            u_d = _doe_uncertainty(lab.label, lab.u_b, kcrv.u_b)
-            does_b.append(DegreeOfEquivalence(lab.label, "B", d_b, u_d))
-            if den is None:
-                terms.append(d_b * d_b / (lab.u_b * lab.u_b))
-        if den is not None:
-            terms.append(
-                (
-                    d_a * d_a * (lab.u_b * lab.u_b)
-                    - 2.0 * lab.covariance * d_a * d_b
-                    + d_b * d_b * (lab.u_a * lab.u_a)
-                )
-                / den
-            )
-    try:
-        q2 = fsum(terms)
-    except (OverflowError, ValueError):  # a sum past the float range, inf - inf
-        q2 = inf
+    with np.errstate(all="ignore"):
+        return _residuals(dataset, kcrv, *_bivariate(dataset))
+
+
+def _residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate, v, bivariate, den):
+    y = np.array((kcrv.y_hat_a, kcrv.u_a * kcrv.u_a, kcrv.y_hat_b, kcrv.u_b * kcrv.u_b)
+                 ).reshape(2, 2)  # per standard: y_hat, u(y_hat)^2
+    d = dataset.x - y[:, :1]
+    u_d = _doe_uncertainty(dataset, v, y[:, 1:])
+    dd = d * d
+    # bivariate: (d_a d_a v_b - 2 cov d_a d_b + d_b d_b v_a) / den, 2 cov exactly
+    ddv, cov = dd * v[::-1], dataset.cov
+    [q2] = _term_sums((dd / v)[dataset.measured > bivariate].tolist() + (
+        (ddv[0] - (cov + cov) * d[0] * d[1] + ddv[1]) / den)[bivariate].tolist())
     # a non-finite KCRV makes some d, and with it q2, non-finite as well
     if not isfinite(q2):
         raise ValidationError("the residual chi-square exceeds the float range")
@@ -314,7 +318,8 @@ def compute_residuals(
         conformity = ConformityReport(q2, dof, q2 / dof, q2 <= dof)
     else:
         conformity = ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
-    return tuple(does_a + does_b), conformity
+    d.flags.writeable = u_d.flags.writeable = False
+    return d, u_d, conformity
 
 
 def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
@@ -333,20 +338,15 @@ def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
 
 def link(dataset: ComparisonDataset) -> LinkingResult:
     """Run the full analysis: sums, KCRVs, DOEs and conformity check."""
-    aux = compute_aux(dataset)
-    kcrv = compute_kcrv(aux)
-    does, conformity = compute_residuals(dataset, kcrv)
+    with np.errstate(all="ignore"):
+        terms = _bivariate(dataset)
+        aux = _aux(dataset, *terms)
+        kcrv = compute_kcrv(aux)
+        d, u_d, conformity = _residuals(dataset, kcrv, *terms)
     warnings = list(dataset.warnings)
     if conformity.dof == 0:
         warnings.append(
             "conformity test has no degrees of freedom (one laboratory per "
             "standard); the estimates interpolate the data"
         )
-    return LinkingResult(
-        dataset=dataset,
-        aux=aux,
-        kcrv=kcrv,
-        does=does,
-        conformity=conformity,
-        warnings=tuple(warnings),
-    )
+    return LinkingResult(dataset, aux, kcrv, conformity, tuple(warnings), d, u_d)

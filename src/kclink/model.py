@@ -10,9 +10,13 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isfinite
 from numbers import Real
+from operator import attrgetter
 from typing import Iterable
+
+import numpy as np
 
 
 class KclinkError(Exception):
@@ -128,6 +132,14 @@ class LabResult:
         return 0.0 if self.cov_ab is None else self.cov_ab
 
 
+# a lab's numbers in the order of the rows of a dataset's column block
+_numbers = attrgetter("value_a", "value_b", "u_a", "u_b", "covariance")
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class ComparisonDataset:
     """A validated, partitioned collection of laboratory results.
@@ -145,6 +157,13 @@ class ComparisonDataset:
     covariance (treated as zero), and the degenerate case in which every
     linking covariance is zero or absent, where the joint analysis reduces
     to two independent inverse-variance weighted means.
+
+    The labs' numbers are also held as read-only float64 columns with one
+    entry per lab in input order, derived from ``labs`` and left out of
+    comparisons: ``x`` and ``u`` have two rows, standard A's values (x_a,
+    u_a) and standard B's (x_b, u_b), NaN where the lab did not measure
+    that standard; ``cov`` is the covariance, 0 where absent; and the
+    boolean ``measured`` marks, per standard, the labs that measured it.
     """
 
     labs: tuple[LabResult, ...]
@@ -152,7 +171,11 @@ class ComparisonDataset:
     only_b: tuple[str, ...] = field(init=False)
     linking: tuple[str, ...] = field(init=False)
     warnings: tuple[str, ...] = field(init=False)
-    _by_label: dict[str, LabResult] = field(init=False, repr=False, compare=False)
+    _by_label: dict[str, LabResult] = _derived()
+    x: np.ndarray = _derived()
+    u: np.ndarray = _derived()
+    cov: np.ndarray = _derived()
+    measured: np.ndarray = _derived()
 
     def __post_init__(self) -> None:
         labs = tuple(self.labs)
@@ -166,16 +189,23 @@ class ComparisonDataset:
             if lab.label in by_label:
                 raise ValidationError(f"duplicate laboratory label: {lab.label}")
             by_label[lab.label] = lab
-            if lab.is_linking:
-                linking.append(lab)
-            elif lab.in_group_a:
+            if lab.value_a is None:
+                only_b.append(lab.label)
+            elif lab.value_b is None:
                 only_a.append(lab.label)
             else:
-                only_b.append(lab.label)
+                linking.append(lab)
         if not only_a and not linking:
             raise ValidationError("no laboratory measured standard A")
         if not only_b and not linking:
             raise ValidationError("no laboratory measured standard B")
+        # one pass over the numbers, None reading as NaN, then one
+        # contiguous row per column: x_a, x_b, u_a, u_b, cov
+        block = np.fromiter(
+            chain.from_iterable(map(_numbers, labs)), float, 5 * len(labs)
+        ).reshape(len(labs), 5).T.copy()
+        measured = block[:2] == block[:2]
+        block.flags.writeable = measured.flags.writeable = False
 
         warnings: list[str] = []
         if not linking:
@@ -203,6 +233,10 @@ class ComparisonDataset:
             ("linking", tuple(lab.label for lab in linking)),
             ("warnings", tuple(warnings)),
             ("_by_label", by_label),
+            ("x", block[:2]),
+            ("u", block[2:4]),
+            ("cov", block[4]),
+            ("measured", measured),
         ):
             object.__setattr__(self, name, value)
 

@@ -26,6 +26,7 @@ import json
 import operator
 import warnings as _warnings
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,10 @@ class SyntheticScenario:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("y_a_true", "y_b_true", "sigma_a", "sigma_b"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.sigma_a > 0.0 or not self.sigma_b > 0.0:
             raise ValidationError("population standard deviations must be positive")
         if not -1.0 < self.rho < 1.0:

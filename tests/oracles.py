@@ -8,9 +8,13 @@ finite differences.  Sums mirroring the estimator's five auxiliary
 quantities are accumulated naively (plain ``sum``) in reversed lab order.
 The minimal-inflation reference re-validates and re-links the whole
 dataset at every trial uncertainty and bisects the pass/fail crossings.
-The report references build the JSON report as a nested dict handed to
-``json.dumps``, round with a fresh ``Decimal`` context per value and write
-plot data through ``csv.writer``.  The synthetic-data reference simulates
+The reference link is the estimator's earlier per-lab form: one Python
+walk over the ``LabResult`` objects for the five sums and one for the
+degrees of equivalence and q2, building a ``DegreeOfEquivalence`` per
+reported value.  The report references build the JSON report as a nested
+dict handed to ``json.dumps``, render the text table from ``does`` objects,
+round with a fresh ``Decimal`` context per value and write plot data
+through ``csv.writer``.  The synthetic-data reference simulates
 one laboratory at a time with its own ``SeedSequence`` and
 ``Generator(Philox(...))``, draws with ``Generator.integers`` and reduces
 with 1-D ``np.mean``/``np.sum``.
@@ -24,12 +28,27 @@ import json
 import warnings
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Context, Decimal
+from math import fsum, inf, isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from kclink.linking import LinkingResult
-from kclink.model import ComparisonDataset
+from kclink.linking import (
+    _RADICAND_RTOL,
+    ZERO_DOF_TIE_TOLERANCE,
+    AuxQuantities,
+    ConformityReport,
+    DegreeOfEquivalence,
+    KcrvEstimate,
+    LinkingResult,
+    compute_kcrv,
+)
+from kclink.model import (
+    ComparisonDataset,
+    InternalInconsistencyError,
+    LabResult,
+    ValidationError,
+)
 from kclink.version import __version__
 
 
@@ -327,12 +346,194 @@ def bisect_minimal_inflation(
     return BisectedInflation(critical_u, None, crossings)
 
 
+class ReferenceLink(NamedTuple):
+    """The fields of a ``LinkingResult`` that the report references read."""
+
+    dataset: ComparisonDataset
+    aux: AuxQuantities
+    kcrv: KcrvEstimate
+    does: tuple[DegreeOfEquivalence, ...]
+    conformity: ConformityReport
+    warnings: tuple[str, ...]
+
+
+def _bivariate_denominator(lab: LabResult) -> float | None:
+    cov = lab.covariance
+    if not cov:
+        return None
+    den = (lab.u_a * lab.u_a) * (lab.u_b * lab.u_b) - cov * cov
+    if not den > 0.0:
+        raise InternalInconsistencyError(
+            f"{lab.label}: singular covariance denominator"
+        )
+    return den
+
+
+def _reference_aux(dataset: ComparisonDataset) -> AuxQuantities:
+    t_a: list[float] = []
+    t_b: list[float] = []
+    t_c: list[float] = []
+    t_s1: list[float] = []
+    t_s2: list[float] = []
+    try:
+        for lab in dataset.labs:
+            den = _bivariate_denominator(lab)
+            if den is not None:
+                cov, v_a, v_b = lab.covariance, lab.u_a * lab.u_a, lab.u_b * lab.u_b
+                t_a.append(v_b / den)
+                t_b.append(v_a / den)
+                t_c.append(cov / den)
+                t_s1.append((v_b * lab.value_a - cov * lab.value_b) / den)
+                t_s2.append((v_a * lab.value_b - cov * lab.value_a) / den)
+                continue
+            if lab.in_group_a:
+                v_a = lab.u_a * lab.u_a
+                t_a.append(1.0 / v_a)
+                t_s1.append(lab.value_a / v_a)
+            if lab.in_group_b:
+                v_b = lab.u_b * lab.u_b
+                t_b.append(1.0 / v_b)
+                t_s2.append(lab.value_b / v_b)
+        sums = [fsum(terms) for terms in (t_a, t_b, t_c, t_s1, t_s2)]
+    except (ZeroDivisionError, OverflowError, ValueError):
+        sums = [inf]
+    if not all(map(isfinite, sums)):
+        raise ValidationError("the weight sums exceed the float range")
+    return AuxQuantities(*sums)
+
+
+def _reference_doe_uncertainty(label: str, u_x: float, u_y: float) -> float:
+    radicand = u_x * u_x - u_y * u_y
+    if 0.0 <= radicand < inf:
+        return sqrt(radicand)
+    if radicand < 0.0:
+        if radicand < -_RADICAND_RTOL * u_x * u_x:
+            raise InternalInconsistencyError(
+                f"{label}: KCRV uncertainty exceeds the reported uncertainty "
+                f"(radicand {radicand})"
+            )
+        return 0.0
+    raise ValidationError(f"{label}: the DOE variance exceeds the float range")
+
+
+def _reference_residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate):
+    does_a: list[DegreeOfEquivalence] = []
+    does_b: list[DegreeOfEquivalence] = []
+    terms: list[float] = []
+    for lab in dataset.labs:
+        den = _bivariate_denominator(lab)
+        if lab.in_group_a:
+            d_a = lab.value_a - kcrv.y_hat_a
+            u_d = _reference_doe_uncertainty(lab.label, lab.u_a, kcrv.u_a)
+            does_a.append(DegreeOfEquivalence(lab.label, "A", d_a, u_d))
+            if den is None:
+                terms.append(d_a * d_a / (lab.u_a * lab.u_a))
+        if lab.in_group_b:
+            d_b = lab.value_b - kcrv.y_hat_b
+            u_d = _reference_doe_uncertainty(lab.label, lab.u_b, kcrv.u_b)
+            does_b.append(DegreeOfEquivalence(lab.label, "B", d_b, u_d))
+            if den is None:
+                terms.append(d_b * d_b / (lab.u_b * lab.u_b))
+        if den is not None:
+            terms.append(
+                (
+                    d_a * d_a * (lab.u_b * lab.u_b)
+                    - 2.0 * lab.covariance * d_a * d_b
+                    + d_b * d_b * (lab.u_a * lab.u_a)
+                )
+                / den
+            )
+    try:
+        q2 = fsum(terms)
+    except (OverflowError, ValueError):
+        q2 = inf
+    if not isfinite(q2):
+        raise ValidationError("the residual chi-square exceeds the float range")
+    dof = dataset.n_total - 2
+    if dof > 0:
+        conformity = ConformityReport(q2, dof, q2 / dof, q2 <= dof)
+    else:
+        conformity = ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
+    return tuple(does_a + does_b), conformity
+
+
+def reference_link(dataset: ComparisonDataset) -> ReferenceLink:
+    """The linking analysis with one Python walk over the labs for the
+    sums and one for the DOEs and q2, each DOE a ``DegreeOfEquivalence``."""
+    aux = _reference_aux(dataset)
+    kcrv = compute_kcrv(aux)
+    does, conformity = _reference_residuals(dataset, kcrv)
+    notes = list(dataset.warnings)
+    if conformity.dof == 0:
+        notes.append(
+            "conformity test has no degrees of freedom (one laboratory per "
+            "standard); the estimates interpolate the data"
+        )
+    return ReferenceLink(dataset, aux, kcrv, does, conformity, tuple(notes))
+
+
 def round_half_up(value: float, decimals: int) -> float:
     """Half-up rounding of the shortest round-trip digits of ``value``."""
     quantum = Decimal(1).scaleb(-decimals)
     # 309 integer digits cover every finite float
     context = Context(prec=max(decimals, 0) + 309)
     return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context))
+
+
+def _fmt(value: float | None, decimals: int) -> str:
+    return "-" if value is None else f"{round_half_up(value, decimals):.{decimals}f}"
+
+
+def text_report(result: LinkingResult, decimals: int, units: str | None) -> str:
+    """The text report, with each lab's DOEs looked up among ``does``."""
+    unit_suffix = f" {units}" if units else ""
+    doe = {(entry.label, entry.standard): entry for entry in result.does}
+    width = max(len("lab"), max(len(lab.label) for lab in result.dataset.labs))
+    col = max(10, decimals + 7)
+
+    lines = [f"distributed linking of two key comparisons (kclink {__version__})"]
+    if units:
+        lines.append(f"values in {units}")
+    lines.append("")
+    header = (
+        f"{'lab':<{width}}  "
+        f"{'d_A':>{col}} {'u(d_A)':>{col}} {'d_B':>{col}} {'u(d_B)':>{col}}"
+    )
+    lines.append(header)
+    lines.append("-" * len(header))
+    for lab in result.dataset.labs:
+        entry_a = doe.get((lab.label, "A"))
+        entry_b = doe.get((lab.label, "B"))
+        lines.append(
+            f"{lab.label:<{width}}  "
+            f"{_fmt(entry_a.d if entry_a else None, decimals):>{col}} "
+            f"{_fmt(entry_a.u_d if entry_a else None, decimals):>{col}} "
+            f"{_fmt(entry_b.d if entry_b else None, decimals):>{col}} "
+            f"{_fmt(entry_b.u_d if entry_b else None, decimals):>{col}}"
+        )
+    lines.append("-" * len(header))
+    kcrv = result.kcrv
+    lines.append(
+        f"KCRV A: y_A = {_fmt(kcrv.y_hat_a, decimals)}{unit_suffix}, "
+        f"u(y_A) = {_fmt(kcrv.u_a, decimals)}{unit_suffix}"
+    )
+    lines.append(
+        f"KCRV B: y_B = {_fmt(kcrv.y_hat_b, decimals)}{unit_suffix}, "
+        f"u(y_B) = {_fmt(kcrv.u_b, decimals)}{unit_suffix}"
+    )
+    lines.append(f"cov(y_A, y_B) = {kcrv.cov_ab:.6g}, r = {_fmt(kcrv.r_tilde, 3)}")
+    conf = result.conformity
+    ratio = "n/a" if conf.ratio is None else _fmt(conf.ratio, 2)
+    verdict = "passed" if conf.passed else "failed"
+    lines.append(
+        f"conformity: q2/(N-2) = {ratio} ({verdict})   "
+        f"[q2 = {conf.q2:.6g}, dof = {conf.dof}]"
+    )
+    if result.warnings:
+        lines.append("warnings:")
+        lines.extend(f"  - {warning}" for warning in result.warnings)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def json_report(result: LinkingResult, decimals: int, units: str | None) -> str:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -156,6 +157,20 @@ class TestLinkCommand:
             "error: the weight sums exceed the float range\n"
         )
 
+    @pytest.mark.parametrize("rows, error", [
+        ("A1,1,1\nC1,1,1e-100,2,1e-100,5e-201\nB1,,,2,1\n",
+         "C1: u_a^2*u_b^2 - cov_ab^2 is not a positive finite float "
+         "(beyond the float range or precision)"),
+        ("A1,1e100,1e100\nA2,2e100,1e100\nB1,,,1e100,1e100\nB2,,,2e100,1e100\n",
+         "the weight sums are beyond the float range (a = 2e-200, b = 2e-200, "
+         "a*b - c^2 = 0.0)"),
+    ], ids=["covariance-denominator", "weight-determinant"])
+    def test_float_range_limits_exit_1(self, tmp_path, capsys, rows, error):
+        path = tmp_path / "labs.csv"
+        path.write_text(rows, encoding="utf-8")
+        assert main(["link", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("option", ["--plot-data", None])
     def test_lone_surrogate_label_exits_1(self, tmp_path, capsys, option):
         path = tmp_path / "labs.json"
@@ -281,6 +296,23 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert re.search(match, err)
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("field", ["y_a_true", "y_b_true", "sigma_a", "sigma_b"])
+    def test_non_finite_scenario_exits_1_without_warnings(self, tmp_path, capsys,
+                                                         field):
+        scenario = json.loads(SCENARIO_JSON)
+        scenario[field] = float("inf")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")  # writes Infinity
+        out = tmp_path / "dataset.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "--scenario", str(path), "--output", str(out)])
+        assert code == 1 and not caught
+        assert capsys.readouterr().err == (
+            f"error: {path}: {field} must be finite, got inf\n")
         assert not out.exists()
 
 

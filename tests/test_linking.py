@@ -84,6 +84,37 @@ class TestComputeAux:
         with pytest.raises(InternalInconsistencyError, match="cross-weight"):
             AuxQuantities(a=1.0, b=1.0, c=1.0, s1=0.0, s2=0.0)
 
+    @pytest.mark.parametrize("u, cov", [
+        # u_a^2 * u_b^2 = 1e-400 underflows to zero, below cov^2 = 2.5e-401
+        (1e-100, 5e-201),
+        # u_a^2 * u_b^2 = 1e308 * 1.6e309 overflows: an infinite denominator
+        # would give the lab zero weight, and the result would ignore it
+        (1e77, 1e154),
+    ], ids=["underflow", "overflow"])
+    def test_covariance_denominator_beyond_the_float_range(self, u, cov):
+        dataset = validate_dataset([
+            LabResult("A1", value_a=1.0, u_a=u),
+            LabResult("C1", value_a=1.0, u_a=u, value_b=2.0, u_b=4.0 * u, cov_ab=cov),
+            LabResult("B1", value_b=2.0, u_b=u),
+        ])
+        with pytest.raises(ValidationError, match=r"^C1: .*float range"):
+            link(dataset)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_weight_sums_beyond_the_float_range(self, gauge_block, scale):
+        # weights of 1e-202 or less: a*b underflows to zero
+        dataset = validate_dataset([
+            replace(lab, **{
+                name: getattr(lab, name) * scale
+                for name in ("value_a", "u_a", "value_b", "u_b")
+                if getattr(lab, name) is not None
+            })
+            for lab in gauge_block.labs
+        ])
+        with pytest.raises(ValidationError, match=r"weight sums are beyond the "
+                           r"float range .*a\*b - c\^2 = 0\.0\)"):
+            link(dataset)
+
 
 class TestComputeKcrv:
     def test_gauge_block_reference_values(self, gauge_block):
@@ -152,10 +183,10 @@ class TestComputeDoe:
         ])
         kcrv = compute_kcrv(compute_aux(dataset))
         assert kcrv.y_hat_a == 5.0
-        does, _ = compute_residuals(dataset, kcrv)
-        does = {e.label: e for e in does if e.standard == "A"}
-        assert does["A1"].d == 0.0
-        assert does["A1"].u_d == math.sqrt(2.0**2 - kcrv.u_a**2)
+        d, u_d, _ = compute_residuals(dataset, kcrv)
+        assert dataset.labs[0].label == "A1"  # column 0, row 0 is standard A
+        assert d[0, 0] == 0.0
+        assert u_d[0, 0] == math.sqrt(2.0**2 - kcrv.u_a**2)
 
     def test_radicand_violation_raises_instead_of_clamping(self):
         dataset = two_lab_dataset()
@@ -195,7 +226,7 @@ class TestComputeQ2:
         assert any("no degrees of freedom" in w for w in result.warnings)
 
     def test_exact_tie_passes(self):
-        _, report_like = compute_residuals(
+        _, _, report_like = compute_residuals(
             two_lab_dataset(), compute_kcrv(compute_aux(two_lab_dataset())))
         assert report_like.passed
 

@@ -47,6 +47,12 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             reference_scenario(**bad)
 
+    @pytest.mark.parametrize("field", ["y_a_true", "y_b_true", "sigma_a", "sigma_b"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_truth_and_sigma(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            reference_scenario(**{field: value})
+
     def test_layout_needs_each_standard(self):
         with pytest.raises(ValidationError, match="at least one"):
             ScenarioLayout(only_a=2, linking=0, only_b=0)
