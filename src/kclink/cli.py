@@ -96,9 +96,8 @@ def _close(value: float, expected: float, atol: float) -> bool:
     return abs(value - expected) <= atol
 
 
-def _selftest_dataset(name, dataset, expected, atol) -> list[str]:
+def _selftest_dataset(name, result, expected, atol) -> list[str]:
     failures: list[str] = []
-    result = link(dataset)
     doe = {(e.label, e.standard): e for e in result.does}
     kcrv = expected["kcrv"]
     checks = [
@@ -110,8 +109,8 @@ def _selftest_dataset(name, dataset, expected, atol) -> list[str]:
     for what, got, want in checks:
         if not _close(got, want, atol):
             failures.append(f"{name}: {what} = {got!r}, expected {want} +/- {atol}")
-    for standard, table in (("A", expected["doe_a"]), ("B", expected["doe_b"])):
-        for label, (d, u_d) in table.items():
+    for standard in "AB":
+        for label, (d, u_d) in expected.get(f"doe_{standard.lower()}", {}).items():
             entry = doe[(label, standard)]
             if not _close(entry.d, d, atol) or not _close(entry.u_d, u_d, atol):
                 failures.append(
@@ -129,23 +128,22 @@ def _selftest_dataset(name, dataset, expected, atol) -> list[str]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    gauge_block = golden.gauge_block_dataset()
+    found = minimal_inflation(gauge_block, "INMETRO1", "B")
     suites = [
-        (
-            "gauge-block example",
-            golden.gauge_block_dataset(),
-            golden.GAUGE_BLOCK_EXPECTED,
-            0.05,
-        ),
-        (
-            "synthetic example",
-            golden.synthetic_dataset(),
-            golden.SYNTHETIC_EXPECTED,
-            0.0005,
-        ),
+        ("gauge-block example", link(gauge_block), golden.GAUGE_BLOCK_EXPECTED,
+         0.05),
+        ("synthetic example", link(golden.synthetic_dataset()),
+         golden.SYNTHETIC_EXPECTED, 0.0005),
+        ("gauge-block inflation", found.relinked,
+         golden.GAUGE_BLOCK_INFLATED_EXPECTED, 0.05),
     ]
     status = EXIT_OK
-    for name, dataset, expected, atol in suites:
-        failures = _selftest_dataset(name, dataset, expected, atol)
+    for name, result, expected, atol in suites:
+        failures = _selftest_dataset(name, result, expected, atol)
+        if "minimal_u" in expected and found.minimal_u != expected["minimal_u"]:
+            failures.append(f"{name}: minimal u(INMETRO1/B) = "
+                            f"{found.minimal_u!r}, expected {expected['minimal_u']}")
         if failures:
             status = EXIT_ERROR
             print(f"FAIL {name}")
@@ -190,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="find the minimal uncertainty inflation restoring conformity",
         description="Smallest 3-significant-digit uncertainty of one lab at "
                     "which the data pass; the exact boundary comes from one "
-                    "analysis without that lab.",
+                    "analysis without that lab's value.",
     )
     p_inflate.add_argument("--lab", required=True, help="target laboratory")
     p_inflate.add_argument("--standard", required=True, choices=("A", "B"))

@@ -3,12 +3,15 @@
 When a dataset fails the chi-square conformity check, a standard remedy is
 to question a single suspiciously small uncertainty claim and ask: what is
 the smallest uncertainty for that laboratory at which the whole dataset
-passes?  Linking the other laboratories once gives their KCRVs ``y0``, KCRV
-covariance ``V0`` and residual ``q0``; adding the target back with
-covariance ``S(u)`` gives ``q2(u) = q0 + e' (S(u) + V0)^-1 e`` with
-``e = x - y0``, so the boundary ``q2(u) = N - 2`` is exactly a root of a
-quadratic in ``u``.  It is reported rounded up to three significant digits
-and confirmed by one full re-analysis.
+passes?  One leave-one-out rule answers it for every target.  The rest is
+the dataset without the target's value for the inflated standard (a linking
+target stays as an exclusive lab of the other standard); linking it once
+gives KCRVs ``y0``, KCRV covariance ``V0`` and residual ``q0``.  Adding the
+value back adds one scalar residual: ``q2(u) = q0 + eps(u)^2 / var(u)``,
+where ``eps`` and ``var`` are linear and quadratic in ``u`` because the
+target's correlation stays fixed.  So the boundary ``q2(u) = N - 2`` is
+exactly a root of a quadratic in ``u``.  It is reported rounded up to
+three significant digits and confirmed by one full re-analysis.
 """
 
 from __future__ import annotations
@@ -113,26 +116,23 @@ def _critical_u(
 ) -> float | None:
     """Smallest u >= the original at which q2(u) <= dof; None if none.
 
-    With ``k = dof - q0`` and ``M = S(u) + V0`` the data pass iff
-    ``f(u) = k det(M) - e' adj(M) e >= 0``, a quadratic in ``u`` because
-    the target's correlation stays fixed (``S_so(u) = r u_o u``).  The data
-    fail at ``u0``, so the boundary is the first root above it, or ``u0``
-    itself when rounding puts it inside a passing interval of ``f``.
+    The rest drops only the target's value ``x_s`` for the inflated
+    standard s; a linking target keeps its value ``x_o`` of the other
+    standard o.  Given ``x_o``, the value ``x_s`` adds one residual
+    ``eps(u) = e_s - p u e_o`` with ``e = x - y0`` and ``p = r / u_o``
+    (``p = 0`` without a covariance), of variance
+    ``var(u) = (1 - r^2) u^2 + V_ss - 2 p u V_so + p^2 u^2 V_oo``.  With
+    ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic
+    in u.  The data fail at ``u0``, so the boundary is the first root above
+    it, or ``u0`` itself when rounding puts it inside a passing interval.
     """
-    other: Standard = "B" if standard == "A" else "A"
-    card = {"A": dataset.card_a, "B": dataset.card_b}
-    if card[standard] == 1:
+    if (dataset.card_a if standard == "A" else dataset.card_b) == 1:
         return None  # the target alone fixes this KCRV: q2 ignores u
     rest = [entry for entry in dataset.labs if entry is not lab]
-    linked = lab.is_linking
-    if linked and card[other] == 1:
-        # the target alone fixes the other KCRV, fitting that value exactly:
-        # keep it in the rest as an exclusive lab, and let the target enter
-        # as an exclusive lab on the inflated standard
+    if lab.is_linking:
         s = standard.lower()
         rest.append(replace(lab, **{f"value_{s}": None, f"u_{s}": None},
                             cov_ab=None))
-        linked = False
     loo = link(validate_dataset(rest))
     k = dof - loo.conformity.q2
     if not k > 0.0:
@@ -140,24 +140,18 @@ def _critical_u(
 
     kcrv = loo.kcrv
     y0 = {"A": kcrv.y_hat_a, "B": kcrv.y_hat_b}
-    v0 = {"A": kcrv.u_a**2, "B": kcrv.u_b**2}
+    v0 = {"A": kcrv.u_a * kcrv.u_a, "B": kcrv.u_b * kcrv.u_b}
     x_s, u0 = _measured(lab, standard)
-    e_s, v_ss = x_s - y0[standard], v0[standard]
-    # an exclusive target is the same form with no other component
-    e_o = c = v_so = 0.0
-    m_oo = 1.0
-    if linked:
+    e_s = x_s - y0[standard]
+    p = r = e_o = v_oo = 0.0
+    if lab.covariance:
+        other: Standard = "B" if standard == "A" else "A"
         x_o, u_o = _measured(lab, other)
-        e_o, c = x_o - y0[other], lab.covariance / u0  # c = r * u_o
-        m_oo, v_so = u_o**2 + v0[other], kcrv.cov_ab
-    alpha = k * (m_oo - c * c) - e_o * e_o
-    beta = -2.0 * c * (k * v_so - e_s * e_o)
-    gamma = (
-        k * (v_ss * m_oo - v_so * v_so)
-        - e_s * e_s * m_oo
-        + 2.0 * e_s * e_o * v_so
-        - e_o * e_o * v_ss
-    )
+        r = lab.covariance / (u0 * u_o)
+        p, e_o, v_oo = r / u_o, x_o - y0[other], v0[other]
+    alpha = k * (1.0 - r * r + p * p * v_oo) - p * p * (e_o * e_o)
+    beta = 2.0 * p * (e_s * e_o - k * kcrv.cov_ab)
+    gamma = k * v0[standard] - e_s * e_s
     for lo, hi in _nonnegative_intervals(alpha, beta, gamma):
         if hi >= u0:
             return max(lo, u0)

@@ -229,7 +229,8 @@ def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
     With a zero cross-weight the two groups decouple and the estimator is
     evaluated in its reduced form (two independent weighted means, exactly
     zero covariance), keeping group A results bit-identical under changes
-    confined to group B and vice versa.
+    confined to group B and vice versa.  A weight determinant beyond the
+    float range is a :class:`ValidationError`.
     """
     if aux.c == 0.0:
         return KcrvEstimate(
@@ -241,6 +242,11 @@ def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
             r_tilde=0.0,
         )
     det = aux.det
+    if det == inf:  # a*b overflows: the KCRV variances would round to zero
+        raise ValidationError(
+            f"the weight sums are beyond the float range (a = {aux.a}, "
+            f"b = {aux.b}, a*b - c^2 = {det})"
+        )
     u_a = sqrt(aux.b / det)
     u_b = sqrt(aux.a / det)
     cov = aux.c / det

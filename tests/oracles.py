@@ -7,7 +7,9 @@ numpy, minimised by an iterative dense grid search, and differentiated by
 finite differences.  Sums mirroring the estimator's five auxiliary
 quantities are accumulated naively (plain ``sum``) in reversed lab order.
 The minimal-inflation reference re-validates and re-links the whole
-dataset at every trial uncertainty and bisects the pass/fail crossings.
+dataset at every trial uncertainty and bisects the pass/fail crossings;
+``exact_q2`` evaluates q2 at a trial uncertainty in ``Fraction``
+arithmetic, which is exact for float inputs.
 The reference link is the estimator's earlier per-lab form: one Python
 walk over the ``LabResult`` objects for the five sums and one for the
 degrees of equivalence and q2, building a ``DegreeOfEquivalence`` per
@@ -28,6 +30,7 @@ import json
 import warnings
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Context, Decimal
+from fractions import Fraction
 from math import fsum, inf, isfinite, sqrt
 from typing import NamedTuple
 
@@ -344,6 +347,48 @@ def bisect_minimal_inflation(
         rounded += quantum(rounded)
         rounded = rounded.quantize(quantum(rounded))
     return BisectedInflation(critical_u, None, crossings)
+
+
+def exact_q2(
+    dataset: ComparisonDataset, label: str, standard: str, u: float
+) -> Fraction:
+    """The exact q2 with one lab's uncertainty for ``standard`` set to ``u``.
+
+    The target's correlation coefficient is held fixed, so its covariance
+    becomes ``cov * u / u0``.  Each lab contributes its inverse covariance
+    matrix to the 2x2 normal equations, which are solved exactly; q2 is
+    the weighted sum of squared residuals at that solution.
+    """
+    normal = [[Fraction(0)] * 2 for _ in range(2)]
+    rhs = [Fraction(0)] * 2
+    observations = []
+    for lab in dataset.labs:
+        x = [lab.value_a, lab.value_b]
+        var = [None if v is None else Fraction(v) ** 2 for v in (lab.u_a, lab.u_b)]
+        cov = Fraction(lab.covariance)
+        if lab.label == label:
+            row = 0 if standard == "A" else 1
+            scale = Fraction(u) / Fraction(lab.u_a if row == 0 else lab.u_b)
+            var[row] *= scale * scale
+            cov *= scale
+        seen = [i for i in (0, 1) if x[i] is not None]
+        if len(seen) == 2:
+            det = var[0] * var[1] - cov * cov
+            weight = {(0, 0): var[1] / det, (1, 1): var[0] / det,
+                      (0, 1): -cov / det, (1, 0): -cov / det}
+        else:
+            weight = {(seen[0], seen[0]): 1 / var[seen[0]]}
+        for (i, j), w in weight.items():
+            normal[i][j] += w
+            rhs[i] += w * Fraction(x[j])
+        observations.append((x, weight))
+    det = normal[0][0] * normal[1][1] - normal[0][1] * normal[1][0]
+    y = [(normal[1][1] * rhs[0] - normal[0][1] * rhs[1]) / det,
+         (normal[0][0] * rhs[1] - normal[1][0] * rhs[0]) / det]
+    return sum(
+        w * (Fraction(x[i]) - y[i]) * (Fraction(x[j]) - y[j])
+        for x, weight in observations for (i, j), w in weight.items()
+    )
 
 
 class ReferenceLink(NamedTuple):

@@ -322,6 +322,7 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "ok   gauge-block example" in out
         assert "ok   synthetic example" in out
+        assert "ok   gauge-block inflation" in out
 
 
 class TestUnitsFlow:

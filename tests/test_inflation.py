@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kclink import inflation
+from kclink.golden import gauge_block_dataset
 from kclink.inflation import (
     InflationError,
     _next_up_significant,
@@ -25,6 +27,34 @@ def failing_three_lab_dataset():
     ])
 
 
+def linking_target_dataset():
+    # C1's B value disagrees with B1 and B2; inflating its u_B restores
+    # conformity while its A value stays in the leave-one-out
+    return validate_dataset([
+        LabResult("A1", value_a=0.0, u_a=1.0),
+        LabResult("C1", value_a=0.2, u_a=1.0, value_b=10.0, u_b=1.0,
+                  cov_ab=0.5),
+        LabResult("B1", value_b=0.0, u_b=1.0),
+        LabResult("B2", value_b=1.0, u_b=4.0),
+    ])
+
+
+def searches(dataset):
+    """Every (lab, standard) pair that a lab measured."""
+    for lab in dataset.labs:
+        for standard, seen in (("A", lab.in_group_a), ("B", lab.in_group_b)):
+            if seen:
+                yield lab, standard
+
+
+def outcome(dataset, label, standard):
+    """``minimal_inflation``'s result, or the message of its error."""
+    try:
+        return minimal_inflation(dataset, label, standard)
+    except InflationError as exc:
+        return str(exc)
+
+
 class TestGoldenInflation:
     def test_reported_minimal_uncertainty(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -33,17 +63,23 @@ class TestGoldenInflation:
         assert found.critical_u == pytest.approx(11.1426943354, rel=1e-9)
         assert found.relinked.conformity.passed
 
-    def test_one_leave_one_out_and_three_links(self, gauge_block, monkeypatch):
+    @pytest.mark.parametrize("make, label, dropped", [
+        (gauge_block_dataset, "INMETRO1", 1),  # an exclusive target leaves
+        (linking_target_dataset, "C1", 0),  # a linking one keeps its A value
+    ], ids=["INMETRO1", "C1"])
+    def test_one_leave_one_out_and_three_links(self, make, label, dropped,
+                                               monkeypatch):
         calls = []
 
         def counting_link(dataset):
             calls.append(len(dataset.labs))
             return link(dataset)
 
+        dataset = make()
         monkeypatch.setattr(inflation, "link", counting_link)
-        minimal_inflation(gauge_block, "INMETRO1", "B")
-        n = len(gauge_block.labs)
-        assert calls == [n, n - 1, n]
+        minimal_inflation(dataset, label, "B")
+        n = len(dataset.labs)
+        assert calls == [n, n - dropped, n]
 
     def test_matches_bisection_oracle(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -126,13 +162,7 @@ class TestSearchBehaviour:
         assert found.relinked.conformity.passed
 
     def test_linking_lab_keeps_correlation_fixed(self):
-        dataset = validate_dataset([
-            LabResult("A1", value_a=0.0, u_a=1.0),
-            LabResult("C1", value_a=0.2, u_a=1.0, value_b=10.0, u_b=1.0,
-                      cov_ab=0.5),
-            LabResult("B1", value_b=0.0, u_b=1.0),
-            LabResult("B2", value_b=1.0, u_b=4.0),
-        ])
+        dataset = linking_target_dataset()
         assert not link(dataset).conformity.passed
         found = minimal_inflation(dataset, "C1", "B")
         new_lab = found.relinked.dataset.lab("C1")
@@ -239,7 +269,7 @@ class TestClosedFormEdgeCases:
         assert found.relinked.conformity.passed
 
     def test_rest_alone_fails(self):
-        # without C1 the A side already has q0 = 50 > dof = 3
+        # without C1's B value the A side already has q0 = 50 > dof = 3
         dataset = validate_dataset([
             LabResult("A1", value_a=0.0, u_a=1.0),
             LabResult("A2", value_a=10.0, u_a=1.0),
@@ -281,6 +311,96 @@ def test_agrees_with_bisection_oracle_on_random_datasets():
         assert found.minimal_u == ref.minimal_u
         assert found.critical_u == pytest.approx(ref.critical_u, rel=1e-8)
     assert attributable >= 10 and sole >= 3 and sole_other >= 3
+
+
+def test_linking_target_without_covariance_inflates_like_a_split_lab():
+    # without a covariance a linking lab is an A-only lab plus a B-only lab
+    # in every sum, so the search must give the same bits for both layouts
+    rng = np.random.default_rng(3)
+    compared = attributable = 0
+    for _ in range(1000):
+        dataset = oracles.random_dataset(rng)
+        if link(dataset).conformity.passed:
+            continue
+        for target in dataset.linking_labs():
+            target = replace(target, cov_ab=None)
+            parts = {"A": replace(target, label=f"{target.label}a",
+                                  value_b=None, u_b=None),
+                     "B": replace(target, label=f"{target.label}b",
+                                  value_a=None, u_a=None)}
+            labs = [target if lab.label == target.label else lab
+                    for lab in dataset.labs]
+            joined = validate_dataset(labs)
+            split = validate_dataset(
+                [lab for lab in labs if lab is not target] + list(parts.values()))
+            for standard in "AB":
+                found = outcome(joined, target.label, standard)
+                mate = outcome(split, parts[standard].label, standard)
+                compared += 1
+                if isinstance(found, str):
+                    assert mate == found.replace(target.label,
+                                                 parts[standard].label)
+                    continue
+                attributable += 1
+                assert mate.critical_u == found.critical_u
+                assert mate.minimal_u == found.minimal_u
+                assert mate.relinked.kcrv == found.relinked.kcrv
+                assert mate.relinked.conformity == found.relinked.conformity
+    assert compared >= 500 and attributable >= 50
+
+
+def test_boundary_is_exact_to_1e_11():
+    # q2 evaluated in exact rational arithmetic crosses N - 2 within a
+    # relative 1e-11 of every critical_u that lies above the original u
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(1500):
+        dataset = oracles.random_dataset(rng)
+        if link(dataset).conformity.passed:
+            continue
+        dof = dataset.n_total - 2
+        for lab, standard in searches(dataset):
+            found = outcome(dataset, lab.label, standard)
+            if isinstance(found, str) or found.critical_u == found.original_u:
+                continue
+            below, above = (found.critical_u * (1.0 + sign * 1e-11)
+                            for sign in (-1.0, 1.0))
+            assert oracles.exact_q2(dataset, lab.label, standard, below) > dof
+            assert oracles.exact_q2(dataset, lab.label, standard, above) <= dof
+            checked += 1
+    assert checked >= 300
+
+
+def test_boundary_scales_exactly_with_power_of_two_units():
+    # x and u scaled by 2^k and cov by 4^k: every operation scales exactly
+    rng = np.random.default_rng(13)
+    scaled_searches = 0
+    for _ in range(600):
+        dataset = oracles.random_dataset(rng)
+        if link(dataset).conformity.passed:
+            continue
+        k = int(rng.integers(-40, 41))
+        unit = math.ldexp(1.0, k)
+        scaled = validate_dataset([
+            LabResult(
+                lab.label,
+                value_a=None if lab.value_a is None else lab.value_a * unit,
+                u_a=None if lab.u_a is None else lab.u_a * unit,
+                value_b=None if lab.value_b is None else lab.value_b * unit,
+                u_b=None if lab.u_b is None else lab.u_b * unit,
+                cov_ab=None if lab.cov_ab is None else lab.cov_ab * unit * unit,
+            )
+            for lab in dataset.labs
+        ])
+        for lab, standard in searches(dataset):
+            found = outcome(dataset, lab.label, standard)
+            mate = outcome(scaled, lab.label, standard)
+            if isinstance(found, str):
+                assert mate == found
+                continue
+            assert mate.critical_u == found.critical_u * unit
+            scaled_searches += 1
+    assert scaled_searches >= 150
 
 
 class TestRounding:

@@ -115,6 +115,17 @@ class TestComputeAux:
                            r"float range .*a\*b - c\^2 = 0\.0\)"):
             link(dataset)
 
+    def test_weight_determinant_overflow(self):
+        # a = 2e31 and b = 1.3e280: a*b overflows, and the KCRV variances
+        # b / det and a / det would be zero (was a ZeroDivisionError)
+        dataset = validate_dataset([
+            LabResult("C1", value_a=0.0, u_a=2.220446049250313e-16, value_b=0.0,
+                      u_b=8.722066217371082e-141, cov_ab=3.026074605259569e-158),
+        ])
+        with pytest.raises(ValidationError, match=r"weight sums are beyond the "
+                           r"float range .*a\*b - c\^2 = inf\)"):
+            link(dataset)
+
 
 class TestComputeKcrv:
     def test_gauge_block_reference_values(self, gauge_block):
@@ -459,3 +470,36 @@ class TestLink:
     def test_warnings_carried_from_dataset(self, gauge_block):
         result = link(gauge_block)
         assert any("zero or absent" in w for w in result.warnings)
+
+
+class TestKnownDefects:
+    """Valid input that ``link`` rejects as an internal inconsistency.
+
+    In both the weight matrix is nearly singular, so ``a*b - c^2``
+    cancels; a better-conditioned determinant is the planned fix, and
+    these tests then pass.
+    """
+
+    @pytest.mark.xfail(raises=InternalInconsistencyError, strict=True,
+                       reason="rounding puts the KCRV correlation at +/-1")
+    def test_correlation_one_ulp_inside_the_bound(self):
+        # C1's |r| is 1 - 2^-53, the largest correlation a float holds
+        dataset = validate_dataset([
+            LabResult("A1", value_a=0.0, u_a=1.0),
+            LabResult("B1", value_b=0.0, u_b=0.5),
+            LabResult("B2", value_b=0.3, u_b=0.5),
+            LabResult("C1", value_a=0.1, u_a=0.5627221275874181,
+                      value_b=2.3420216792363897, u_b=0.43000779970879066,
+                      cov_ab=-0.24197490393131502),
+        ])
+        assert -1.0 < link(dataset).kcrv.r_tilde < 1.0
+
+    @pytest.mark.xfail(raises=InternalInconsistencyError, strict=True,
+                       reason="a*b - c^2 cancels for a lone linking lab")
+    def test_lone_linking_lab_with_correlation_near_one(self):
+        dataset = validate_dataset([
+            LabResult("C1", value_a=0.0, u_a=1.0, value_b=0.0, u_b=1.0,
+                      cov_ab=0.999999999),
+        ])
+        result = link(dataset)
+        assert result.kcrv.u_a <= 1.0 and result.kcrv.u_b <= 1.0
