@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import golden
@@ -37,7 +36,7 @@ def _print_warnings(result: LinkingResult) -> None:
 
 
 def _read(args: argparse.Namespace) -> ComparisonDataset:
-    dataset, file_units = parse_dataset_with_units(args.input, args.format)
+    dataset, file_units = parse_dataset_with_units(args.input)
     if args.units is None:
         args.units = file_units
     return dataset
@@ -79,10 +78,7 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.seed_override is not None:
-        scenario = replace(scenario, seed=args.seed_override)
-    dataset = generate_scenario(scenario)
+    dataset = generate_scenario(load_scenario(args.scenario))
     out = write_dataset(dataset, args.output)
     print(
         f"wrote {len(dataset.labs)} laboratories "
@@ -164,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the dataset and report options shared by link and inflate
     report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--input", required=True, help="dataset file")
-    report.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="input format (default: from file suffix)")
+    report.add_argument("--input", required=True,
+                        help="dataset file (.json means JSON, anything else CSV)")
     report.add_argument("--output", default=None,
                         help="write the report here instead of stdout")
     report.add_argument("--report-format", choices=("text", "json"),
@@ -197,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--scenario", required=True,
                          help="scenario specification (JSON)")
-    p_synth.add_argument("--seed-override", type=int, default=None)
     p_synth.add_argument("--output", required=True,
                          help="dataset file to write (.csv or .json)")
     p_synth.set_defaults(func=_cmd_synth)

@@ -1,8 +1,10 @@
 """Dataset files in; reports, plot data and dataset files out.
 
 Input files are CSV (columns ``label, x_a, u_a, x_b, u_b, cov_ab``, empty
-cells meaning "absent") or JSON (an array of objects with the same field
-names, optionally wrapped as ``{"units": ..., "labs": [...]}``).  Numbers
+cells meaning "absent", after an optional header row) or JSON (an array of
+objects with the same field names, optionally wrapped as ``{"units": ...,
+"labs": [...]}``).  The suffix picks the format, for reading and writing
+alike: ``.json`` in any case means JSON, anything else CSV.  Numbers
 are accepted with either a decimal point or a decimal comma and with
 either ASCII or typographic minus signs; output always uses points.
 
@@ -72,9 +74,17 @@ def _utf8(text: object) -> object:
     return text
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    tail = [cell.strip().lower() for cell in row[1:]]
-    return any(cell in _CSV_COLUMNS for cell in tail)
+def _is_header(row: list[str], path: Path) -> bool:
+    """Whether line 1 is a header: a cell after the first names a column.
+    Each cell naming a column must sit in its position; others are ignored."""
+    names = [cell.strip().lower() for cell in row]
+    if not any(name in _CSV_COLUMNS for name in names[1:]):
+        return False
+    for position, name in enumerate(names):
+        if name in _CSV_COLUMNS and _CSV_COLUMNS.index(name) != position:
+            raise ParseError(f"{path}:1: header cell {position + 1} is {name!r}; "
+                             f"the columns are {', '.join(_CSV_COLUMNS)}")
+    return True
 
 
 def _parse_csv(path: Path) -> tuple[list[LabResult], None]:
@@ -83,7 +93,7 @@ def _parse_csv(path: Path) -> tuple[list[LabResult], None]:
         reader = csv.reader(handle)
         try:
             for lineno, row in enumerate(reader, start=1):
-                if not "".join(row).strip() or lineno == 1 and _looks_like_header(row):
+                if not "".join(row).strip() or lineno == 1 and _is_header(row, path):
                     continue
                 if len(row) > len(_CSV_COLUMNS):
                     raise ParseError(
@@ -130,33 +140,20 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
     return labs, units
 
 
-_READERS = {"csv": _parse_csv, "json": _parse_json}
-
-
-def parse_dataset(
-    path: str | Path, format: Literal["csv", "json"] | None = None
-) -> ComparisonDataset:
-    """Read and validate a comparison dataset from a CSV or JSON file.
-
-    With ``format=None`` the format is inferred from the file suffix
-    (``.json`` means JSON, anything else CSV).
-    """
-    dataset, _ = parse_dataset_with_units(path, format)
+def parse_dataset(path: str | Path) -> ComparisonDataset:
+    """Read and validate a comparison dataset from a CSV or JSON file: a
+    ``.json`` suffix (any case) means JSON, anything else CSV."""
+    dataset, _ = parse_dataset_with_units(path)
     return dataset
 
 
-def parse_dataset_with_units(
-    path: str | Path, format: Literal["csv", "json"] | None = None
-) -> tuple[ComparisonDataset, str | None]:
+def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str | None]:
     """Like :func:`parse_dataset`, also returning the unit label carried in
     the file's metadata (JSON wrapper form), or ``None``."""
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format not in _READERS:
-        raise ParseError(f"unknown dataset format: {format!r}")
+    reader = _parse_json if path.suffix.lower() == ".json" else _parse_csv
     try:
-        labs, units = _READERS[format](path)
+        labs, units = reader(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if units is not None and not isinstance(units, str):

@@ -230,9 +230,8 @@ def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> list:
     return labs
 
 
-def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int,
-               label: str | None = None) -> LabResult:
-    """Simulate one laboratory and return its reported result.
+def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int) -> LabResult:
+    """Simulate one laboratory's reported result, labelled ``{kind}-{index + 1:02d}``.
 
     ``index``, in [0, 2**32), selects the lab's substream within its kind;
     degenerate samples are redrawn as by :func:`generate_scenario`.
@@ -241,10 +240,8 @@ def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int,
         raise ValidationError(f"unknown laboratory kind: {kind!r}")
     if not 0 <= operator.index(index) < 2**32:
         raise ValidationError(f"laboratory index {index} is not in [0, 2**32)")
-    if label is None:
-        label = f"{kind}-{index + 1:02d}"
     kinds, indices = np.array([[_KIND_KEYS[kind]], [index]], dtype=np.uint32)
-    return _sample(scenario, kinds, indices, [label])[0]
+    return _sample(scenario, kinds, indices, [f"{kind}-{index + 1:02d}"])[0]
 
 
 def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
@@ -264,17 +261,28 @@ def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     return validate_dataset(_sample(scenario, kinds, indices, labels))
 
 
+def _field(data: dict, key: str, kind: type):
+    """``data[key]`` as ``kind``: not from a bool, nor an int from a fraction."""
+    value = data[key]
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValidationError(f"malformed scenario: {key}: expected "
+                              f"{kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def scenario_from_dict(data: dict) -> SyntheticScenario:
     try:
         layout = data["layout"]
-        truth = [float(data[key]) for key in ("y_a_true", "y_b_true", "sigma_a",
-                                              "sigma_b", "rho")]
-        counts = [int(layout[key]) for key in ("only_a", "linking", "only_b")]
-        return SyntheticScenario(*truth, n=int(data["n"]),
-                                 layout=ScenarioLayout(*counts), seed=int(data["seed"]))
+        truth = [_field(data, key, float) for key in ("y_a_true", "y_b_true",
+                                                      "sigma_a", "sigma_b", "rho")]
+        counts = [_field(layout, key, int) for key in ("only_a", "linking", "only_b")]
+        return SyntheticScenario(*truth, n=_field(data, "n", int),
+                                 layout=ScenarioLayout(*counts),
+                                 seed=_field(data, "seed", int))
     except KeyError as missing:
         raise ValidationError(f"scenario is missing field {missing}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ValidationError(f"malformed scenario: {exc}") from None
 
 

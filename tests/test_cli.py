@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from kclink import golden
 from kclink.cli import main
 
 from .test_io import GAUGE_BLOCK_CSV
@@ -202,6 +203,15 @@ class TestLinkCommand:
         assert main(["link"]) == 1
         assert main(["nonsense"]) == 1
 
+    def test_format_option_is_gone(self, gauge_block_file, capsys):
+        # the file suffix alone picks the reader
+        assert main(["link", "--input", str(gauge_block_file), "--format", "csv"]) == 1
+        assert main(["inflate", "--input", str(gauge_block_file), "--lab", "INMETRO1",
+                     "--standard", "B", "--format", "csv"]) == 1
+        capsys.readouterr()
+        assert main(["link", "--help"]) == 0
+        assert "--format" not in capsys.readouterr().out
+
 
 class TestInflateCommand:
     def test_golden_inflation(self, gauge_block_file, capsys):
@@ -257,20 +267,29 @@ class TestSynthCommand:
         assert all(list(lab) == sorted(["label", "x_a", "u_a", "x_b", "u_b",
                                         "cov_ab"]) for lab in document["labs"])
 
-    def test_json_output_and_seed_override(self, tmp_path):
+    def test_json_output_and_scenario_seed(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(SCENARIO_JSON, encoding="utf-8")
+        other_seed = tmp_path / "other-seed.json"
+        other_seed.write_text(SCENARIO_JSON.replace("20260808", "1"), encoding="utf-8")
         base = tmp_path / "base.json"
         alt = tmp_path / "alt.json"
-        main(["synth", "--scenario", str(scenario), "--output", str(base)])
-        main(["synth", "--scenario", str(scenario), "--output", str(alt),
-              "--seed-override", "1"])
+        assert main(["synth", "--scenario", str(scenario), "--output", str(base)]) == 0
+        assert main(["synth", "--scenario", str(other_seed), "--output", str(alt)]) == 0
         base_labs = json.loads(base.read_text())["labs"]
         alt_labs = json.loads(alt.read_text())["labs"]
         assert base_labs != alt_labs
         again = tmp_path / "again.json"
         main(["synth", "--scenario", str(scenario), "--output", str(again)])
         assert json.loads(again.read_text())["labs"] == base_labs
+
+    def test_seed_override_option_is_gone(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(SCENARIO_JSON, encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["synth", "--scenario", str(scenario), "--output", str(out),
+                     "--seed-override", "1"]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, content, match", [
         ("seed-inf.json", SCENARIO_JSON.replace("20260808", "Infinity"),
@@ -284,7 +303,21 @@ class TestSynthCommand:
         ("deep.json", "[" * 100_000, "invalid JSON"),
         ("count.json", SCENARIO_JSON.replace('"only_a": 8', '"only_a": 4294967296'),
          "below 2\\*\\*32"),
-    ], ids=["seed-inf", "n-inf", "digits", "latin1", "deep", "count"])
+        # a fraction or a boolean is never truncated or read as 1
+        ("n-fraction.json", SCENARIO_JSON.replace('"n": 50', '"n": 50.9'),
+         "malformed scenario: n: expected int, got 50.9$"),
+        ("seed-fraction.json", SCENARIO_JSON.replace("20260808", "7.5"),
+         "malformed scenario: seed: expected int, got 7.5$"),
+        ("count-fraction.json", SCENARIO_JSON.replace('"only_a": 8', '"only_a": 8.9'),
+         "malformed scenario: only_a: expected int, got 8.9$"),
+        ("seed-bool.json", SCENARIO_JSON.replace("20260808", "true"),
+         "malformed scenario: seed: expected int, got True$"),
+        ("count-bool.json", SCENARIO_JSON.replace('"linking": 4', '"linking": true'),
+         "malformed scenario: linking: expected int, got True$"),
+        ("sigma-bool.json", SCENARIO_JSON.replace('"sigma_a": 20', '"sigma_a": true'),
+         "malformed scenario: sigma_a: expected float, got True$"),
+    ], ids=["seed-inf", "n-inf", "digits", "latin1", "deep", "count", "n-fraction",
+            "seed-fraction", "count-fraction", "seed-bool", "count-bool", "sigma-bool"])
     def test_unreadable_scenario_exits_1(self, tmp_path, capsys, name, content, match):
         path = tmp_path / name
         if isinstance(content, str):
@@ -323,6 +356,31 @@ class TestSelftestCommand:
         assert "ok   gauge-block example" in out
         assert "ok   synthetic example" in out
         assert "ok   gauge-block inflation" in out
+
+    @pytest.mark.parametrize("suite, name, change, failure", [
+        (0, "GAUGE_BLOCK_EXPECTED", {"ratio": 2.0},
+         r"q2/\(N-2\) = 1\.07\d*, expected 2\.0 \+/- 0\.005"),
+        (0, "GAUGE_BLOCK_EXPECTED",
+         {"kcrv": {**golden.GAUGE_BLOCK_EXPECTED["kcrv"], "y_a": -90.0}},
+         r"y_a = -103\.6\d*, expected -90\.0 \+/- 0\.05"),
+        (0, "GAUGE_BLOCK_EXPECTED",
+         {"doe_a": {**golden.GAUGE_BLOCK_EXPECTED["doe_a"], "METAS": (0.0, 12.1)}},
+         r"DOE METAS/A = \(7\.61\d*, 12\.05\d*\), expected \(0\.0, 12\.1\)"),
+        (0, "GAUGE_BLOCK_EXPECTED", {"passed": True},
+         r"conformity verdict should be True"),
+        (2, "GAUGE_BLOCK_INFLATED_EXPECTED", {"minimal_u": 11.3},
+         r"minimal u\(INMETRO1/B\) = 11\.2, expected 11\.3"),
+    ], ids=["ratio", "kcrv", "doe", "verdict", "minimal_u"])
+    def test_reports_a_mismatch_and_exits_1(self, monkeypatch, capsys, suite, name,
+                                            change, failure):
+        monkeypatch.setattr(golden, name, {**getattr(golden, name), **change})
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        suites = ["gauge-block example", "synthetic example", "gauge-block inflation"]
+        expected = [f"ok   {other}" for other in suites]
+        expected[suite] = f"FAIL {suites[suite]}"
+        assert lines[:suite + 1] + lines[suite + 2:] == expected
+        assert re.fullmatch(rf"  {suites[suite]}: {failure}", lines[suite + 1])
 
 
 class TestUnitsFlow:

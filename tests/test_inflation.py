@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,77 @@ class TestSearchBehaviour:
         ])
         with pytest.raises(InflationError, match="not attributable"):
             minimal_inflation(dataset, "B1", "B")
+
+
+class TestConfirmationLoop:
+    """The rounded answer is confirmed by full re-analyses, stepping up one
+    unit in the third significant digit while the data still fail."""
+
+    def test_steps_up_past_a_boundary_set_too_low(self, gauge_block, monkeypatch):
+        # the true boundary is 11.1427: at 11.1 the data still fail
+        links = []
+        monkeypatch.setattr(inflation, "_critical_u", lambda *args: 11.1)
+        monkeypatch.setattr(inflation, "link",
+                            lambda dataset: links.append(dataset) or link(dataset))
+        found = minimal_inflation(gauge_block, "INMETRO1", "B")
+        assert found.critical_u == 11.1
+        assert found.minimal_u == 11.2
+        assert [dataset.lab("INMETRO1").u_b for dataset in links] == [4.0, 11.1, 11.2]
+        assert found.relinked.conformity.passed
+
+    def test_gives_up_after_100_steps(self, gauge_block, monkeypatch):
+        # 4.0 stepped 100 times by 0.01 stays below the boundary
+        monkeypatch.setattr(inflation, "_critical_u", lambda *args: 4.0)
+        with pytest.raises(InflationError, match="could not settle"):
+            minimal_inflation(gauge_block, "INMETRO1", "B")
+
+
+def assert_intervals_match_sign(a, b, c):
+    """``_nonnegative_intervals(a, b, c)`` holds exactly the sample points
+    where ``a u^2 + b u + c >= 0``, evaluated exactly; the points lie on a
+    fixed grid and at a relative 1e-6 on either side of each interval end."""
+    intervals = inflation._nonnegative_intervals(a, b, c)
+    ends = [end for interval in intervals for end in interval]
+    assert ends == sorted(ends)
+    finite = [end for end in ends if math.isfinite(end)]
+    samples = [-1e9, -10.0, -1.0, -0.5, 0.0, 0.5, 1.0, 10.0, 1e9]
+    for end in finite:
+        step = 1e-6 * max(1.0, abs(end))
+        samples += [end - step, end + step]
+    for u in samples:
+        if any(abs(u - end) < 1e-7 * max(1.0, abs(end)) for end in finite):
+            continue  # too close to a rounded root to tell
+        exact = Fraction(a) * Fraction(u) ** 2 + Fraction(b) * Fraction(u) + Fraction(c)
+        inside = any(lo <= u <= hi for lo, hi in intervals)
+        assert inside == (exact >= 0), (a, b, c, u)
+    return intervals
+
+
+class TestNonnegativeIntervals:
+    @pytest.mark.parametrize("a, b, c, expected", [
+        (0.0, 2.0, -4.0, [(2.0, math.inf)]),
+        (0.0, -2.0, -4.0, [(-math.inf, -2.0)]),
+        (0.0, 0.0, 0.0, [(-math.inf, math.inf)]),
+        (0.0, 0.0, 3.0, [(-math.inf, math.inf)]),
+        (0.0, 0.0, -3.0, []),
+        (1.0, 0.0, 1.0, [(-math.inf, math.inf)]),  # negative discriminant
+        (-1.0, 1.0, -1.0, []),
+        (1.0, -4.0, 4.0, [(-math.inf, 2.0), (2.0, math.inf)]),  # double root
+        (-1.0, 4.0, -4.0, [(2.0, 2.0)]),
+        (1.0, -3.0, 2.0, [(-math.inf, 1.0), (2.0, math.inf)]),
+        (-1.0, 3.0, -2.0, [(1.0, 2.0)]),
+        (2.0, 0.0, -8.0, [(-math.inf, -2.0), (2.0, math.inf)]),
+    ])
+    def test_cases(self, a, b, c, expected):
+        assert assert_intervals_match_sign(a, b, c) == expected
+
+    def test_seeded_random_triples(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(3000):
+            a, b, c = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-4, 4, 3)
+            zeros = rng.random(3) < 0.1
+            a, b, c = np.where(zeros, 0.0, (a, b, c)).tolist()
+            assert_intervals_match_sign(a, b, c)
 
 
 class TestClosedFormEdgeCases:

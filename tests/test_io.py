@@ -214,7 +214,16 @@ class TestParseDataset:
          r"latin1\.csv: not UTF-8 text"),
         ("latin1.json", '[{"label": "B\xe9"}]'.encode("latin-1"),
          r"latin1\.json: not UTF-8 text"),
-    ], ids=["big.json", "deep.json", "wide.csv", "latin1.csv", "latin1.json"])
+        ("inf.csv", "B1,,,7.5,2.0,\nA1,inf,1.0,,,\n",
+         r"inf\.csv:2: A1: non-finite value for standard A$"),
+        ("nan.json", '[{"label": "A1", "x_a": NaN, "u_a": 1.0}]',
+         r"nan\.json: lab entry 0: A1: non-finite value for standard A$"),
+        ("entry.json", "[3]", r"entry\.json: lab entry 0 is not an object$"),
+        ("units.json", '{"units": 5, "labs": [{"label": "A1", "x_a": 1, "u_a": 1},'
+         ' {"label": "B1", "x_b": 2, "u_b": 1}]}',
+         r"units\.json: units must be a string$"),
+    ], ids=["big.json", "deep.json", "wide.csv", "latin1.csv", "latin1.json",
+            "inf.csv", "nan.json", "entry.json", "units.json"])
     def test_unreadable_files(self, tmp_path, name, content, match):
         path = tmp_path / name
         if isinstance(content, str):
@@ -239,12 +248,54 @@ class TestParseDataset:
         with pytest.raises(ParseError, match=match):
             parse_dataset(path)
 
-    def test_format_inference_and_override(self, tmp_path, gauge_block_csv):
+    def test_suffix_picks_the_reader(self, tmp_path, gauge_block):
         renamed = tmp_path / "data.txt"
         renamed.write_text(GAUGE_BLOCK_CSV, encoding="utf-8")
         assert parse_dataset(renamed).card_a == 11
-        with pytest.raises(ParseError, match="unknown dataset format"):
-            parse_dataset(gauge_block_csv, "xml")
+        upper = write_dataset(gauge_block, tmp_path / "data.JSON")
+        assert upper.read_text(encoding="utf-8").startswith('{\n  "labs": [')
+        assert parse_dataset(upper).labs == gauge_block.labs
+        with pytest.raises(TypeError):
+            parse_dataset(renamed, "csv")  # the suffix is the only source
+        with pytest.raises(TypeError):
+            parse_dataset_with_units(renamed, format="csv")
+
+    @pytest.mark.parametrize("header", [
+        "label,x_a,u_a,x_b,u_b,cov_ab",
+        " LABEL , X_A ,u_a,x_b,u_b,cov_ab",
+        "lab,x_a,u_a,x_b,u_b,cov",  # unknown names are accepted anywhere
+        "label,x_a,u_a",
+        "name,,,x_b",
+    ])
+    def test_header_names_in_place_are_skipped(self, tmp_path, header):
+        path = tmp_path / "header.csv"
+        path.write_text(f"{header}\nA1,1.0,0.1,,,\nB1,,,2.0,0.2,\n",
+                        encoding="utf-8")
+        dataset = parse_dataset(path)
+        assert dataset.lab("A1").value_a == 1.0 and dataset.lab("B1").value_b == 2.0
+
+    @pytest.mark.parametrize("header, cell", [
+        ("label,x_b,u_b,x_a,u_a,cov_ab", "cell 2 is 'x_b'"),
+        ("label,x_a,u_a,x_b,u_b,cov,cov_ab", "cell 7 is 'cov_ab'"),
+        ("u_a,x_a,x_a,x_b,u_b,cov_ab", "cell 1 is 'u_a'"),
+        ("label,x_a,u_a,X_A,u_b,cov_ab", "cell 4 is 'x_a'"),
+    ])
+    def test_header_name_out_of_place_is_an_error(self, tmp_path, header, cell):
+        # read by position, the first header would give A1 the A value 1.0
+        path = tmp_path / "header.csv"
+        path.write_text(f"{header}\nA1,1.0,0.1,,,\nB1,,,2.0,0.2,\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            parse_dataset(path)
+        assert str(caught.value) == (
+            f"{path}:1: header {cell}; "
+            f"the columns are label, x_a, u_a, x_b, u_b, cov_ab")
+
+    def test_label_naming_a_column_is_data(self, tmp_path):
+        # only the cells after the first make line 1 a header
+        path = tmp_path / "labels.csv"
+        path.write_text("u_a,1.0,0.1,,,\nB1,,,2.0,0.2,\n", encoding="utf-8")
+        assert parse_dataset(path).lab("u_a").value_a == 1.0
 
 
 class TestRoundHalfUp:
@@ -348,6 +399,10 @@ class TestRenderReport:
         assert "q2/(N-2) = n/a (passed)" in text
         data = json.loads(render_report(link(dataset), "json"))
         assert data["conformity"]["ratio"] is None
+
+    def test_unknown_format(self, synthetic):
+        with pytest.raises(KclinkError, match="unknown report format: 'xml'"):
+            render_report(link(synthetic), "xml")
 
     def test_negative_decimals(self, synthetic):
         with pytest.raises(KclinkError, match="decimals"):

@@ -84,6 +84,19 @@ class TestComputeAux:
         with pytest.raises(InternalInconsistencyError, match="cross-weight"):
             AuxQuantities(a=1.0, b=1.0, c=1.0, s1=0.0, s2=0.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"u_a": 0.0}, "KCRV uncertainties must be positive"),
+        ({"u_b": -1.0}, "KCRV uncertainties must be positive"),
+        ({"cov_ab": 2.0 + 1e-15}, "KCRV covariance violates the Cauchy-Schwarz"),
+        ({"cov_ab": -2.5}, "KCRV covariance violates the Cauchy-Schwarz"),
+    ])
+    def test_kcrv_invariants_enforced(self, fields, message):
+        estimate = {"y_hat_a": 0.0, "y_hat_b": 0.0, "u_a": 1.0, "u_b": 2.0,
+                    "cov_ab": 0.5, "r_tilde": 0.25}
+        KcrvEstimate(**estimate)
+        with pytest.raises(InternalInconsistencyError, match=message):
+            KcrvEstimate(**{**estimate, **fields})
+
     @pytest.mark.parametrize("u, cov", [
         # u_a^2 * u_b^2 = 1e-400 underflows to zero, below cov^2 = 2.5e-401
         (1e-100, 5e-201),

@@ -37,6 +37,15 @@ class TestLabResult:
         with pytest.raises(ValidationError):
             LabResult("L", value_a=5.0, u_a=u)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value(self, value):
+        with pytest.raises(ValidationError,
+                           match="^L: non-finite value for standard A$"):
+            LabResult("L", value_a=value, u_a=1.0)
+        with pytest.raises(ValidationError,
+                           match="^L: non-finite value for standard B$"):
+            LabResult("L", value_a=1.0, u_a=1.0, value_b=value, u_b=1.0)
+
     def test_covariance_needs_both_values(self):
         with pytest.raises(ValidationError, match="covariance"):
             LabResult("L", value_a=5.0, u_a=2.0, cov_ab=1.0)
