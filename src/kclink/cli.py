@@ -81,7 +81,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     dataset = generate_scenario(load_scenario(args.scenario))
     out = write_dataset(dataset, args.output)
     print(
-        f"wrote {len(dataset.labs)} laboratories "
+        f"wrote {len(dataset.labels)} laboratories "
         f"({len(dataset.only_a)} A-only, {len(dataset.linking)} linking, "
         f"{len(dataset.only_b)} B-only) to {out}"
     )

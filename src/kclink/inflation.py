@@ -17,10 +17,11 @@ three significant digits and confirmed by one full re-analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import compress
 
 from .linking import LinkingResult, Standard, link
-from .model import ComparisonDataset, KclinkError, LabResult, validate_dataset
+from .model import ComparisonDataset, KclinkError, validate_dataset
 
 _SIGNIFICANT_DIGITS = 3
 
@@ -51,21 +52,17 @@ class InflationResult:
 def _with_uncertainty(
     dataset: ComparisonDataset, label: str, standard: Standard, u: float
 ) -> ComparisonDataset:
-    """Rebuild the dataset with one lab's uncertainty replaced.
+    """The dataset with one lab's uncertainty replaced, as two column edits.
 
     For a linking laboratory with a reported covariance the correlation
     coefficient is held fixed, i.e. the covariance is rescaled in
     proportion to the new uncertainty.
     """
-    def rescaled(lab: LabResult) -> LabResult:
-        cov = lab.cov_ab
-        if cov is not None:
-            cov = cov * (u / _measured(lab, standard)[1])
-        return replace(lab, **{f"u_{standard.lower()}": u}, cov_ab=cov)
-
-    return validate_dataset(
-        [rescaled(lab) if lab.label == label else lab for lab in dataset.labs]
-    )
+    index, row = dataset.index(label), "AB".index(standard)
+    uncertainties, cov_ab = dataset.u.copy(), dataset.cov_ab.copy()
+    cov_ab[index] = cov_ab[index].item() * (u / uncertainties[row, index].item())
+    uncertainties[row, index] = u
+    return validate_dataset(dataset.labels, dataset.x, uncertainties, cov_ab)
 
 
 def _round_up_significant(x: float, digits: int) -> float:
@@ -90,12 +87,6 @@ def _next_up_significant(x: float, digits: int) -> float:
     return round(stepped, decimals) if decimals > 0 else stepped
 
 
-def _measured(lab: LabResult, standard: Standard) -> tuple[float, float]:
-    if standard == "A":
-        return lab.value_a, lab.u_a
-    return lab.value_b, lab.u_b
-
-
 def _nonnegative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
     """Where a*u^2 + b*u + c >= 0, as sorted intervals (cancellation-free roots)."""
     if a == 0.0:
@@ -111,47 +102,43 @@ def _nonnegative_intervals(a: float, b: float, c: float) -> list[tuple[float, fl
     return [(-math.inf, lo), (hi, math.inf)] if a > 0.0 else [(lo, hi)]
 
 
-def _critical_u(
-    dataset: ComparisonDataset, lab: LabResult, standard: Standard, dof: int
-) -> float | None:
+def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> float | None:
     """Smallest u >= the original at which q2(u) <= dof; None if none.
 
     The rest drops only the target's value ``x_s`` for the inflated
-    standard s; a linking target keeps its value ``x_o`` of the other
-    standard o.  Given ``x_o``, the value ``x_s`` adds one residual
-    ``eps(u) = e_s - p u e_o`` with ``e = x - y0`` and ``p = r / u_o``
-    (``p = 0`` without a covariance), of variance
+    standard s (row ``row`` of the columns); a linking target keeps its
+    value ``x_o`` of the other standard o.  Given ``x_o``, the value ``x_s``
+    adds one residual ``eps(u) = e_s - p u e_o`` with ``e = x - y0`` and
+    ``p = r / u_o`` (``p = 0`` without a covariance), of variance
     ``var(u) = (1 - r^2) u^2 + V_ss - 2 p u V_so + p^2 u^2 V_oo``.  With
     ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic
     in u.  The data fail at ``u0``, so the boundary is the first root above
     it, or ``u0`` itself when rounding puts it inside a passing interval.
     """
-    if (dataset.card_a if standard == "A" else dataset.card_b) == 1:
+    if (dataset.card_a, dataset.card_b)[row] == 1:
         return None  # the target alone fixes this KCRV: q2 ignores u
-    rest = [entry for entry in dataset.labs if entry is not lab]
-    if lab.is_linking:
-        s = standard.lower()
-        rest.append(replace(lab, **{f"value_{s}": None, f"u_{s}": None},
-                            cov_ab=None))
-    loo = link(validate_dataset(rest))
+    x, u, cov_ab = dataset.x.copy(), dataset.u.copy(), dataset.cov_ab.copy()
+    x[row, index] = u[row, index] = cov_ab[index] = math.nan
+    keep = (x == x).any(axis=0)  # all labs but a target left with no value
+    loo = link(validate_dataset(compress(dataset.labels, keep.tolist()),
+                                x[:, keep], u[:, keep], cov_ab[keep]))
     k = dof - loo.conformity.q2
     if not k > 0.0:
         return None
 
     kcrv = loo.kcrv
-    y0 = {"A": kcrv.y_hat_a, "B": kcrv.y_hat_b}
-    v0 = {"A": kcrv.u_a * kcrv.u_a, "B": kcrv.u_b * kcrv.u_b}
-    x_s, u0 = _measured(lab, standard)
-    e_s = x_s - y0[standard]
+    y0 = kcrv.y_hat_a, kcrv.y_hat_b
+    v0 = kcrv.u_a * kcrv.u_a, kcrv.u_b * kcrv.u_b
+    xs, us = dataset.x[:, index].tolist(), dataset.u[:, index].tolist()
+    covariance, other = dataset.cov[index].item(), 1 - row
+    e_s, u0 = xs[row] - y0[row], us[row]
     p = r = e_o = v_oo = 0.0
-    if lab.covariance:
-        other: Standard = "B" if standard == "A" else "A"
-        x_o, u_o = _measured(lab, other)
-        r = lab.covariance / (u0 * u_o)
-        p, e_o, v_oo = r / u_o, x_o - y0[other], v0[other]
+    if covariance:
+        r = covariance / (u0 * us[other])
+        p, e_o, v_oo = r / us[other], xs[other] - y0[other], v0[other]
     alpha = k * (1.0 - r * r + p * p * v_oo) - p * p * (e_o * e_o)
     beta = 2.0 * p * (e_s * e_o - k * kcrv.cov_ab)
-    gamma = k * v0[standard] - e_s * e_s
+    gamma = k * v0[row] - e_s * e_s
     for lo, hi in _nonnegative_intervals(alpha, beta, gamma):
         if hi >= u0:
             return max(lo, u0)
@@ -176,19 +163,20 @@ def minimal_inflation(
     if standard not in ("A", "B"):
         raise InflationError(f"unknown standard {standard!r} (expected 'A' or 'B')")
     try:
-        lab = dataset.lab(label)
+        index = dataset.index(label)
     except KeyError:
         raise InflationError(f"unknown laboratory label: {label}") from None
-    original_u = _measured(lab, standard)[1]
-    if original_u is None:
+    row = "AB".index(standard)
+    if not dataset.measured[row, index]:
         raise InflationError(f"{label} did not measure standard {standard}")
+    original_u = dataset.u[row, index].item()
 
     baseline = link(dataset)
     if baseline.conformity.passed:
         return InflationResult(label, standard, original_u, minimal_u=original_u,
                                critical_u=original_u, relinked=baseline)
 
-    critical_u = _critical_u(dataset, lab, standard, baseline.conformity.dof)
+    critical_u = _critical_u(dataset, index, row, baseline.conformity.dof)
     if critical_u is None:
         raise InflationError(
             f"no uncertainty makes the dataset pass; the misfit is not "

@@ -9,7 +9,10 @@ are accepted with either a decimal point or a decimal comma and with
 either ASCII or typographic minus signs; output always uses points.
 
 :func:`parse_dataset` is the one reader and :func:`write_dataset` the one
-writer of dataset files.  :func:`render_report` builds only the requested
+writer of dataset files.  The reader fills the dataset's columns row by row
+(plain number cells through ``float``, any other row through
+:func:`parse_number` and :class:`LabResult`) and checks them together; an
+error names the first failing lab in file order, by line or entry.  :func:`render_report` builds only the requested
 report format; reports carry full-precision values alongside
 display-rounded ones, and display rounding is half-up and never feeds back
 into any computation.  The JSON report's bytes are those of
@@ -25,17 +28,17 @@ import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Literal
 
+import numpy as np
+
 from .linking import LinkingResult
-from .model import ComparisonDataset, KclinkError, LabResult, validate_dataset
+from .model import (ComparisonDataset, KclinkError, LabError, LabResult, check_labs,
+                    validate_dataset)
 from .version import __version__
 
 _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
-# a lab's fields in the order of _CSV_COLUMNS
-_lab_fields = attrgetter("label", "value_a", "u_a", "value_b", "u_b", "cov_ab")
 
 
 class ParseError(KclinkError):
@@ -56,14 +59,22 @@ def parse_number(text: str) -> float | None:
     return float(cleaned)
 
 
-def _lab(label: object, cells: Iterable[object]) -> LabResult:
-    """Build a lab from its label and raw number cells: a string label is
-    stripped, string cells go through :func:`parse_number`, and anything
-    else reaches :class:`LabResult` as is."""
-    return LabResult(
-        label.strip() if isinstance(label, str) else label,
-        *[parse_number(raw) if isinstance(raw, str) else raw for raw in cells],
-    )
+# an absent cell's number: this one NaN object, so that a NaN read from a
+# cell, another object, still counts as present
+_ABSENT = float("nan")
+
+
+def _row(label: object, cells: Iterable[object], where: str) -> tuple[str, list[float]]:
+    """A row's label and numbers through :class:`LabResult`, its error as a
+    :class:`ParseError` at ``where``: a string label is stripped, string
+    cells go through :func:`parse_number`, anything else is taken as is."""
+    try:
+        lab = LabResult(_utf8(label).strip() if isinstance(label, str) else label,
+                        *[parse_number(raw) if isinstance(raw, str) else raw for raw in cells])
+    except (ValueError, KclinkError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    numbers = lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab
+    return lab.label, [_ABSENT if number is None else number for number in numbers]
 
 
 def _utf8(text: object) -> object:
@@ -87,8 +98,9 @@ def _is_header(row: list[str], path: Path) -> bool:
     return True
 
 
-def _parse_csv(path: Path) -> tuple[list[LabResult], None]:
-    labs: list[LabResult] = []
+def _csv_rows(path: Path):
+    """Line number, label and numbers of each data row: plain number cells
+    through ``float``, a row with any other cell through :func:`_row`."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -96,20 +108,22 @@ def _parse_csv(path: Path) -> tuple[list[LabResult], None]:
                 if not "".join(row).strip() or lineno == 1 and _is_header(row, path):
                     continue
                 if len(row) > len(_CSV_COLUMNS):
-                    raise ParseError(
-                        f"{path}:{lineno}: expected at most {len(_CSV_COLUMNS)} "
-                        f"columns, got {len(row)}"
-                    )
+                    raise ParseError(f"{path}:{lineno}: expected at most "
+                                     f"{len(_CSV_COLUMNS)} columns, got {len(row)}")
+                row += [""] * (len(_CSV_COLUMNS) - len(row))
                 try:
-                    labs.append(_lab(row[0], row[1:]))
-                except (ValueError, KclinkError) as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                    label, numbers = row[0].strip(), [
+                        float(cell) if cell else _ABSENT for cell in row[1:]]
+                except ValueError:  # a decimal comma, a typographic minus, ...
+                    label, numbers = _row(row[0], row[1:], f"{path}:{lineno}")
+                yield lineno, label, numbers
         except csv.Error as exc:  # e.g. a cell beyond the reader's field size limit
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return labs, None
 
 
-def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
+def _json_rows(path: Path):
+    """Index, label and numbers of each lab entry (float and null cells as
+    they are, any other entry through :func:`_row`), and the units."""
     text = path.read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -128,16 +142,19 @@ def _parse_json(path: Path) -> tuple[list[LabResult], str | None]:
             f"{path}: expected an array of lab objects "
             f'(or {{"units": ..., "labs": [...]}})'
         )
-    labs: list[LabResult] = []
-    for index, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: lab entry {index} is not an object")
-        try:
-            label = _utf8(entry.get("label"))
-            labs.append(_lab(label, map(entry.get, _CSV_COLUMNS[1:])))
-        except (ValueError, KclinkError) as exc:
-            raise ParseError(f"{path}: lab entry {index}: {exc}") from None
-    return labs, units
+
+    def rows():
+        for index, entry in enumerate(data):
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: lab entry {index} is not an object")
+            label, *cells = map(entry.get, _CSV_COLUMNS)
+            if type(label) is str and label.isascii() and set(map(type, cells)) <= {
+                    float, type(None)}:
+                yield index, label.strip(), [_ABSENT if c is None else c for c in cells]
+            else:  # a label to check for surrogates, or a cell to convert
+                yield index, *_row(label, cells, f"{path}: lab entry {index}")
+
+    return rows(), units
 
 
 def parse_dataset(path: str | Path) -> ComparisonDataset:
@@ -149,16 +166,44 @@ def parse_dataset(path: str | Path) -> ComparisonDataset:
 
 def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str | None]:
     """Like :func:`parse_dataset`, also returning the unit label carried in
-    the file's metadata (JSON wrapper form), or ``None``."""
+    the file's metadata (JSON wrapper form), or ``None``.  The rows are read
+    into columns, then checked together; an error names the first failing
+    lab in file order, even when a row after it cannot be read."""
     path = Path(path)
-    reader = _parse_json if path.suffix.lower() == ".json" else _parse_csv
+    where, units, stop = f"{path}:", None, None  # where + a row's place names it
+    places, labels, numbers = [], [], []  # numbers: x_a, u_a, x_b, u_b, cov_ab per row
     try:
-        labs, units = reader(path)
+        if path.suffix.lower() == ".json":
+            (rows, units), where = _json_rows(path), f"{path}: lab entry "
+        else:
+            rows = _csv_rows(path)
+        for place, label, row in rows:
+            places.append(place)
+            labels.append(label)
+            numbers += row
+    except ParseError as exc:
+        stop = exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if units is not None and not isinstance(units, str):
-        raise ParseError(f"{path}: units must be a string")
-    return validate_dataset(labs), units
+        stop = ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+    if stop is None and units is not None and not isinstance(units, str):
+        stop = ParseError(f"{path}: units must be a string")
+    block = np.array(numbers, dtype=float).reshape(-1, 5).T
+    if np.count_nonzero(block != block) > numbers.count(_ABSENT):  # a cell read NaN
+        first = next(i for i, v in enumerate(numbers) if v != v and v is not _ABSENT) // 5
+        try:  # that lab fails, and the labs after it count as unread
+            _row(labels[first], [None if v is _ABSENT else v
+                                 for v in numbers[5 * first:5 * first + 5]], f"{where}{places[first]}")
+        except ParseError as exc:
+            stop = exc
+        block, labels = block[:, :first], labels[:first]
+    columns = labels, block[0:4:2], block[1:4:2], block[4]
+    try:
+        if stop is not None:
+            check_labs(*columns)
+            raise stop
+        return validate_dataset(*columns), units
+    except LabError as exc:
+        raise ParseError(f"{where}{places[exc.index]}: {exc}") from None
 
 
 @lru_cache(maxsize=32)
@@ -181,7 +226,7 @@ def _fmt(value: float, decimals: int) -> str:
 
 def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str:
     unit_suffix = f" {units}" if units else ""
-    labels = [lab.label for lab in result.dataset.labs]
+    labels = result.dataset.labels
     width = max(len("lab"), max(map(len, labels)))
     col = max(10, decimals + 7)
 
@@ -238,16 +283,16 @@ def _strings(values: Iterable[str], indent: str) -> str:
 
 def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str:
     # the fixed shape in sorted key order; a dataset always has labs and DOEs.
-    # Rows inline None as "null": a call per field costs about a float's text.
+    # Rows inline NaN as "null": a call per field costs about a float's text.
     aux, kcrv, conf = result.aux, result.kcrv, result.conformity
     labs = [
-        f'\n      {{\n        "cov_ab": {"null" if c is None else _float(c)},\n'
+        f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
         f'        "label": {_str(label)},\n'
-        f'        "u_a": {"null" if u_a is None else _float(u_a)},\n'
-        f'        "u_b": {"null" if u_b is None else _float(u_b)},\n'
-        f'        "x_a": {"null" if x_a is None else _float(x_a)},\n'
-        f'        "x_b": {"null" if x_b is None else _float(x_b)}\n      }}'
-        for label, x_a, u_a, x_b, u_b, c in map(_lab_fields, result.dataset.labs)
+        f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
+        f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
+        f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
+        f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
+        for label, x_a, u_a, x_b, u_b, c in result.dataset.rows()
     ]
     does = [
         f'\n    {{\n      "d": {_float(d)},\n'
@@ -318,7 +363,8 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     label has surrounding whitespace (labels are stripped on reading).
     """
     path = Path(path)
-    rows = list(map(_lab_fields, dataset.labs))
+    rows = [[label, *[None if v != v else v for v in numbers]]
+            for label, *numbers in dataset.rows()]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if path.suffix.lower() == ".json":
             records = [dict(zip(_CSV_COLUMNS, row)) for row in rows]

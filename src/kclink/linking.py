@@ -155,9 +155,8 @@ class LinkingResult:
         """``(label, standard, d, u_d)`` per degree of equivalence: one A
         entry per lab that measured A, then one B entry per lab that
         measured B, in input order."""
-        labels = [lab.label for lab in self.dataset.labs]
         return chain.from_iterable(
-            compress(zip(labels, repeat(standard), d, u_d), measured)
+            compress(zip(self.dataset.labels, repeat(standard), d, u_d), measured)
             for standard, measured, d, u_d in zip(
                 "AB", self.dataset.measured.tolist(), self.d.tolist(),
                 self.u_d.tolist())
@@ -202,7 +201,7 @@ def _aux(dataset: ComparisonDataset, v, bivariate, den) -> AuxQuantities:
     singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
     if np.count_nonzero(singular):
         raise ValidationError(
-            f"{dataset.labs[singular.argmax()].label}: u_a^2*u_b^2 - cov_ab^2 is "
+            f"{dataset.labels[singular.argmax()]}: u_a^2*u_b^2 - cov_ab^2 is "
             "not a positive finite float (beyond the float range or precision)"
         )
     # a bivariate term, else a univariate one; the mask flattens A's, then B's
@@ -279,7 +278,7 @@ def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray)
     if not failed[:, lab].any():
         return np.sqrt(np.maximum(radicand, 0.0))
     row = 0 if failed[0, lab] else 1  # the A entry before the B entry
-    value, label = float(radicand[row, lab]), dataset.labs[lab].label
+    value, label = float(radicand[row, lab]), dataset.labels[lab]
     if value < 0.0:
         raise InternalInconsistencyError(f"{label}: KCRV uncertainty exceeds the "
                                          f"reported uncertainty (radicand {value})")

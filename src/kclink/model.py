@@ -3,18 +3,22 @@
 A comparison dataset holds one entry per laboratory: a measurement of
 travelling standard A, of travelling standard B, or of both.  Laboratories
 that measured both standards link the two comparisons and may additionally
-report the covariance between their two results.  All types are immutable
-after construction and safe to share between threads.
+report the covariance between their two results.  A
+:class:`ComparisonDataset` holds the labs as float64 columns and checks
+them column-wise; :class:`LabResult`, one lab's entry, is built only to
+hand a lab to an API user or to word the error of the first failing lab.
+All types are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from math import isfinite
+from functools import cached_property
+from itertools import compress, starmap
+from math import inf, isfinite
 from numbers import Real
-from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,116 +136,145 @@ class LabResult:
         return 0.0 if self.cov_ab is None else self.cov_ab
 
 
-# a lab's numbers in the order of the rows of a dataset's column block
-_numbers = attrgetter("value_a", "value_b", "u_a", "u_b", "covariance")
+class LabError(ValidationError):
+    """What :class:`LabResult` raises for the lab at input position ``index``."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
 
 
-def _derived():
-    return field(init=False, repr=False, compare=False)
+def _rows(labels, x, u, cov_ab) -> Iterator[tuple]:
+    """``(label, x_a, u_a, x_b, u_b, cov_ab)`` per lab, NaN where absent."""
+    return zip(labels, *np.vstack((x[0], u[0], x[1], u[1], cov_ab)).tolist())
 
 
-@dataclass(frozen=True)
+def _lab(label, *numbers: float) -> LabResult:
+    return LabResult(label, *[None if v != v else v for v in numbers])
+
+
+def check_labs(labels: Sequence, x: np.ndarray, u: np.ndarray, cov_ab: np.ndarray):
+    """Check every lab as :class:`LabResult` does, on whole columns with NaN
+    read as absent, and return ``x == x``, the labs measuring each standard.
+    If one fails, the labs are built as :class:`LabResult` in input order,
+    and the first error is raised as a :class:`LabError`."""
+    count = np.count_nonzero
+    with np.errstate(all="ignore"):  # u_a*u_b overflowing to inf still passes
+        measured = x == x
+        good = np.isfinite(x) & (u > 0.0) & (u < inf)  # implies measured
+        bounded = np.abs(cov_ab) < u[0] * u[1]  # implies reported and linking
+    try:
+        "".join(labels)  # a TypeError for a label that is not a string
+        if (count(good) == count(measured) == count(u == u) and all(labels)
+                and count(measured[0] | measured[1]) == len(labels)
+                and count(bounded) == count(cov_ab == cov_ab)):
+            return measured
+    except TypeError:
+        pass
+    for index, row in enumerate(_rows(labels, x, u, cov_ab)):
+        try:
+            _lab(*row)
+        except ValidationError as exc:
+            raise LabError(str(exc), index) from None
+    raise InternalInconsistencyError("the column checks reject labs LabResult accepts")
+
+
+@dataclass(frozen=True, eq=False)
 class ComparisonDataset:
-    """A validated, partitioned collection of laboratory results.
+    """A validated, partitioned comparison dataset, held as columns.
 
-    Built from ``labs`` alone, which it validates: an empty input,
-    duplicate labels or a standard that no laboratory measured raise
-    :class:`ValidationError`.  Per-laboratory invariants (missing
-    uncertainties, covariance bounds, ...) are enforced by
-    :class:`LabResult` itself.
+    Built from ``labels`` and float64 columns with one entry per lab in
+    input order: ``x`` and ``u`` have a row for standard A (x_a, u_a) and
+    one for B (x_b, u_b), and ``cov_ab`` is the covariance; NaN marks a
+    value not reported.  Each lab must pass :func:`check_labs`; then an
+    empty input, duplicate labels or a standard that no laboratory measured
+    raise :class:`ValidationError`.  The columns are kept as read-only
+    copies, and datasets compare by them and ``labels``.  Derived: ``cov``
+    (0 where not reported), the boolean ``measured`` (per standard, the
+    labs that measured it) and ``labs``, built on first access.
 
     ``only_a``, ``only_b`` and ``linking`` hold the laboratory labels of
-    the three disjoint participation groups, in input order.  Every lab
-    belongs to exactly one of them.  ``warnings`` records non-fatal
-    findings: an empty linking group, linking labs that did not report a
-    covariance (treated as zero), and the degenerate case in which every
-    linking covariance is zero or absent, where the joint analysis reduces
-    to two independent inverse-variance weighted means.
-
-    The labs' numbers are also held as read-only float64 columns with one
-    entry per lab in input order, derived from ``labs`` and left out of
-    comparisons: ``x`` and ``u`` have two rows, standard A's values (x_a,
-    u_a) and standard B's (x_b, u_b), NaN where the lab did not measure
-    that standard; ``cov`` is the covariance, 0 where absent; and the
-    boolean ``measured`` marks, per standard, the labs that measured it.
+    the three disjoint participation groups, in input order.  ``warnings``
+    records non-fatal findings: an empty linking group, linking labs that
+    did not report a covariance (treated as zero), and the degenerate case
+    in which every linking covariance is zero or absent, where the joint
+    analysis reduces to two independent inverse-variance weighted means.
     """
 
-    labs: tuple[LabResult, ...]
+    labels: tuple[str, ...]
+    x: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    cov_ab: np.ndarray = field(repr=False)
     only_a: tuple[str, ...] = field(init=False)
     only_b: tuple[str, ...] = field(init=False)
     linking: tuple[str, ...] = field(init=False)
     warnings: tuple[str, ...] = field(init=False)
-    _by_label: dict[str, LabResult] = _derived()
-    x: np.ndarray = _derived()
-    u: np.ndarray = _derived()
-    cov: np.ndarray = _derived()
-    measured: np.ndarray = _derived()
+    cov: np.ndarray = field(init=False, repr=False)
+    measured: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        labs = tuple(self.labs)
-        if not labs:
+        labels = tuple(self.labels)
+        x, u, cov_ab = (np.array(c, dtype=float) for c in (self.x, self.u, self.cov_ab))
+        if not x.shape == u.shape == (2, len(labels)) == (2, *cov_ab.shape):
+            raise ValidationError("x and u need two rows, cov_ab one, of an entry per label")
+        measured = check_labs(labels, x, u, cov_ab)
+        if not labels:
             raise ValidationError("dataset contains no laboratories")
-        by_label: dict[str, LabResult] = {}
-        only_a: list[str] = []
-        only_b: list[str] = []
-        linking: list[LabResult] = []
-        for lab in labs:
-            if lab.label in by_label:
-                raise ValidationError(f"duplicate laboratory label: {lab.label}")
-            by_label[lab.label] = lab
-            if lab.value_a is None:
-                only_b.append(lab.label)
-            elif lab.value_b is None:
-                only_a.append(lab.label)
-            else:
-                linking.append(lab)
-        if not only_a and not linking:
-            raise ValidationError("no laboratory measured standard A")
-        if not only_b and not linking:
-            raise ValidationError("no laboratory measured standard B")
-        # one pass over the numbers, None reading as NaN, then one
-        # contiguous row per column: x_a, x_b, u_a, u_b, cov
-        block = np.fromiter(
-            chain.from_iterable(map(_numbers, labs)), float, 5 * len(labs)
-        ).reshape(len(labs), 5).T.copy()
-        measured = block[:2] == block[:2]
-        block.flags.writeable = measured.flags.writeable = False
+        if len(set(labels)) < len(labels):  # name the first repeat of a label
+            first = dict(zip(labels[::-1], range(len(labels) - 1, -1, -1)))
+            repeated = next(label for i, label in enumerate(labels) if first[label] != i)
+            raise ValidationError(f"duplicate laboratory label: {repeated}")
+        linked, reported = measured[0] & measured[1], cov_ab == cov_ab
+        linking = tuple(compress(labels, linked.tolist()))
+        # measured in one row only: True > False
+        only_a, only_b = (tuple(compress(labels, (row > linked).tolist())) for row in measured)
+        for standard, exclusive in (("A", only_a), ("B", only_b)):
+            if not exclusive and not linking:
+                raise ValidationError(f"no laboratory measured standard {standard}")
+        cov = np.where(reported, cov_ab, 0.0)  # reported by linking labs only
+        unreported = ", ".join(compress(labels, (linked ^ reported).tolist()))
+        warnings = tuple(warning for warning, found in (
+            ("no linking laboratories: the two comparisons are analysed as "
+             "independent weighted means", not linking),
+            ("covariance not reported by linking laboratories "
+             f"({unreported}); treated as zero", unreported),
+            ("all linking covariances are zero or absent: the linking degenerates "
+             "to independent per-group weighted means",
+             linking and not np.count_nonzero(cov)),
+        ) if found)
+        for column in (x, u, cov_ab, cov, measured):
+            column.flags.writeable = False
+        vars(self).update(labels=labels, x=x, u=u, cov_ab=cov_ab, only_a=only_a,
+                          only_b=only_b, linking=linking, warnings=warnings, cov=cov,
+                          measured=measured)
 
-        warnings: list[str] = []
-        if not linking:
-            warnings.append(
-                "no linking laboratories: the two comparisons are analysed "
-                "as independent weighted means"
-            )
-        else:
-            unreported = [lab.label for lab in linking if lab.cov_ab is None]
-            if unreported:
-                warnings.append(
-                    "covariance not reported by linking laboratories "
-                    f"({', '.join(unreported)}); treated as zero"
-                )
-            if all(lab.covariance == 0.0 for lab in linking):
-                warnings.append(
-                    "all linking covariances are zero or absent: the linking "
-                    "degenerates to independent per-group weighted means"
-                )
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComparisonDataset):
+            return NotImplemented
+        return self.labels == other.labels and all(
+            np.array_equal(mine, theirs, equal_nan=True) for mine, theirs in
+            ((self.x, other.x), (self.u, other.u), (self.cov_ab, other.cov_ab)))
 
-        for name, value in (
-            ("labs", labs),
-            ("only_a", tuple(only_a)),
-            ("only_b", tuple(only_b)),
-            ("linking", tuple(lab.label for lab in linking)),
-            ("warnings", tuple(warnings)),
-            ("_by_label", by_label),
-            ("x", block[:2]),
-            ("u", block[2:4]),
-            ("cov", block[4]),
-            ("measured", measured),
-        ):
-            object.__setattr__(self, name, value)
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    @cached_property
+    def labs(self) -> tuple[LabResult, ...]:
+        return tuple(starmap(_lab, self.rows()))
+
+    def rows(self) -> Iterator[tuple]:
+        """``(label, x_a, u_a, x_b, u_b, cov_ab)`` per lab, NaN where absent."""
+        return _rows(self.labels, self.x, self.u, self.cov_ab)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(len(self.labels))))
+
+    def index(self, label: str) -> int:
+        return self._index[label]
 
     def lab(self, label: str) -> LabResult:
-        return self._by_label[label]
+        return self.labs[self._index[label]]
 
     def linking_labs(self) -> tuple[LabResult, ...]:
         return tuple(lab for lab in self.labs if lab.is_linking)
@@ -260,7 +293,16 @@ class ComparisonDataset:
         return self.card_a + self.card_b
 
 
-def validate_dataset(raw: Iterable[LabResult]) -> ComparisonDataset:
-    """Validate a collection of lab results and partition it into groups;
-    the same as ``ComparisonDataset(tuple(raw))``."""
-    return ComparisonDataset(tuple(raw))
+def validate_dataset(raw: Iterable, *columns: np.ndarray) -> ComparisonDataset:
+    """``validate_dataset(labels, x, u, cov_ab)`` is ``ComparisonDataset(labels,
+    x, u, cov_ab)``; ``validate_dataset(labs)`` builds the dataset from
+    :class:`LabResult` objects and keeps them as its ``labs``."""
+    if columns:
+        return ComparisonDataset(raw, *columns)
+    labs = tuple(raw)
+    x_a, x_b, u_a, u_b, cov_ab = np.array(  # None reads as NaN
+        [(lab.value_a, lab.value_b, lab.u_a, lab.u_b, lab.cov_ab) for lab in labs],
+        dtype=float).reshape(-1, 5).T
+    dataset = ComparisonDataset([lab.label for lab in labs], (x_a, x_b), (u_a, u_b), cov_ab)
+    vars(dataset)["labs"] = labs  # the labs property's cache
+    return dataset

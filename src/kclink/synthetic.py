@@ -17,7 +17,8 @@ mixed with A's to give correlation ``rho`` for standard B.  So changing
 one group's size never perturbs the draws of other labs.
 
 A scenario's labs are keyed, drawn and reduced together, in blocks of
-``_BLOCK_LABS`` labs: see :func:`_keys` and :func:`_draw`.
+``_BLOCK_LABS`` labs, straight into the dataset's columns: see :func:`_keys`
+and :func:`_draw`.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ import json
 import operator
 import warnings as _warnings
 from dataclasses import dataclass
+from itertools import compress
 from math import isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
 
-from .model import ComparisonDataset, LabResult, ValidationError, validate_dataset
+from .model import ComparisonDataset, LabResult, ValidationError, _lab, validate_dataset
 
 LabKind = str  # "a_only" | "linking" | "b_only"
 
@@ -43,7 +46,7 @@ _MAX_ATTEMPTS = 8
 
 # relative floor for the reported uncertainty when every retry produced a
 # degenerate (zero spread) sample, e.g. when sigma underflows next to the
-# true value; keeps the result a valid LabResult
+# true value; keeps the lab valid
 _DEGENERATE_U_FLOOR = 1e-15
 
 # labs drawn and reduced together, so memory does not grow with their number
@@ -157,9 +160,10 @@ def _moments(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.add.reduce(dev**2, axis=1) / (n - 1) / n), dev
 
 
-def _reduce(sc: SyntheticScenario, kind: int, z: np.ndarray):
-    """One ``((x_a, u_a, x_b, u_b, cov), ok)`` pair per lab of one kind from its
-    normals; None marks an unmeasured value, ``ok`` a non-degenerate sample."""
+def _reduce(sc: SyntheticScenario, kind: int, z: np.ndarray, out: np.ndarray):
+    """Write the labs of one kind from their normals into their columns of
+    ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a sample is
+    not degenerate; the rows of a standard not measured are left alone."""
     n = sc.n
     if kind == _KIND_KEYS["linking"]:
         z_a, z_i = z[:, :n], z[:, n:]
@@ -167,22 +171,17 @@ def _reduce(sc: SyntheticScenario, kind: int, z: np.ndarray):
         x_a, u_a, d_a = _moments(sc.y_a_true + sc.sigma_a * z_a)
         x_b, u_b, d_b = _moments(sc.y_b_true + sc.sigma_b * z_b)
         cov = np.add.reduce(d_a * d_b, axis=1) / (n - 1) / n
-        ok = (u_a > 0.0) & (u_b > 0.0) & (np.abs(cov) < u_a * u_b)
-        columns = [column.tolist() for column in (x_a, u_a, x_b, u_b, cov)]
-    else:
-        a_only = kind == _KIND_KEYS["a_only"]
-        y, sigma = (sc.y_a_true, sc.sigma_a) if a_only else (sc.y_b_true, sc.sigma_b)
-        x, u, _ = _moments(y + sigma * z)
-        ok = u > 0.0
-        measured, absent = [x.tolist(), u.tolist()], [None] * len(z)
-        columns = (measured + [absent] * 3 if a_only
-                   else [absent] * 2 + measured + [absent])
-    return list(zip(zip(*columns), ok.tolist()))
+        out[0], out[1], out[2], out[3], out[4] = x_a, x_b, u_a, u_b, cov
+        return (u_a > 0.0) & (u_b > 0.0) & (np.abs(cov) < u_a * u_b)
+    row = 0 if kind == _KIND_KEYS["a_only"] else 1
+    y, sigma = (sc.y_a_true, sc.sigma_a) if row == 0 else (sc.y_b_true, sc.sigma_b)
+    out[row], out[row + 2], _ = _moments(y + sigma * z)
+    return out[row + 2] > 0.0
 
 
-def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int):
-    """The pairs of :func:`_reduce` for labs in layout order at
-    ``attempt``: ``philox`` re-keyed per lab, one inverse CDF for all."""
+def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out):
+    """:func:`_reduce` for labs in layout order at ``attempt``, into ``out``:
+    ``philox`` re-keyed per lab, one inverse CDF for all."""
     widths = (sc.n, 2 * sc.n, sc.n)  # raw outputs per lab of each kind
     key = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
@@ -193,41 +192,39 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int):
         philox.state = state
         raw.append(philox.random_raw(widths[kind]))
     z = ndtri(((np.concatenate(raw) >> 11) + 0.5) / 2**53)
-    labs, end = [], 0
+    ok, lab, end = [], 0, 0
     for kind, count in enumerate(np.bincount(kinds, minlength=3).tolist()):
         if count:
             start, end = end, end + count * widths[kind]
-            labs += _reduce(sc, kind, z[start:end].reshape(count, -1))
-    return labs
+            ok.append(_reduce(sc, kind, z[start:end].reshape(count, -1),
+                              out[:, lab:lab + count]))
+            lab += count
+    return np.concatenate(ok)
 
 
-def _floor(x: float | None, u: float | None) -> float | None:
-    return None if x is None else max(u, max(abs(x), 1.0) * _DEGENERATE_U_FLOOR)
-
-
-def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> list:
-    """The labelled labs of the given kinds and indices, in layout order."""
+def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> np.ndarray:
+    """The x_a, x_b, u_a, u_b, cov_ab rows (NaN where not measured) of the
+    labelled labs of the given kinds and indices, in layout order."""
     pool = _seed_pool(sc.seed)
     philox = np.random.Philox(0)  # this call's own, re-keyed for every lab
-    labs: list[LabResult] = []
+    rows = np.full((5, len(labels)), np.nan)
     for first in range(0, len(labels), _BLOCK_LABS):
         block = slice(first, first + _BLOCK_LABS)
-        drawn = _draw(sc, pool, philox, kinds[block], indices[block], 0)
-        for lab, (label, (row, ok)) in enumerate(zip(labels[block], drawn), first):
-            attempt = 0
-            while not ok:
-                _warnings.warn(f"{label}: degenerate sample (attempt {attempt + 1}), "
+        ok = _draw(sc, pool, philox, kinds[block], indices[block], 0, rows[:, block])
+        for lab in compress(range(first, len(labels)), (~ok).tolist()):  # degenerate
+            one = slice(lab, lab + 1)  # the lab alone, at its next substreams
+            for attempt in range(1, _MAX_ATTEMPTS + 1):
+                _warnings.warn(f"{labels[lab]}: degenerate sample (attempt {attempt}), "
                                f"redrawing from the next substream",
                                RuntimeWarning, stacklevel=3)
-                attempt += 1
-                if attempt == _MAX_ATTEMPTS:
-                    x_a, u_a, x_b, u_b, cov = row
-                    row = x_a, _floor(x_a, u_a), x_b, _floor(x_b, u_b), cov and 0.0
+                if attempt == _MAX_ATTEMPTS:  # keep the means, floor the uncertainties
+                    x, u, cov = rows[:2, lab], rows[2:4, lab], rows[4, lab]
+                    rows[2:4, lab] = np.maximum(
+                        u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
+                    rows[4, lab] = cov if cov != cov else 0.0
+                elif _draw(sc, pool, philox, kinds[one], indices[one], attempt, rows[:, one])[0]:
                     break
-                one = slice(lab, lab + 1)  # the lab alone, at its next substream
-                [(row, ok)] = _draw(sc, pool, philox, kinds[one], indices[one], attempt)
-            labs.append(LabResult(label, *row))
-    return labs
+    return rows
 
 
 def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int) -> LabResult:
@@ -241,7 +238,9 @@ def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int) -> LabRes
     if not 0 <= operator.index(index) < 2**32:
         raise ValidationError(f"laboratory index {index} is not in [0, 2**32)")
     kinds, indices = np.array([[_KIND_KEYS[kind]], [index]], dtype=np.uint32)
-    return _sample(scenario, kinds, indices, [f"{kind}-{index + 1:02d}"])[0]
+    labels = [f"{kind}-{index + 1:02d}"]
+    rows = _sample(scenario, kinds, indices, labels)
+    return _lab(labels[0], *rows[[0, 2, 1, 3, 4], 0].tolist())
 
 
 def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
@@ -258,14 +257,16 @@ def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     kinds = np.repeat(np.arange(3, dtype=np.uint32), counts)
     indices = np.concatenate([np.arange(count, dtype=np.uint32) for count in counts])
     labels = [f"LAB-{i:02d}" for i in range(1, len(kinds) + 1)]
-    return validate_dataset(_sample(scenario, kinds, indices, labels))
+    rows = _sample(scenario, kinds, indices, labels)
+    return validate_dataset(labels, rows[:2], rows[2:4], rows[4])
 
 
 def _field(data: dict, key: str, kind: type):
-    """``data[key]`` as ``kind``: not from a bool, nor an int from a fraction."""
+    """``data[key]`` as ``kind``: from a number only (not a bool or a string),
+    and an int not from a fraction."""
     value = data[key]
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    if isinstance(value, bool) or not isinstance(value, Real) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
         raise ValidationError(f"malformed scenario: {key}: expected "
                               f"{kind.__name__}, got {value!r}")
     return kind(value)

@@ -10,6 +10,9 @@ The minimal-inflation reference re-validates and re-links the whole
 dataset at every trial uncertainty and bisects the pass/fail crossings;
 ``exact_q2`` evaluates q2 at a trial uncertainty in ``Fraction``
 arithmetic, which is exact for float inputs.
+The reference dataset is the earlier per-lab validation: a ``LabResult``
+per row, then the dataset-wide checks, with the columns built from the
+labs by ``np.fromiter``.
 The reference link is the estimator's earlier per-lab form: one Python
 walk over the ``LabResult`` objects for the five sums and one for the
 degrees of equivalence and q2, building a ``DegreeOfEquivalence`` per
@@ -31,11 +34,13 @@ import warnings
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from math import fsum, inf, isfinite, sqrt
+from itertools import chain
+from math import fsum, inf, isfinite, nan, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
+from kclink.io import parse_number
 from kclink.linking import (
     _RADICAND_RTOL,
     ZERO_DOF_TIE_TOLERANCE,
@@ -389,6 +394,82 @@ def exact_q2(
         w * (Fraction(x[i]) - y[i]) * (Fraction(x[j]) - y[j])
         for x, weight in observations for (i, j), w in weight.items()
     )
+
+
+def columns(labs) -> tuple:
+    """``(labels, x, u, cov_ab)`` of a dataset of these labs, NaN for None,
+    one Python walk per column."""
+    def row(name):
+        return [nan if getattr(lab, name) is None else getattr(lab, name)
+                for lab in labs]
+
+    return (tuple(lab.label for lab in labs),
+            np.array([row("value_a"), row("value_b")]).reshape(2, -1),
+            np.array([row("u_a"), row("u_b")]).reshape(2, -1),
+            np.array(row("cov_ab")))
+
+
+class ReferenceDataset(NamedTuple):
+    labels: tuple
+    x: np.ndarray
+    u: np.ndarray
+    cov_ab: np.ndarray
+    only_a: tuple
+    only_b: tuple
+    linking: tuple
+    warnings: tuple
+    labs: tuple
+
+
+def reference_dataset(rows):
+    """A dataset as the per-lab path validated it, from ``(label, x_a, u_a,
+    x_b, u_b, cov_ab)`` rows: each row in input order becomes a
+    ``LabResult`` (string cells through ``parse_number``, as the readers
+    did, and the first failing check raising), then the whole dataset is
+    checked and partitioned, and its columns come from ``np.fromiter``.
+
+    Returns a :class:`ReferenceDataset`; ``(i, message)`` when row ``i``
+    fails; or ``(None, message)`` when the dataset as a whole does.
+    """
+    labs = []
+    for i, (label, *cells) in enumerate(rows):
+        try:
+            labs.append(LabResult(label, *[
+                parse_number(c) if isinstance(c, str) else c for c in cells]))
+        except (ValueError, ValidationError) as exc:
+            return i, str(exc)
+    if not labs:
+        return None, "dataset contains no laboratories"
+    seen, groups = set(), {"a": [], "b": [], "link": []}
+    for lab in labs:
+        if lab.label in seen:
+            return None, f"duplicate laboratory label: {lab.label}"
+        seen.add(lab.label)
+        groups["link" if lab.is_linking else "a" if lab.in_group_a else "b"].append(lab)
+    if not groups["a"] and not groups["link"]:
+        return None, "no laboratory measured standard A"
+    if not groups["b"] and not groups["link"]:
+        return None, "no laboratory measured standard B"
+    warnings = []
+    if not groups["link"]:
+        warnings.append("no linking laboratories: the two comparisons are analysed "
+                        "as independent weighted means")
+    else:
+        unreported = [lab.label for lab in groups["link"] if lab.cov_ab is None]
+        if unreported:
+            warnings.append("covariance not reported by linking laboratories "
+                            f"({', '.join(unreported)}); treated as zero")
+        if all(lab.covariance == 0.0 for lab in groups["link"]):
+            warnings.append("all linking covariances are zero or absent: the linking "
+                            "degenerates to independent per-group weighted means")
+    block = np.fromiter(chain.from_iterable(
+        (lab.value_a, lab.value_b, lab.u_a, lab.u_b, lab.cov_ab) for lab in labs),
+        float, 5 * len(labs)).reshape(len(labs), 5).T
+    labels = tuple(lab.label for lab in labs)
+    return ReferenceDataset(
+        labels, block[:2], block[2:4], block[4],
+        *(tuple(lab.label for lab in groups[key]) for key in ("a", "b", "link")),
+        tuple(warnings), tuple(labs))
 
 
 class ReferenceLink(NamedTuple):

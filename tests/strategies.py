@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 from hypothesis import strategies as st
 
 from kclink.model import LabResult, validate_dataset
+
 
 def _flush_tiny(value: float) -> float:
     # magnitudes far below any measurement scale flush to an exact zero so
@@ -66,3 +69,58 @@ def datasets(draw, max_per_group: int = 3, value_st=values, u_st=uncertainties):
 def moderate_datasets(max_per_group: int = 3):
     return datasets(max_per_group, value_st=moderate_values,
                     u_st=moderate_uncertainties)
+
+
+def _fields(lab: LabResult) -> list:
+    return [lab.label, lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab]
+
+
+_FLAWS = ("non-finite", "half", "u <= 0", "|cov| >= u_a*u_b", "cov without both",
+          "empty label", "repeated label", "no values", "no B at all", "zero cov")
+
+
+@st.composite
+def lab_rows(draw, text: bool = False) -> list[tuple]:
+    """``(label, x_a, u_a, x_b, u_b, cov_ab)`` rows of a dataset from
+    :func:`datasets`, ``None`` for an absent value, with up to three flaws:
+    a NaN or infinite cell, a value without its uncertainty or the reverse,
+    u <= 0, |cov_ab| >= u_a*u_b, a covariance without both values, an empty
+    or repeated label, a lab with no values, a standard nobody measured, or
+    a zero covariance.  With ``text``, cells may also be written as text: a
+    decimal comma, a typographic minus, blanks, or text that is no number."""
+    rows = [_fields(lab) for lab in draw(datasets()).labs]
+    flaws = _FLAWS + (("text",) if text else ())
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        flaw = draw(st.sampled_from(flaws))
+        present = [k for k in range(1, 6) if row[k] is not None]
+        if flaw == "non-finite" and present:
+            row[draw(st.sampled_from(present))] = draw(st.sampled_from([nan, inf, -inf]))
+        elif flaw == "half" and present:
+            row[draw(st.sampled_from(present))] = None
+        elif flaw == "u <= 0":
+            for k in (2, 4):
+                if row[k] is not None:
+                    row[k] = draw(st.sampled_from([0.0, -0.0, -row[k]]))
+        elif flaw == "|cov| >= u_a*u_b" and row[1] is not None and row[3] is not None:
+            row[5] = draw(st.sampled_from([1.0, -1.0, 1.5])) * row[2] * row[4]
+        elif flaw == "cov without both" and (row[1] is None or row[3] is None):
+            row[5] = draw(values)
+        elif flaw == "empty label":
+            row[0] = ""
+        elif flaw == "repeated label":
+            row[0] = draw(st.sampled_from(rows))[0]
+        elif flaw == "no values":
+            row[1:] = [None] * 5
+        elif flaw == "no B at all":
+            for each in rows:
+                each[3:] = [None] * 3
+        elif flaw == "zero cov" and row[1] is not None and row[3] is not None:
+            row[5] = draw(st.sampled_from([0.0, -0.0, None]))
+        elif flaw == "text" and present:
+            k = draw(st.sampled_from(present))
+            if isinstance(row[k], float):
+                row[k] = draw(st.sampled_from([
+                    repr(row[k]).replace(".", ","), repr(row[k]).replace("-", "−"),
+                    f" {row[k]!r} ", "oops", "1,2,3", "1,5.0", " "]))
+    return [tuple(row) for row in rows]

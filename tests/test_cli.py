@@ -316,8 +316,20 @@ class TestSynthCommand:
          "malformed scenario: linking: expected int, got True$"),
         ("sigma-bool.json", SCENARIO_JSON.replace('"sigma_a": 20', '"sigma_a": true'),
          "malformed scenario: sigma_a: expected float, got True$"),
+        # a string is never read as a number, whatever it spells
+        ("n-string.json", SCENARIO_JSON.replace('"n": 50', '"n": "50"'),
+         "malformed scenario: n: expected int, got '50'$"),
+        ("n-string-fraction.json", SCENARIO_JSON.replace('"n": 50', '"n": "50.9"'),
+         "malformed scenario: n: expected int, got '50.9'$"),
+        ("seed-hex.json", SCENARIO_JSON.replace("20260808", '"0x10"'),
+         "malformed scenario: seed: expected int, got '0x10'$"),
+        ("sigma-string.json", SCENARIO_JSON.replace('"sigma_a": 20', '"sigma_a": "20"'),
+         "malformed scenario: sigma_a: expected float, got '20'$"),
+        ("count-null.json", SCENARIO_JSON.replace('"only_a": 8', '"only_a": null'),
+         "malformed scenario: only_a: expected int, got None$"),
     ], ids=["seed-inf", "n-inf", "digits", "latin1", "deep", "count", "n-fraction",
-            "seed-fraction", "count-fraction", "seed-bool", "count-bool", "sigma-bool"])
+            "seed-fraction", "count-fraction", "seed-bool", "count-bool", "sigma-bool",
+            "n-string", "n-string-fraction", "seed-hex", "sigma-string", "count-null"])
     def test_unreadable_scenario_exits_1(self, tmp_path, capsys, name, content, match):
         path = tmp_path / name
         if isinstance(content, str):

@@ -164,7 +164,7 @@ class TestColumns:
                 assert not column.base.flags.writeable
 
     def test_columns_take_no_part_in_equality_or_repr(self, gauge_block):
-        again = ComparisonDataset(gauge_block.labs)
+        again = ComparisonDataset(*oracles.columns(gauge_block.labs))
         assert again == gauge_block and hash(again) == hash(gauge_block)
         assert "array" not in repr(gauge_block)
         assert link(again) == link(gauge_block)

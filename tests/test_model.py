@@ -13,6 +13,7 @@ from kclink.model import (
     validate_dataset,
 )
 
+from . import oracles
 from .strategies import datasets
 
 
@@ -97,19 +98,20 @@ class TestComparisonDataset:
     ])
     def test_constructor_validates(self, labs, message):
         with pytest.raises(ValidationError, match=message):
-            ComparisonDataset(labs)
+            ComparisonDataset(*oracles.columns(labs))
 
     def test_groups_are_derived_not_given(self):
         with pytest.raises(TypeError):
             ComparisonDataset(labs=(), only_a=(), only_b=(), linking=())
 
     def test_hand_built_dataset_links(self):
-        dataset = ComparisonDataset((
-            LabResult("A1", value_a=-1.0, u_a=1.0),
-            LabResult("A2", value_a=1.0, u_a=1.0),
-            LabResult("B1", value_b=-2.0, u_b=1.0),
-            LabResult("B2", value_b=2.0, u_b=1.0),
-        ))
+        nan = math.nan
+        dataset = ComparisonDataset(
+            ("A1", "A2", "B1", "B2"),
+            [[-1.0, 1.0, nan, nan], [nan, nan, -2.0, 2.0]],
+            [[1.0, 1.0, nan, nan], [nan, nan, 1.0, 1.0]],
+            [nan] * 4,
+        )
         assert (dataset.only_a, dataset.only_b, dataset.linking) == (
             ("A1", "A2"), ("B1", "B2"), ())
         conformity = link(dataset).conformity
@@ -117,10 +119,13 @@ class TestComparisonDataset:
             2, 5.0, False)
 
     def test_list_input_is_stored_as_tuple(self, gauge_block):
-        dataset = ComparisonDataset(list(gauge_block.labs))
+        dataset = validate_dataset(list(gauge_block.labs))
         assert dataset.labs == gauge_block.labs
         assert dataset == gauge_block
         assert dataset.lab("NRC") is gauge_block.lab("NRC")
+        built = ComparisonDataset(list(gauge_block.labels), *oracles.columns(
+            gauge_block.labs)[1:])
+        assert built.labels == gauge_block.labels and built == gauge_block
 
 
 class TestValidateDataset:
