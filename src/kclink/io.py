@@ -10,14 +10,15 @@ either ASCII or typographic minus signs; output always uses points.
 
 :func:`parse_dataset` is the one reader and :func:`write_dataset` the one
 writer of dataset files.  The reader fills the dataset's columns row by row
-(plain number cells through ``float``, any other row through
+(plain CSV number cells through ``float``, any other row through
 :func:`parse_number` and :class:`LabResult`) and checks them together; an
-error names the first failing lab in file order, by line or entry.  :func:`render_report` builds only the requested
-report format; reports carry full-precision values alongside
-display-rounded ones, and display rounding is half-up and never feeds back
-into any computation.  The JSON report's bytes are those of
-``json.dumps(document, sort_keys=True, indent=2)`` of its documented
-structure, written row by row without building ``document``.
+error names the first failing lab in file order, by line or entry.
+:func:`render_report` builds only the requested report format; reports
+carry full-precision values alongside display-rounded ones, and display
+rounding is half-up and never feeds back into any computation.  The JSON
+report's bytes are those of ``json.dumps(document, sort_keys=True,
+indent=2)`` of its documented structure, written row by row without
+building ``document``.
 """
 
 from __future__ import annotations
@@ -64,15 +65,16 @@ def parse_number(text: str) -> float | None:
 _ABSENT = float("nan")
 
 
-def _row(label: object, cells: Iterable[object], where: str) -> tuple[str, list[float]]:
+def _row(label: object, cells: Iterable[object], where: str,
+         place: int) -> tuple[str, list[float]]:
     """A row's label and numbers through :class:`LabResult`, its error as a
-    :class:`ParseError` at ``where``: a string label is stripped, string
-    cells go through :func:`parse_number`, anything else is taken as is."""
+    :class:`ParseError` at ``where`` and ``place``: a string label is stripped,
+    string cells go through :func:`parse_number`, anything else is taken as is."""
     try:
         lab = LabResult(_utf8(label).strip() if isinstance(label, str) else label,
                         *[parse_number(raw) if isinstance(raw, str) else raw for raw in cells])
     except (ValueError, KclinkError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        raise ParseError(f"{where}{place}: {exc}") from None
     numbers = lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab
     return lab.label, [_ABSENT if number is None else number for number in numbers]
 
@@ -98,32 +100,39 @@ def _is_header(row: list[str], path: Path) -> bool:
     return True
 
 
-def _csv_rows(path: Path):
+def _csv_rows(path: Path, where: str):
     """Line number, label and numbers of each data row: plain number cells
     through ``float``, a row with any other cell through :func:`_row`."""
+    width = len(_CSV_COLUMNS)
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             for lineno, row in enumerate(reader, start=1):
-                if not "".join(row).strip() or lineno == 1 and _is_header(row, path):
+                label = row[0].strip() if row else ""
+                if not (label or "".join(row).strip()):  # a blank line
                     continue
-                if len(row) > len(_CSV_COLUMNS):
-                    raise ParseError(f"{path}:{lineno}: expected at most "
-                                     f"{len(_CSV_COLUMNS)} columns, got {len(row)}")
-                row += [""] * (len(_CSV_COLUMNS) - len(row))
-                try:
-                    label, numbers = row[0].strip(), [
-                        float(cell) if cell else _ABSENT for cell in row[1:]]
+                if lineno == 1 and _is_header(row, path):
+                    continue
+                if len(row) != width:
+                    if len(row) > width:
+                        raise ParseError(f"{path}:{lineno}: expected at most "
+                                         f"{width} columns, got {len(row)}")
+                    row += [""] * (width - len(row))
+                _, x_a, u_a, x_b, u_b, cov_ab = row
+                try:  # unrolled, not a comprehension: this runs for every row of a file
+                    numbers = [float(x_a) if x_a else _ABSENT, float(u_a) if u_a else _ABSENT,
+                               float(x_b) if x_b else _ABSENT, float(u_b) if u_b else _ABSENT,
+                               float(cov_ab) if cov_ab else _ABSENT]
                 except ValueError:  # a decimal comma, a typographic minus, ...
-                    label, numbers = _row(row[0], row[1:], f"{path}:{lineno}")
+                    label, numbers = _row(row[0], row[1:], where, lineno)
                 yield lineno, label, numbers
         except csv.Error as exc:  # e.g. a cell beyond the reader's field size limit
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _json_rows(path: Path):
-    """Index, label and numbers of each lab entry (float and null cells as
-    they are, any other entry through :func:`_row`), and the units."""
+def _json_rows(path: Path, where: str):
+    """Index, label and numbers of each lab entry, through :func:`_row`,
+    and the units."""
     text = path.read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -148,11 +157,7 @@ def _json_rows(path: Path):
             if not isinstance(entry, dict):
                 raise ParseError(f"{path}: lab entry {index} is not an object")
             label, *cells = map(entry.get, _CSV_COLUMNS)
-            if type(label) is str and label.isascii() and set(map(type, cells)) <= {
-                    float, type(None)}:
-                yield index, label.strip(), [_ABSENT if c is None else c for c in cells]
-            else:  # a label to check for surrogates, or a cell to convert
-                yield index, *_row(label, cells, f"{path}: lab entry {index}")
+            yield index, *_row(label, cells, where, index)
 
     return rows(), units
 
@@ -174,9 +179,10 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
     places, labels, numbers = [], [], []  # numbers: x_a, u_a, x_b, u_b, cov_ab per row
     try:
         if path.suffix.lower() == ".json":
-            (rows, units), where = _json_rows(path), f"{path}: lab entry "
+            where = f"{path}: lab entry "
+            rows, units = _json_rows(path, where)
         else:
-            rows = _csv_rows(path)
+            rows = _csv_rows(path, where)
         for place, label, row in rows:
             places.append(place)
             labels.append(label)
@@ -190,9 +196,9 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
     block = np.array(numbers, dtype=float).reshape(-1, 5).T
     if np.count_nonzero(block != block) > numbers.count(_ABSENT):  # a cell read NaN
         first = next(i for i, v in enumerate(numbers) if v != v and v is not _ABSENT) // 5
+        cells = [None if v is _ABSENT else v for v in numbers[5 * first:5 * first + 5]]
         try:  # that lab fails, and the labs after it count as unread
-            _row(labels[first], [None if v is _ABSENT else v
-                                 for v in numbers[5 * first:5 * first + 5]], f"{where}{places[first]}")
+            _row(labels[first], cells, where, places[first])
         except ParseError as exc:
             stop = exc
         block, labels = block[:, :first], labels[:first]

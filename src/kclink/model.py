@@ -146,37 +146,28 @@ class LabError(ValidationError):
 
 def _rows(labels, x, u, cov_ab) -> Iterator[tuple]:
     """``(label, x_a, u_a, x_b, u_b, cov_ab)`` per lab, NaN where absent."""
-    return zip(labels, *np.vstack((x[0], u[0], x[1], u[1], cov_ab)).tolist())
+    (x_a, x_b), (u_a, u_b) = x.tolist(), u.tolist()
+    return zip(labels, x_a, u_a, x_b, u_b, cov_ab.tolist())
 
 
-def _lab(label, *numbers: float) -> LabResult:
-    return LabResult(label, *[None if v != v else v for v in numbers])
+def _checked_lab(label, x_a, u_a, x_b, u_b, cov_ab) -> LabResult:
+    """The lab of a row of a built dataset, whose columns passed the checks
+    of :class:`LabResult`: built without running them a second time."""
+    lab = object.__new__(LabResult)
+    vars(lab).update(label=label, value_a=None if x_a != x_a else x_a,
+                     u_a=None if u_a != u_a else u_a, value_b=None if x_b != x_b else x_b,
+                     u_b=None if u_b != u_b else u_b, cov_ab=None if cov_ab != cov_ab else cov_ab)
+    return lab
 
 
-def check_labs(labels: Sequence, x: np.ndarray, u: np.ndarray, cov_ab: np.ndarray):
-    """Check every lab as :class:`LabResult` does, on whole columns with NaN
-    read as absent, and return ``x == x``, the labs measuring each standard.
-    If one fails, the labs are built as :class:`LabResult` in input order,
-    and the first error is raised as a :class:`LabError`."""
-    count = np.count_nonzero
-    with np.errstate(all="ignore"):  # u_a*u_b overflowing to inf still passes
-        measured = x == x
-        good = np.isfinite(x) & (u > 0.0) & (u < inf)  # implies measured
-        bounded = np.abs(cov_ab) < u[0] * u[1]  # implies reported and linking
-    try:
-        "".join(labels)  # a TypeError for a label that is not a string
-        if (count(good) == count(measured) == count(u == u) and all(labels)
-                and count(measured[0] | measured[1]) == len(labels)
-                and count(bounded) == count(cov_ab == cov_ab)):
-            return measured
-    except TypeError:
-        pass
-    for index, row in enumerate(_rows(labels, x, u, cov_ab)):
+def check_labs(labels: Sequence, x: np.ndarray, u: np.ndarray, cov_ab: np.ndarray) -> None:
+    """Build the labs of the columns (NaN read as absent) as :class:`LabResult`
+    in input order, and raise the first error as a :class:`LabError`."""
+    for index, (label, *numbers) in enumerate(_rows(labels, x, u, cov_ab)):
         try:
-            _lab(*row)
+            LabResult(label, *[None if v != v else v for v in numbers])
         except ValidationError as exc:
             raise LabError(str(exc), index) from None
-    raise InternalInconsistencyError("the column checks reject labs LabResult accepts")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +177,9 @@ class ComparisonDataset:
     Built from ``labels`` and float64 columns with one entry per lab in
     input order: ``x`` and ``u`` have a row for standard A (x_a, u_a) and
     one for B (x_b, u_b), and ``cov_ab`` is the covariance; NaN marks a
-    value not reported.  Each lab must pass :func:`check_labs`; then an
+    value not reported.  Each lab is checked as :class:`LabResult` checks
+    it, on whole columns; the first failing lab raises its :class:`LabResult`
+    message as a :class:`LabError` (see :func:`check_labs`).  Then an
     empty input, duplicate labels or a standard that no laboratory measured
     raise :class:`ValidationError`.  The columns are kept as read-only
     copies, and datasets compare by them and ``labels``.  Derived: ``cov``
@@ -217,17 +210,31 @@ class ComparisonDataset:
         x, u, cov_ab = (np.array(c, dtype=float) for c in (self.x, self.u, self.cov_ab))
         if not x.shape == u.shape == (2, len(labels)) == (2, *cov_ab.shape):
             raise ValidationError("x and u need two rows, cov_ab one, of an entry per label")
-        measured = check_labs(labels, x, u, cov_ab)
+        count = np.count_nonzero
+        with np.errstate(all="ignore"):  # u_a*u_b overflowing to inf still passes
+            measured, reported = x == x, cov_ab == cov_ab
+            good = np.isfinite(x) & (u > 0.0) & (u < inf)  # implies measured
+            bounded = np.abs(cov_ab) < u[0] * u[1]  # implies reported and linking
+        linked = measured[0] & measured[1]
+        try:  # each lab as LabResult checks it
+            "".join(labels)  # a TypeError for a label that is not a string
+            passed = (all(labels) and count(good) == count(measured) == count(u == u)
+                      and count(measured) - count(linked) == len(labels)  # a value per lab
+                      and count(bounded) == count(reported))
+        except TypeError:
+            passed = False
+        if not passed:
+            check_labs(labels, x, u, cov_ab)
+            raise InternalInconsistencyError("the column checks reject a lab LabResult accepts")
         if not labels:
             raise ValidationError("dataset contains no laboratories")
         if len(set(labels)) < len(labels):  # name the first repeat of a label
             first = dict(zip(labels[::-1], range(len(labels) - 1, -1, -1)))
             repeated = next(label for i, label in enumerate(labels) if first[label] != i)
             raise ValidationError(f"duplicate laboratory label: {repeated}")
-        linked, reported = measured[0] & measured[1], cov_ab == cov_ab
         linking = tuple(compress(labels, linked.tolist()))
         # measured in one row only: True > False
-        only_a, only_b = (tuple(compress(labels, (row > linked).tolist())) for row in measured)
+        only_a, only_b = (tuple(compress(labels, row)) for row in (measured > linked).tolist())
         for standard, exclusive in (("A", only_a), ("B", only_b)):
             if not exclusive and not linking:
                 raise ValidationError(f"no laboratory measured standard {standard}")
@@ -243,7 +250,7 @@ class ComparisonDataset:
              linking and not np.count_nonzero(cov)),
         ) if found)
         for column in (x, u, cov_ab, cov, measured):
-            column.flags.writeable = False
+            column.setflags(write=False)
         vars(self).update(labels=labels, x=x, u=u, cov_ab=cov_ab, only_a=only_a,
                           only_b=only_b, linking=linking, warnings=warnings, cov=cov,
                           measured=measured)
@@ -260,7 +267,7 @@ class ComparisonDataset:
 
     @cached_property
     def labs(self) -> tuple[LabResult, ...]:
-        return tuple(starmap(_lab, self.rows()))
+        return tuple(starmap(_checked_lab, self.rows()))
 
     def rows(self) -> Iterator[tuple]:
         """``(label, x_a, u_a, x_b, u_b, cov_ab)`` per lab, NaN where absent."""

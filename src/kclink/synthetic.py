@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .model import ComparisonDataset, LabResult, ValidationError, _lab, validate_dataset
+from .model import ComparisonDataset, LabResult, ValidationError, validate_dataset
 
 LabKind = str  # "a_only" | "linking" | "b_only"
 
@@ -239,8 +239,8 @@ def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int) -> LabRes
         raise ValidationError(f"laboratory index {index} is not in [0, 2**32)")
     kinds, indices = np.array([[_KIND_KEYS[kind]], [index]], dtype=np.uint32)
     labels = [f"{kind}-{index + 1:02d}"]
-    rows = _sample(scenario, kinds, indices, labels)
-    return _lab(labels[0], *rows[[0, 2, 1, 3, 4], 0].tolist())
+    numbers = _sample(scenario, kinds, indices, labels)[[0, 2, 1, 3, 4], 0].tolist()
+    return LabResult(labels[0], *[None if v != v else v for v in numbers])
 
 
 def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:

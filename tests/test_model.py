@@ -101,8 +101,12 @@ class TestComparisonDataset:
             ComparisonDataset(*oracles.columns(labs))
 
     def test_groups_are_derived_not_given(self):
-        with pytest.raises(TypeError):
-            ComparisonDataset(labs=(), only_a=(), only_b=(), linking=())
+        nan = math.nan
+        columns = ("A1", "B1"), [[1.0, nan], [nan, 1.0]], [[1.0, nan], [nan, 1.0]], [nan, nan]
+        assert ComparisonDataset(*columns).only_a == ("A1",)  # valid without the group
+        for name in ("only_a", "only_b", "linking", "warnings"):
+            with pytest.raises(TypeError, match=name):
+                ComparisonDataset(*columns, **{name: ("A1",)})
 
     def test_hand_built_dataset_links(self):
         nan = math.nan
