@@ -100,9 +100,9 @@ def lab_rows(draw, text: bool = False) -> list[tuple]:
             row[draw(st.sampled_from(present))] = None
         elif flaw == "u <= 0":
             for k in (2, 4):
-                if row[k] is not None:
+                if isinstance(row[k], float):  # not one an earlier flaw removed or wrote as text
                     row[k] = draw(st.sampled_from([0.0, -0.0, -row[k]]))
-        elif flaw == "|cov| >= u_a*u_b" and row[1] is not None and row[3] is not None:
+        elif flaw == "|cov| >= u_a*u_b" and all(isinstance(row[k], float) for k in (1, 2, 3, 4)):
             row[5] = draw(st.sampled_from([1.0, -1.0, 1.5])) * row[2] * row[4]
         elif flaw == "cov without both" and (row[1] is None or row[3] is None):
             row[5] = draw(values)
