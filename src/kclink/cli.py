@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import golden
@@ -150,6 +151,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return status
 
 
+@cache  # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kclink",

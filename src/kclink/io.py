@@ -19,12 +19,20 @@ rounding is half-up and never feeds back into any computation.  The JSON
 report's bytes are those of ``json.dumps(document, sort_keys=True,
 indent=2)`` of its documented structure, written row by row without
 building ``document``.
+
+The text report's DOE rows are ``%``-templates, one per measured pattern, and
+round the binary value correctly: half-up rounding of its shortest digits but
+at a decimal tie.  A tie mask sends a row through :func:`round_half_up` when a
+cell may be a tie (``k = rint(v * 10^(d+1))`` is an odd multiple of 5 and
+``k / 10^(d+1) == v``), when ``|v| * 10^(d+1) >= 2^49`` (ulp(v) is then not
+surely below 0.025 * 10^-d) or when ``d > 21`` (``10^(d+1)`` is inexact).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
@@ -230,6 +238,16 @@ def _fmt(value: float, decimals: int) -> str:
     return "-" if value != value else f"{round_half_up(value, decimals):.{decimals}f}"
 
 
+def _ties(cells: np.ndarray, decimals: int) -> np.ndarray:
+    """Per row of ``cells``, whether it needs :func:`_fmt`: the tie mask above."""
+    with np.errstate(all="ignore"):  # NaN (absent) cells are never flagged
+        scale = np.float64(10.0) ** (decimals + 1)  # exact up to 10^22
+        scaled = cells * scale
+        k = np.rint(scaled)
+        tie = (np.abs(np.fmod(k, 10.0)) == 5.0) & (k / scale == cells)
+        return (tie | (np.abs(scaled) >= 2.0 ** 49) | (decimals > 21)).any(axis=1)
+
+
 def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str:
     unit_suffix = f" {units}" if units else ""
     labels = result.dataset.labels
@@ -240,18 +258,21 @@ def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str
     if units:
         lines.append(f"values in {units}")
     lines.append("")
-    header = (
-        f"{'lab':<{width}}  "
-        f"{'d_A':>{col}} {'u(d_A)':>{col}} {'d_B':>{col}} {'u(d_B)':>{col}}"
-    )
+    header = (f"{'lab':<{width}}  "
+              f"{'d_A':>{col}} {'u(d_A)':>{col}} {'d_B':>{col}} {'u(d_B)':>{col}}")
     lines.append(header)
     lines.append("-" * len(header))
-    (d_a, d_b), (u_d_a, u_d_b) = result.d.tolist(), result.u_d.tolist()
-    for label, *row in zip(labels, d_a, u_d_a, d_b, u_d_b):
+    cells = np.stack([result.d[0], result.u_d[0], result.d[1], result.u_d[1]], axis=1)
+    # A-only, B-only and linking rows; "%.0s" prints an absent cell's NaN as nothing
+    value, absent = f"%{col}.{decimals}f", f"{'-':>{col}}%.0s"
+    templates = [f"%-{width}s  {a} {a} {b} {b}"
+                 for a, b in ((value, absent), (absent, value), (value, value))]
+    patterns = (np.dot([1, 2], result.dataset.measured) - 1).tolist()
+    for label, pattern, tie, row in zip(labels, patterns, _ties(cells, decimals).tolist(),
+                                        cells.tolist()):
         lines.append(
-            f"{label:<{width}}  "
-            + " ".join([f"{_fmt(value, decimals):>{col}}" for value in row])
-        )
+            f"{label:<{width}}  " + " ".join([f"{_fmt(v, decimals):>{col}}" for v in row])
+            if tie else templates[pattern] % (label, *row))
     lines.append("-" * len(header))
     kcrv = result.kcrv
     lines.append(
@@ -354,11 +375,15 @@ def render_report(
     """
     if format not in ("text", "json"):
         raise KclinkError(f"unknown report format: {format!r}")
-    if decimals < 0:
-        raise KclinkError(f"decimals must be non-negative, got {decimals}")
+    try:  # any integer, NumPy's too, but not a bool
+        places = -1 if isinstance(decimals, bool) else operator.index(decimals)
+    except TypeError:
+        places = -1
+    if places < 0:
+        raise KclinkError(f"decimals must be a non-negative integer, got {decimals!r}")
     if format == "text":
-        return _render_text(result, decimals, units)
-    return _render_json(result, decimals, units)
+        return _render_text(result, places, units)
+    return _render_json(result, places, units)
 
 
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:

@@ -6,6 +6,7 @@ import pytest
 
 from kclink import golden
 from kclink.cli import main
+from kclink.version import __version__
 
 from .test_io import GAUGE_BLOCK_CSV
 
@@ -189,7 +190,8 @@ class TestLinkCommand:
         code = main(["link", "--input", str(gauge_block_file),
                      "--decimals", "-1"])
         assert code == 1
-        assert "error: decimals must be non-negative" in capsys.readouterr().err
+        assert ("error: decimals must be a non-negative integer, got -1\n"
+                in capsys.readouterr().err)
 
     def test_many_decimals(self, gauge_block_file, capsys):
         code = main(["link", "--input", str(gauge_block_file),
@@ -420,6 +422,24 @@ class TestUnitsFlow:
 class TestMisc:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_repeated_calls_give_the_same_results(self, gauge_block_file, capsys):
+        # the parser is built once per process; no call may leave state behind
+        data = ["--input", str(gauge_block_file)]
+        calls = [["--version"], ["link", "--help"], ["inflate"], ["link", *data],
+                 ["inflate", *data, "--lab", "INMETRO1", "--standard", "B"],
+                 ["link", *data, "--units", "nm", "--decimals", "1"], ["--help"],
+                 ["synth"], ["link", *data, "--decimals", "x"]]
+        outcomes = []
+        for argv in calls + calls[::-1]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        first, second = outcomes[:len(calls)], outcomes[len(calls):][::-1]
+        assert first == second
+        assert [code for code, _, _ in first] == [0, 0, 1, 2, 0, 2, 0, 1, 1]
+        assert first[0][1] == f"{__version__}\n"
+        assert "usage: kclink inflate" in first[2][2]
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0

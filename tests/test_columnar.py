@@ -8,6 +8,7 @@ every quantity and the same bytes for every report.
 
 import re
 import warnings
+from dataclasses import replace
 from math import inf
 
 import numpy as np
@@ -60,6 +61,30 @@ def test_link_equals_the_per_lab_reference(tmp_path_factory, pair, decimals, uni
     original, permuted = (link(dataset) for dataset in pair)
     assert repr((original.aux, original.kcrv, original.conformity)) == repr(
         (permuted.aux, permuted.kcrv, permuted.conformity))
+
+
+@st.composite
+def tie_valued_datasets(draw):
+    """A dataset and report decimals: the labs come in mirrored pairs (the
+    same uncertainties, negated values), so both KCRVs are exactly 0 and each
+    DOE is a lab's value, a decimal tie ``(10 m + 5) / 10^(decimals + 1)``."""
+    decimals = draw(st.integers(0, 25))
+    ties = st.integers(-10**9, 10**9).map(lambda m: (10 * m + 5) / 10 ** (decimals + 1))
+    labs = draw(datasets(2, value_st=ties)).labs
+    mirrored = [replace(lab, label=f"{lab.label}-",  # an absent value stays None
+                        value_a=lab.value_a and -lab.value_a,
+                        value_b=lab.value_b and -lab.value_b) for lab in labs]
+    return validate_dataset([*labs, *mirrored]), decimals
+
+
+@given(tie_valued_datasets())
+@settings(max_examples=100, deadline=None)
+def test_text_report_equals_the_reference_on_decimal_ties(pair):
+    dataset, decimals = pair
+    result = link(dataset)
+    assert result.kcrv.y_hat_a == result.kcrv.y_hat_b == 0.0
+    assert render_report(result, "text", decimals=decimals) == (
+        oracles.text_report(oracles.reference_link(dataset), decimals, None))
 
 
 @st.composite

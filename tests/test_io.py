@@ -326,6 +326,44 @@ class TestRoundHalfUp:
                 == repr(oracles.round_half_up(value, decimals)))
 
 
+@st.composite
+def text_cells(draw):
+    """``(value, decimals)``: any finite float, a decimal tie
+    ``(10 m + 5) / 10^(decimals + 1)`` at the report's decimals, or a value
+    near the tie mask's bound (``|v| * 10^(decimals + 1)`` in 2^46..2^52)."""
+    decimals = draw(st.one_of(st.integers(0, 25), st.integers(0, 400)))
+    tie = st.integers(-10**20, 10**20).map(lambda m: (10 * m + 5) / 10 ** (decimals + 1))
+    near = st.floats(2**46 / 10 ** (decimals + 1), 2**52 / 10 ** (decimals + 1))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return draw(st.one_of(finite, tie, near, near.map(float.__neg__))), decimals
+
+
+class TestTextTable:
+    """Every measured cell of the DOE table against ``oracles._fmt``."""
+
+    @given(text_cells())
+    # beyond 2^49 but below 2^52: a bound of 2^52 printed these wrongly
+    @example((-346170442.8977755, 6))
+    @example((36348.23446116305, 10))
+    @example((-4414347.715451675, 8))
+    @example((-9.964935892125e-11, 22))  # a tie that 10.0**23 misses
+    @example((0.125, 2))
+    @example((1.005, 2))
+    @example((2.5, 0))
+    @example((-0.0005, 3))
+    @example((5e-324, 400))
+    @example((1e22, 3))
+    @example((56294995342.131195, 3))  # just below 2^49 / 10^4
+    @example((-0.0, 3))
+    def test_cells_match_the_reference(self, cell):
+        value, decimals = cell
+        result = link(synthetic_dataset())  # A-only, linking and B-only labs
+        filled = np.where(result.dataset.measured, value, np.nan)
+        table = replace(result, d=filled, u_d=filled)
+        assert (render_report(table, "text", decimals=decimals)
+                == oracles.text_report(table, decimals, None))
+
+
 class TestRenderReport:
     def test_text_footer_at_one_decimal(self, gauge_block):
         text = render_report(link(gauge_block), "text", decimals=1, units="nm")
@@ -407,6 +445,21 @@ class TestRenderReport:
     def test_negative_decimals(self, synthetic):
         with pytest.raises(KclinkError, match="decimals"):
             render_report(link(synthetic), "json", decimals=-1)
+
+    @pytest.mark.parametrize("format", ["text", "json"])
+    def test_numpy_integer_decimals(self, gauge_block, format):
+        result = link(gauge_block)
+        assert (render_report(result, format, decimals=np.int64(2))
+                == render_report(result, format, decimals=2))
+
+    @pytest.mark.parametrize("decimals", [-1, np.int64(-1), True, False, np.True_, 2.5,
+                                          2.0, np.float64(2.0), "3", None], ids=repr)
+    @pytest.mark.parametrize("format", ["text", "json"])
+    def test_decimals_must_be_a_non_negative_integer(self, synthetic, format, decimals):
+        with pytest.raises(KclinkError) as caught:
+            render_report(link(synthetic), format, decimals=decimals)
+        assert str(caught.value) == (
+            f"decimals must be a non-negative integer, got {decimals!r}")
 
     def test_numpy_scalars_render_like_floats(self, gauge_block, tmp_path):
         as_numpy = validate_dataset(
