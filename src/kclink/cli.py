@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import golden
 from .inflation import minimal_inflation
@@ -51,7 +50,9 @@ def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
         units=args.units,
     )
     if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(report)  # then the newline: no copy of the report
+            handle.write("\n")
     else:
         print(report)
 

@@ -6,7 +6,8 @@ objects with the same field names, optionally wrapped as ``{"units": ...,
 "labs": [...]}``).  The suffix picks the format, for reading and writing
 alike: ``.json`` in any case means JSON, anything else CSV.  Numbers
 are accepted with either a decimal point or a decimal comma and with
-either ASCII or typographic minus signs; output always uses points.
+either ASCII or typographic minus signs; output always uses points.  A
+UTF-8 byte-order mark at the start of an input file is skipped.
 
 :func:`parse_dataset` is the one reader and :func:`write_dataset` the one
 writer of dataset files.  The reader fills the dataset's columns row by row
@@ -18,7 +19,9 @@ carry full-precision values alongside display-rounded ones, and display
 rounding is half-up and never feeds back into any computation.  The JSON
 report's bytes are those of ``json.dumps(document, sort_keys=True,
 indent=2)`` of its documented structure, written row by row without
-building ``document``.
+building ``document``.  It and the plot data print each DOE's ``d`` and
+``u_d`` from one text, made on first use and kept with the result
+(:func:`_doe_text`); each output is one join of its rows, written as is.
 
 The text report's DOE rows are ``%``-templates, one per measured pattern, and
 round the binary value correctly: half-up rounding of its shortest digits but
@@ -112,7 +115,7 @@ def _csv_rows(path: Path, where: str):
     """Line number, label and numbers of each data row: plain number cells
     through ``float``, a row with any other cell through :func:`_row`."""
     width = len(_CSV_COLUMNS)
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             for lineno, row in enumerate(reader, start=1):
@@ -141,7 +144,7 @@ def _csv_rows(path: Path, where: str):
 def _json_rows(path: Path, where: str):
     """Index, label and numbers of each lab entry, through :func:`_row`,
     and the units."""
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -308,12 +311,24 @@ def _strings(values: Iterable[str], indent: str) -> str:
     return f"[{items}\n{indent}]" if items else "[]"
 
 
+def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
+    """The text of each DOE's ``d`` and ``u_d``, in :meth:`LinkingResult.doe_rows`
+    order: made on first use and kept with the result, for both outputs."""
+    text = vars(result).get("_doe_text")
+    if text is None:
+        measured = result.dataset.measured
+        text = vars(result)["_doe_text"] = (list(map(_float, result.d[measured].tolist())),
+                                            list(map(_float, result.u_d[measured].tolist())))
+    return text
+
+
 def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str:
     # the fixed shape in sorted key order; a dataset always has labs and DOEs.
-    # Rows inline NaN as "null": a call per field costs about a float's text.
+    # Rows inline NaN as "null": a call per field costs about a float's text;
+    # each row brings its leading comma, so that the report is one join.
     aux, kcrv, conf = result.aux, result.kcrv, result.conformity
     labs = [
-        f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
+        f',\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
         f'        "label": {_str(label)},\n'
         f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
         f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
@@ -322,15 +337,14 @@ def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str
         for label, x_a, u_a, x_b, u_b, c in result.dataset.rows()
     ]
     does = [
-        f'\n    {{\n      "d": {_float(d)},\n'
-        f'      "label": {_str(label)},\n'
-        f'      "standard": "{standard}",\n'
-        f'      "u_d": {_float(u_d)}\n    }}'
-        for label, standard, d, u_d in result.doe_rows()
+        f',\n    {{\n      "d": {d},\n      "label": {_str(label)},\n'
+        f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'
+        for (label, standard, _, _), d, u_d in zip(result.doe_rows(), *_doe_text(result))
     ]
+    labs[0], does[0] = labs[0][1:], does[0][1:]
     ratio, shown = ("null", "null") if conf.ratio is None else (
         _float(conf.ratio), _float(round_half_up(conf.ratio, 2)))
-    return (
+    return "".join((
         f'{{\n  "aux": {{\n    "a": {_float(aux.a)},\n    "b": {_float(aux.b)},\n'
         f'    "c": {_float(aux.c)},\n    "s1": {_float(aux.s1)},\n'
         f'    "s2": {_float(aux.s2)}\n  }},\n'
@@ -343,12 +357,13 @@ def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str
         f'      "y_a": {_float(round_half_up(kcrv.y_hat_a, decimals))},\n'
         f'      "y_b": {_float(round_half_up(kcrv.y_hat_b, decimals))}\n    }},\n'
         f'    "ratio": {shown}\n  }},\n'
-        f'  "doe": [{",".join(does)}\n  ],\n'
-        f'  "input": {{\n    "groups": {{\n'
+        f'  "doe": [', *does,
+        f'\n  ],\n  "input": {{\n    "groups": {{\n'
         f'      "linking": {_strings(result.dataset.linking, "      ")},\n'
         f'      "only_a": {_strings(result.dataset.only_a, "      ")},\n'
         f'      "only_b": {_strings(result.dataset.only_b, "      ")}\n    }},\n'
-        f'    "labs": [{",".join(labs)}\n    ]\n  }},\n'
+        f'    "labs": [', *labs,
+        f'\n    ]\n  }},\n'
         f'  "kcrv": {{\n    "cov_ab": {_float(kcrv.cov_ab)},\n'
         f'    "r_tilde": {_float(kcrv.r_tilde)},\n    "u_a": {_float(kcrv.u_a)},\n'
         f'    "u_b": {_float(kcrv.u_b)},\n    "y_a": {_float(kcrv.y_hat_a)},\n'
@@ -357,7 +372,7 @@ def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str
         f'    "version": {_str(__version__)}\n  }},\n'
         f'  "units": {"null" if units is None else _str(units)},\n'
         f'  "warnings": {_strings(result.warnings, "  ")}\n}}'
-    )
+    ))
 
 
 def render_report(
@@ -422,11 +437,10 @@ def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:
     """Write the DOE chart data as CSV: label, standard, d, u_d and the
     expanded (k = 2) uncertainty, one row per degree of equivalence."""
     rows = [
-        f"{_csv_field(label)},{standard},{_float(d)},"
-        f"{_float(u_d)},{_float(2.0 * u_d)}\r\n"
-        for label, standard, d, u_d in result.doe_rows()
+        f"{_csv_field(label)},{standard},{d},{u_d},{_float(2.0 * u)}\r\n"
+        for (label, standard, _, u), d, u_d in zip(result.doe_rows(), *_doe_text(result))
     ]
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("label,standard,d,u_d,U_d_k2\r\n" + "".join(rows))
+        handle.write("".join(("label,standard,d,u_d,U_d_k2\r\n", *rows)))
     return path

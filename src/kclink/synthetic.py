@@ -102,13 +102,13 @@ class SyntheticScenario:
 
 
 def _hashmix(value, xor, mult):
-    """seed_seq's hashmix (O'Neill), on Python ints or on uint32 arrays."""
-    value = (value ^ xor) * mult & _M32
+    """seed_seq's hashmix (O'Neill), on uint32 arrays, which wrap."""
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32  # MIX_MULT_L, MIX_MULT_R
+    value = 0xCA01F9DD * x - 0x4973F715 * y  # MIX_MULT_L, MIX_MULT_R
     return value ^ value >> 16
 
 
@@ -133,12 +133,7 @@ _STATE_XOR, _STATE_MULT = _column(_B[:4]), _column(_B[1:])
 
 def _seed_pool(seed: int) -> np.ndarray:
     """The entropy pool once the seed, padded to 4 words, is mixed in."""
-    words = (seed & _M32, seed >> 32 & _M32, 0, 0)
-    pool = [_hashmix(word, _A[i], _A[i + 1]) for i, word in enumerate(words)]
-    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    for step, (src, dst) in enumerate(pairs, start=4):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _A[step], _A[step + 1]))
-    return _column(pool)
+    return np.random.SeedSequence(seed).pool[:, None]
 
 
 def _keys(pool: np.ndarray, kinds: np.ndarray, indices: np.ndarray, attempt: int):
@@ -290,7 +285,7 @@ def scenario_from_dict(data: dict) -> SyntheticScenario:
 def load_scenario(path: str | Path) -> SyntheticScenario:
     """Read a scenario specification from a JSON file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None

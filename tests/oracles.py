@@ -22,7 +22,8 @@ round with a fresh ``Decimal`` context per value and write plot data
 through ``csv.writer``.  The synthetic-data reference simulates
 one laboratory at a time with its own ``SeedSequence`` and
 ``Generator(Philox(...))``, draws with ``Generator.integers`` and reduces
-with 1-D ``np.mean``/``np.sum``.
+with 1-D ``np.mean``/``np.sum``; the seed's entropy pool is NumPy's
+``SeedSequence`` mixing written out in Python ints.
 """
 
 from __future__ import annotations
@@ -743,6 +744,33 @@ def plot_data(result: LinkingResult) -> str:
              repr(entry.d), repr(entry.u_d), repr(2.0 * entry.u_d)]
         )
     return buffer.getvalue()
+
+
+_M32 = 0xFFFFFFFF
+# seed_seq's hashmix constants: INIT_A * MULT_A**i for the i-th mixing step
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(17)]
+
+
+def _hashmix(value: int, step: int) -> int:
+    value = (value ^ _HASH_A[step]) * _HASH_A[step + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32  # MIX_MULT_L, MIX_MULT_R
+    return value ^ value >> 16
+
+
+def reference_seed_pool(seed: int) -> list[int]:
+    """``SeedSequence(seed).pool`` for a seed in [0, 2**64), in Python ints:
+    the seed's two 32-bit words and two zero words hashed into the 4-word
+    pool, then each word's hash mixed into every other word."""
+    words = (seed & _M32, seed >> 32 & _M32, 0, 0)
+    pool = [_hashmix(word, step) for step, word in enumerate(words)]
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for step, (src, dst) in enumerate(pairs, start=4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], step))
+    return pool
 
 
 _KIND_KEYS = {"a_only": 0, "linking": 1, "b_only": 2}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kclink.io import (
     ParseError,
@@ -297,6 +297,31 @@ class TestParseDataset:
         path.write_text("u_a,1.0,0.1,,,\nB1,,,2.0,0.2,\n", encoding="utf-8")
         assert parse_dataset(path).lab("u_a").value_a == 1.0
 
+    @pytest.mark.parametrize("suffix, text", [
+        (".csv", "label,x_a,u_a,x_b,u_b,cov_ab\nA1,1.0,0.1,,,\nB1,,,2.0,0.2,\n"),
+        (".csv", "A1,1.0,0.1,,,\nB1,,,2.0,0.2,\n"),
+        (".json", '{"units": "nm", "labs": [{"label": "A1", "x_a": 1.0, "u_a": 0.1},'
+                  ' {"label": "B1", "x_b": 2.0, "u_b": 0.2}]}'),
+    ], ids=["csv-header", "csv", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, suffix, text):
+        # "CSV UTF-8" from Excel and UTF-8 from Notepad start with EF BB BF
+        plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"bom{suffix}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert parse_dataset_with_units(marked) == parse_dataset_with_units(plain)
+        assert parse_dataset(marked).labels == ("A1", "B1")
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".csv", "\ufeffA1,1.0,0.1,,,\n\ufeffB1,,,2.0,0.2,\n"),
+        (".json", '[{"label": "\ufeffA1", "x_a": 1.0, "u_a": 0.1},'
+                  ' {"label": "\ufeffB1", "x_b": 2.0, "u_b": 0.2}]'),
+    ], ids=["csv", "json"])
+    def test_byte_order_mark_past_the_start_is_text(self, tmp_path, suffix, text):
+        path = tmp_path / f"labs{suffix}"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert parse_dataset(path).labels == ("\ufeffA1", "\ufeffB1")
+
 
 class TestRoundHalfUp:
     @pytest.mark.parametrize("value, decimals, expected", [
@@ -538,6 +563,51 @@ class TestReportBytes:
         with tempfile.TemporaryDirectory() as directory:
             path = emit_plot_data(result, Path(directory) / "doe.csv")
             assert path.read_bytes() == oracles.plot_data(result).encode("utf-8")
+
+
+# labels as csv.writer quotes them, and any other text
+plot_labels = st.lists(st.text(',"\r\nx;') | st.text(min_size=1),
+                       min_size=9, max_size=9, unique=True).filter(all)
+
+
+class TestSharedDoeText:
+    """The JSON report and the plot data print one text of each DOE's ``d``
+    and ``u_d``, kept with the result: in either order, alone or twice,
+    each output is the reference's bytes."""
+
+    ORDERS = [("json", "plot"), ("plot", "json"), ("json",), ("plot",),
+              ("json", "json"), ("plot", "plot")]
+
+    @given(dataset=datasets(), names=plot_labels, decimals=st.integers(0, 20))
+    @example(dataset=gauge_block_dataset(), names=[], decimals=3)
+    @example(dataset=EMPTY_LINKING, names=['a,"b"', "\r\n"], decimals=0)
+    @example(dataset=ONLY_LINKING, names=["x;", " , "], decimals=6)
+    @settings(deadline=None)
+    def test_outputs_in_any_order_match_the_references(self, dataset, names, decimals):
+        if names:
+            dataset = _relabelled(dataset, names)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "doe.csv"
+            for order in self.ORDERS:
+                result = link(dataset)
+                for output in order:
+                    if output == "json":
+                        assert (render_report(result, "json", decimals=decimals)
+                                == oracles.json_report(result, decimals, None))
+                    else:
+                        assert (emit_plot_data(result, path).read_bytes()
+                                == oracles.plot_data(result).encode("utf-8"))
+
+    def test_stored_text_is_not_part_of_the_result(self, gauge_block, tmp_path):
+        result, fresh = link(gauge_block), link(gauge_block)
+        render_report(result, "json")
+        emit_plot_data(result, tmp_path / "doe.csv")
+        assert vars(result).keys() - vars(fresh).keys()  # the text is kept
+        assert result == fresh and hash(result) == hash(fresh)
+        assert repr(result) == repr(fresh)
+        copy = replace(result)
+        assert copy == result and vars(copy).keys() == vars(fresh).keys()
+        assert render_report(copy, "json") == render_report(result, "json")
 
 
 class TestWriteDataset:

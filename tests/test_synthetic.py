@@ -236,6 +236,27 @@ class TestScenarioFile:
         with pytest.raises(ValidationError, match="JSON object"):
             load_scenario(path)
 
+    def test_byte_order_mark(self, tmp_path):
+        # as Notepad saves UTF-8: the mark at the start is skipped, and
+        # anywhere else it is text
+        text = ('{"y_a_true": 1, "y_b_true": 2, "sigma_a": 1, "sigma_b": 3, "rho": 0.5,'
+                ' "n": 5, "layout": {"only_a": 1, "linking": 1, "only_b": 1}, "seed": 7}')
+        plain, marked, inside = (tmp_path / f"{name}.json" for name in ("plain", "bom", "in"))
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        inside.write_text(" \ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load_scenario(marked) == load_scenario(plain)
+        with pytest.raises(ValidationError, match="invalid JSON"):
+            load_scenario(inside)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "B\xe9"}'.encode("latin-1"))
+        with pytest.raises(ValidationError, match=r"latin1\.json: not UTF-8 text "
+                                                  r"\(invalid continuation byte\)$"):
+            load_scenario(path)
+
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 kinds = st.sampled_from(["a_only", "linking", "b_only"])
@@ -265,6 +286,17 @@ def layouts(draw, most=5):
 class TestBatchedGeneration:
     """The batched generator against numpy's SeedSequence and Generator and
     against the per-lab reference in ``oracles``."""
+
+    @given(seeds)
+    @example(0)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**63)
+    @example(2**64 - 1)
+    def test_seed_pool_is_the_reference_pool(self, seed):
+        pool = synthetic._seed_pool(seed)
+        assert pool.dtype == np.uint32 and pool.shape == (4, 1)
+        assert pool[:, 0].tolist() == oracles.reference_seed_pool(seed)
 
     @given(seeds, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1)),
                            min_size=1, max_size=6), st.integers(0, 7))
