@@ -333,10 +333,11 @@ def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
     The posterior is the bivariate Gaussian centred on the KCRVs with the
     KCRV covariance matrix.
     """
-    one_minus_r2 = 1.0 - kcrv.r_tilde**2
+    r = kcrv.r_tilde
+    one_minus_r2 = 1.0 - r * r
     z_a = (y_a - kcrv.y_hat_a) / kcrv.u_a
     z_b = (y_b - kcrv.y_hat_b) / kcrv.u_b
-    quad = z_a * z_a - 2.0 * kcrv.r_tilde * z_a * z_b + z_b * z_b
+    quad = z_a * z_a - 2.0 * r * z_a * z_b + z_b * z_b
     norm = 2.0 * pi * kcrv.u_a * kcrv.u_b * sqrt(one_minus_r2)
     return exp(-quad / (2.0 * one_minus_r2)) / norm
 

@@ -27,13 +27,13 @@ import json
 import operator
 import warnings as _warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from math import isfinite
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import ComparisonDataset, LabResult, ValidationError, validate_dataset
 
@@ -155,29 +155,23 @@ def _moments(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.add.reduce(dev**2, axis=1) / (n - 1) / n), dev
 
 
-def _reduce(sc: SyntheticScenario, kind: int, z: np.ndarray, out: np.ndarray):
-    """Write the labs of one kind from their normals into their columns of
-    ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a sample is
-    not degenerate; the rows of a standard not measured are left alone."""
-    n = sc.n
-    if kind == _KIND_KEYS["linking"]:
-        z_a, z_i = z[:, :n], z[:, n:]
-        z_b = sc.rho * z_a + np.sqrt(1.0 - sc.rho**2) * z_i
-        x_a, u_a, d_a = _moments(sc.y_a_true + sc.sigma_a * z_a)
-        x_b, u_b, d_b = _moments(sc.y_b_true + sc.sigma_b * z_b)
-        cov = np.add.reduce(d_a * d_b, axis=1) / (n - 1) / n
-        out[0], out[1], out[2], out[3], out[4] = x_a, x_b, u_a, u_b, cov
-        return (u_a > 0.0) & (u_b > 0.0) & (np.abs(cov) < u_a * u_b)
-    row = 0 if kind == _KIND_KEYS["a_only"] else 1
-    y, sigma = (sc.y_a_true, sc.sigma_a) if row == 0 else (sc.y_b_true, sc.sigma_b)
-    out[row], out[row + 2], _ = _moments(y + sigma * z)
-    return out[row + 2] > 0.0
+@cache
+def _ndtri():
+    """SciPy's inverse normal CDF, imported on the first draw: nothing but
+    synthetic generation needs SciPy, so linking processes never load it."""
+    from scipy.special import ndtri
+
+    return ndtri
 
 
 def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out):
-    """:func:`_reduce` for labs in layout order at ``attempt``, into ``out``:
-    ``philox`` re-keyed per lab, one inverse CDF for all."""
-    widths = (sc.n, 2 * sc.n, sc.n)  # raw outputs per lab of each kind
+    """Write the labs, in layout order, at ``attempt`` into their columns of
+    ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a sample is
+    not degenerate; the rows of a standard not measured are left alone.
+    ``philox`` is re-keyed per lab, and one inverse CDF and one reduction
+    serve all labs."""
+    n = sc.n
+    widths = (n, 2 * n, n)  # raw outputs per lab of each kind
     key = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -186,15 +180,23 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out
         key["key"] = lab_key
         philox.state = state
         raw.append(philox.random_raw(widths[kind]))
-    z = ndtri(((np.concatenate(raw) >> 11) + 0.5) / 2**53)
-    ok, lab, end = [], 0, 0
-    for kind, count in enumerate(np.bincount(kinds, minlength=3).tolist()):
-        if count:
-            start, end = end, end + count * widths[kind]
-            ok.append(_reduce(sc, kind, z[start:end].reshape(count, -1),
-                              out[:, lab:lab + count]))
-            lab += count
-    return np.concatenate(ok)
+    z = _ndtri()(((np.concatenate(raw) >> 11) + 0.5) / 2**53).reshape(-1, n)
+    # one series per lab and standard, A's then B's: standard A's labs are
+    # [0, a), B's [b, len(kinds)) and linking [b, a); lab j's A series is j,
+    # its B series a + j - b
+    b, links = np.bincount(kinds, minlength=2)[:2].tolist()
+    a = b + links
+    z_a, z_i = z[b:a + links:2], z[b + 1:a + links:2]  # a linking lab's two halves
+    mean, u, dev = _moments(np.concatenate((
+        sc.y_a_true + sc.sigma_a * np.concatenate((z[:b], z_a)),
+        sc.y_b_true + sc.sigma_b * np.concatenate(
+            (sc.rho * z_a + np.sqrt(1.0 - sc.rho**2) * z_i, z[a + links:])))))
+    cov = np.add.reduce(dev[b:a] * dev[a:a + links], axis=1) / (n - 1) / n
+    out[0, :a], out[1, b:], out[2, :a], out[3, b:], out[4, b:a] = (
+        mean[:a], mean[a:], u[:a], u[a:], cov)
+    ok = u > 0.0
+    ok[a:a + links] &= ok[b:a] & (np.abs(cov) < u[b:a] * u[a:a + links])
+    return np.append(ok[:b], ok[a:])  # each lab's last series
 
 
 def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> np.ndarray:

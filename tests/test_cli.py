@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import kclink
 from kclink import golden
 from kclink.cli import main
 from kclink.version import __version__
@@ -443,3 +448,29 @@ class TestMisc:
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestColdStart:
+    # SciPy's inverse normal CDF serves the synthetic draws only: the
+    # analysis commands must not pay its import
+    @pytest.mark.parametrize("call, loaded", [
+        ("", False),
+        ("main(['link', '--input', data, '--report-format', 'json',"
+         " '--output', 'report.json', '--plot-data', 'plot.csv'])", False),
+        ("main(['inflate', '--input', data, '--lab', 'INMETRO1', '--standard', 'B'])",
+         False),
+        ("main(['selftest'])", False),
+        ("generate_scenario(scenario_from_dict(json.loads(scenario)))", True),
+    ], ids=["import", "link", "inflate", "selftest", "generate_scenario"])
+    def test_scipy_loads_on_the_first_draw(self, gauge_block_file, tmp_path, call, loaded):
+        script = ("import json, sys\n"
+                  "from kclink.cli import main\n"
+                  "from kclink.synthetic import generate_scenario, scenario_from_dict\n"
+                  f"data, scenario = {str(gauge_block_file)!r}, {SCENARIO_JSON!r}\n"
+                  f"{call}\n"
+                  "print('scipy' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(kclink.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(loaded)

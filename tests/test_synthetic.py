@@ -327,7 +327,7 @@ class TestBatchedGeneration:
             seen.append(u.copy())
             return ndtri(u)
 
-        with mock.patch.object(synthetic, "ndtri", inverse_cdf):
+        with mock.patch.object(synthetic, "_ndtri", lambda: inverse_cdf):
             recorded(lambda: generate_scenario(scenario))
         want = [
             reference_uniforms(seed, kind, index, 2 * n if kind == "linking" else n)
