@@ -7,7 +7,7 @@ of equivalence, and a chi-square conformity check, plus diagnostics
 (minimal uncertainty inflation) and reproducible synthetic-data tooling.
 
 The top level holds the user-facing names only; the building blocks
-(``compute_aux``, ``sample_lab``, ...) stay importable from their modules.
+(``compute_aux``, ``compute_kcrv``, ...) stay importable from their modules.
 """
 
 from .inflation import InflationError, InflationResult, minimal_inflation

@@ -96,7 +96,7 @@ def _close(value: float, expected: float, atol: float) -> bool:
 
 def _selftest_dataset(name, result, expected, atol) -> list[str]:
     failures: list[str] = []
-    doe = {(e.label, e.standard): e for e in result.does}
+    doe = {(label, standard): (d, u_d) for label, standard, d, u_d in result.doe_rows()}
     kcrv = expected["kcrv"]
     checks = [
         ("y_a", result.kcrv.y_hat_a, kcrv["y_a"]),
@@ -109,11 +109,11 @@ def _selftest_dataset(name, result, expected, atol) -> list[str]:
             failures.append(f"{name}: {what} = {got!r}, expected {want} +/- {atol}")
     for standard in "AB":
         for label, (d, u_d) in expected.get(f"doe_{standard.lower()}", {}).items():
-            entry = doe[(label, standard)]
-            if not _close(entry.d, d, atol) or not _close(entry.u_d, u_d, atol):
+            got_d, got_u_d = doe[(label, standard)]
+            if not _close(got_d, d, atol) or not _close(got_u_d, u_d, atol):
                 failures.append(
                     f"{name}: DOE {label}/{standard} = "
-                    f"({entry.d!r}, {entry.u_d!r}), expected ({d}, {u_d})"
+                    f"({got_d!r}, {got_u_d!r}), expected ({d}, {u_d})"
                 )
     if not _close(result.conformity.ratio, expected["ratio"], 0.005):
         failures.append(

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from .model import ComparisonDataset, LabResult, validate_dataset
 
-GAUGE_BLOCK_UNITS = "nm"
-
 _GAUGE_BLOCK_LABS = (
     LabResult("METAS", value_a=-96.0, u_a=13.0),
     LabResult("NPL", value_a=-140.0, u_a=33.0),

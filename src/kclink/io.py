@@ -10,10 +10,11 @@ either ASCII or typographic minus signs; output always uses points.  A
 UTF-8 byte-order mark at the start of an input file is skipped.
 
 :func:`parse_dataset` is the one reader and :func:`write_dataset` the one
-writer of dataset files.  The reader fills the dataset's columns row by row
-(plain CSV number cells through ``float``, any other row through
-:func:`parse_number` and :class:`LabResult`) and checks them together; an
-error names the first failing lab in file order, by line or entry.
+writer of dataset files.  The reader only turns cells into numbers (text
+through :func:`parse_number`, a JSON number through ``float``, an empty cell
+or ``null`` absent, a NaN as +inf) and fills the dataset's columns; their
+checks name the first failing lab in file order, by the line its row starts
+on or by its entry.
 :func:`render_report` builds only the requested report format; reports
 carry full-precision values alongside display-rounded ones, and display
 rounding is half-up and never feeds back into any computation.  The JSON
@@ -40,6 +41,7 @@ import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from math import inf
 from pathlib import Path
 from typing import Iterable, Literal
 
@@ -77,17 +79,24 @@ _ABSENT = float("nan")
 
 
 def _row(label: object, cells: Iterable[object], where: str,
-         place: int) -> tuple[str, list[float]]:
-    """A row's label and numbers through :class:`LabResult`, its error as a
-    :class:`ParseError` at ``where`` and ``place``: a string label is stripped,
-    string cells go through :func:`parse_number`, anything else is taken as is."""
+         place: int) -> tuple[object, list[float]]:
+    """A row's label and numbers, an error as a :class:`ParseError` at ``where``
+    and ``place``: a string label is stripped, a string cell goes through
+    :func:`parse_number`, a number through ``float``, and an empty cell or
+    ``null`` is absent.  A JSON cell that is not a number (a boolean, an array,
+    an object or an integer beyond the float range) fails as :class:`LabResult`
+    words it, the label first."""
     try:
-        lab = LabResult(_utf8(label).strip() if isinstance(label, str) else label,
-                        *[parse_number(raw) if isinstance(raw, str) else raw for raw in cells])
+        label = _utf8(label).strip() if isinstance(label, str) else label
+        cells = [parse_number(cell) if isinstance(cell, str) else cell for cell in cells]
+        if all(cell is None or type(cell) in (float, int) for cell in cells):
+            try:
+                return label, [_ABSENT if cell is None else float(cell) for cell in cells]
+            except OverflowError:  # an integer beyond the float range
+                pass
+        LabResult(label, *cells)  # raises, for the label or a cell that is not a number
     except (ValueError, KclinkError) as exc:
         raise ParseError(f"{where}{place}: {exc}") from None
-    numbers = lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab
-    return lab.label, [_ABSENT if number is None else number for number in numbers]
 
 
 def _utf8(text: object) -> object:
@@ -112,13 +121,16 @@ def _is_header(row: list[str], path: Path) -> bool:
 
 
 def _csv_rows(path: Path, where: str):
-    """Line number, label and numbers of each data row: plain number cells
-    through ``float``, a row with any other cell through :func:`_row`."""
+    """The line each data row starts on (a quoted cell may span lines), its
+    label and numbers: plain number cells through ``float``, a row with any
+    other cell through :func:`_row`."""
     width = len(_CSV_COLUMNS)
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            for lineno, row in enumerate(reader, start=1):
+            start = 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 label = row[0].strip() if row else ""
                 if not (label or "".join(row).strip()):  # a blank line
                     continue
@@ -138,7 +150,7 @@ def _csv_rows(path: Path, where: str):
                     label, numbers = _row(row[0], row[1:], where, lineno)
                 yield lineno, label, numbers
         except csv.Error as exc:  # e.g. a cell beyond the reader's field size limit
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ParseError(f"{path}:{start}: {exc}") from None
 
 
 def _json_rows(path: Path, where: str):
@@ -184,7 +196,8 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
     """Like :func:`parse_dataset`, also returning the unit label carried in
     the file's metadata (JSON wrapper form), or ``None``.  The rows are read
     into columns, then checked together; an error names the first failing
-    lab in file order, even when a row after it cannot be read."""
+    lab in file order, even when a row after it cannot be read.  A cell read
+    as NaN enters the columns as +inf, which :class:`LabResult` words alike."""
     path = Path(path)
     where, units, stop = f"{path}:", None, None  # where + a row's place names it
     places, labels, numbers = [], [], []  # numbers: x_a, u_a, x_b, u_b, cov_ab per row
@@ -206,13 +219,8 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
         stop = ParseError(f"{path}: units must be a string")
     block = np.array(numbers, dtype=float).reshape(-1, 5).T
     if np.count_nonzero(block != block) > numbers.count(_ABSENT):  # a cell read NaN
-        first = next(i for i, v in enumerate(numbers) if v != v and v is not _ABSENT) // 5
-        cells = [None if v is _ABSENT else v for v in numbers[5 * first:5 * first + 5]]
-        try:  # that lab fails, and the labs after it count as unread
-            _row(labels[first], cells, where, places[first])
-        except ParseError as exc:
-            stop = exc
-        block, labels = block[:, :first], labels[:first]
+        block = np.array([v if v is _ABSENT or v == v else inf for v in numbers]
+                         ).reshape(-1, 5).T
     columns = labels, block[0:4:2], block[1:4:2], block[4]
     try:
         if stop is not None:

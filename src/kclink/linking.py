@@ -17,9 +17,9 @@ in the last place, and results would then no longer scale bit-exactly
 under a power-of-two change of units.
 
 The engine works on the dataset's float64 columns: :func:`compute_aux`
-gives the five sums, which fix the KCRVs, and :func:`compute_residuals`
-the degrees of equivalence and the chi-square from the residuals against
-those KCRVs.  Each per-lab term is computed elementwise in the expression
+gives the five sums, which fix the KCRVs (:func:`compute_kcrv`), and the
+residuals against those KCRVs give the degrees of equivalence and the
+chi-square.  Each per-lab term is computed elementwise in the expression
 order of its scalar formula, and each sum is ``math.fsum`` over the terms'
 ``.tolist()``.  NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly
 rounded, as Python's float operations are, and ``fsum`` is exactly rounded
@@ -285,10 +285,9 @@ def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray)
     raise ValidationError(f"{label}: the DOE variance exceeds the float range")
 
 
-def compute_residuals(
-    dataset: ComparisonDataset, kcrv: KcrvEstimate
-) -> tuple[np.ndarray, np.ndarray, ConformityReport]:
-    """Degrees of equivalence and the residual chi-square.
+def _residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate, v, bivariate, den):
+    """Degrees of equivalence and the residual chi-square, from the terms
+    of :func:`_bivariate`.
 
     The DOEs ``d = x - y_hat`` and ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)`` are
     read-only columns shaped like ``dataset.x``; the variances subtract
@@ -301,11 +300,6 @@ def compute_residuals(
     N - 2, the number of reported values minus the two estimated
     quantities.
     """
-    with np.errstate(all="ignore"):
-        return _residuals(dataset, kcrv, *_bivariate(dataset))
-
-
-def _residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate, v, bivariate, den):
     y = np.array((kcrv.y_hat_a, kcrv.u_a * kcrv.u_a, kcrv.y_hat_b, kcrv.u_b * kcrv.u_b)
                  ).reshape(2, 2)  # per standard: y_hat, u(y_hat)^2
     d = dataset.x - y[:, :1]

@@ -24,7 +24,6 @@ and :func:`_draw`.
 from __future__ import annotations
 
 import json
-import operator
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import cache
@@ -35,11 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ComparisonDataset, LabResult, ValidationError, validate_dataset
-
-LabKind = str  # "a_only" | "linking" | "b_only"
-
-_KIND_KEYS = {"a_only": 0, "linking": 1, "b_only": 2}
+from .model import ComparisonDataset, ValidationError, validate_dataset
 
 # retries with fresh substreams before giving up on a non-degenerate sample
 _MAX_ATTEMPTS = 8
@@ -222,22 +217,6 @@ def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> np.ndar
                 elif _draw(sc, pool, philox, kinds[one], indices[one], attempt, rows[:, one])[0]:
                     break
     return rows
-
-
-def sample_lab(scenario: SyntheticScenario, kind: LabKind, index: int) -> LabResult:
-    """Simulate one laboratory's reported result, labelled ``{kind}-{index + 1:02d}``.
-
-    ``index``, in [0, 2**32), selects the lab's substream within its kind;
-    degenerate samples are redrawn as by :func:`generate_scenario`.
-    """
-    if kind not in _KIND_KEYS:
-        raise ValidationError(f"unknown laboratory kind: {kind!r}")
-    if not 0 <= operator.index(index) < 2**32:
-        raise ValidationError(f"laboratory index {index} is not in [0, 2**32)")
-    kinds, indices = np.array([[_KIND_KEYS[kind]], [index]], dtype=np.uint32)
-    labels = [f"{kind}-{index + 1:02d}"]
-    numbers = _sample(scenario, kinds, indices, labels)[[0, 2, 1, 3, 4], 0].tolist()
-    return LabResult(labels[0], *[None if v != v else v for v in numbers])
 
 
 def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:

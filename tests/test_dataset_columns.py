@@ -14,7 +14,7 @@ from math import inf, nan
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from kclink.io import ParseError, parse_dataset
 from kclink.model import (
@@ -132,6 +132,42 @@ def test_files_read_like_the_per_lab_path(tmp_path_factory, rows):
         except KclinkError as exc:
             got = exc
         assert_same(got, want, where)
+
+
+# JSON cells that are not numbers, and the literals json reads as NaN and inf
+_NOT_NUMBERS = (True, False, [], [1.0], {}, {"x_a": 1.0}, 10**400, -10**400, nan, inf, -inf)
+
+
+@st.composite
+def json_rows(draw):
+    """Rows from :func:`lab_rows` with one to three cells replaced by a value
+    of ``_NOT_NUMBERS``, the label of such a row failing too at random."""
+    rows = [list(row) for row in draw(lab_rows(text=True))]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(1, 5))] = draw(st.sampled_from(_NOT_NUMBERS))
+        if draw(st.booleans()):
+            row[0] = draw(st.sampled_from(["", None, 7, False, ["A1"], {}]))
+    return [tuple(row) for row in rows]
+
+
+@given(json_rows())
+@settings(max_examples=200, deadline=None)
+@example([("A1", 1.0, 1.0, None, None, None), ("B1", None, None, True, 1.0, None)])
+@example([("A1", 1.0, 1.0, None, None, None), (None, None, None, 2.0, [1.0], None)])
+@example([("A1", 10**400, 1.0, None, None, None), ("B1", None, None, nan, 1.0, None)])
+@example([("A1", 1.0, 1.0, None, None, inf), ("B1", None, None, "oops", {}, None)])
+def test_json_cells_that_are_not_numbers_read_like_the_per_lab_path(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("files") / "labs.json"
+    path.write_text(json.dumps([dict(zip(_FIELDS, row)) for row in rows]),
+                    encoding="utf-8")
+    want = oracles.reference_dataset([
+        (label.strip() if isinstance(label, str) else label, *cells) for label, *cells in rows])
+    try:
+        got = parse_dataset(path)
+    except KclinkError as exc:
+        got = exc
+    assert_same(got, want, lambda i: f"{path}: lab entry {i}")
 
 
 def test_labs_are_built_on_first_access(tmp_path, synthetic):

@@ -123,6 +123,25 @@ class TestParseDataset:
         with pytest.raises(ParseError, match=r"bad\.csv:1"):
             parse_dataset(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("B2,,,2.0,-1.0,", "B2: uncertainty for standard B must be finite and positive"),
+        ("B2,,,oops,1.0,", "could not convert string to float: 'oops'"),
+        ("B2,,,2.0,1.0,,7", "expected at most 6 columns, got 7"),
+        (f'"B2\n{"x" * 200_000}",,,2.0,1.0,', "field larger than field limit (131072)"),
+    ], ids=["column-check", "cell", "width", "field-size"])
+    def test_errors_name_the_line_a_row_starts_on(self, tmp_path, row, message):
+        # write_dataset quotes a label with a line break across two lines
+        dataset = validate_dataset([LabResult("multi\nline", value_a=1.0, u_a=1.0),
+                                    LabResult("B1", value_b=2.0, u_b=1.0)])
+        path = write_dataset(dataset, tmp_path / "labels.csv")
+        assert parse_dataset(path) == dataset
+        with open(path, "a", encoding="utf-8", newline="") as handle:
+            handle.write(f"{row}\r\n")
+        # line 1 the header, 2 and 3 the first lab, 4 B1
+        with pytest.raises(ParseError) as caught:
+            parse_dataset(path)
+        assert str(caught.value) == f"{path}:5: {message}"
+
     def test_too_many_columns(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("A1,1,1,1,1,0,999\n", encoding="utf-8")

@@ -1,17 +1,18 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
+from kclink import linking
 from kclink.linking import (
     AuxQuantities,
     KcrvEstimate,
     compute_aux,
     compute_kcrv,
-    compute_residuals,
     link,
     posterior_density,
 )
@@ -207,7 +208,9 @@ class TestComputeDoe:
         ])
         kcrv = compute_kcrv(compute_aux(dataset))
         assert kcrv.y_hat_a == 5.0
-        d, u_d, _ = compute_residuals(dataset, kcrv)
+        result = link(dataset)
+        assert result.kcrv == kcrv
+        d, u_d = result.d, result.u_d
         assert dataset.labs[0].label == "A1"  # column 0, row 0 is standard A
         assert d[0, 0] == 0.0
         assert u_d[0, 0] == math.sqrt(2.0**2 - kcrv.u_a**2)
@@ -218,8 +221,9 @@ class TestComputeDoe:
             y_hat_a=5.0, y_hat_b=7.0, u_a=50.0, u_b=50.0, cov_ab=0.0,
             r_tilde=0.0,
         )
-        with pytest.raises(InternalInconsistencyError, match="exceeds"):
-            compute_residuals(dataset, bogus)
+        with mock.patch.object(linking, "compute_kcrv", lambda aux: bogus):
+            with pytest.raises(InternalInconsistencyError, match="exceeds"):
+                link(dataset)
 
     @given(datasets())
     @settings(max_examples=100, deadline=None)
@@ -250,9 +254,7 @@ class TestComputeQ2:
         assert any("no degrees of freedom" in w for w in result.warnings)
 
     def test_exact_tie_passes(self):
-        _, _, report_like = compute_residuals(
-            two_lab_dataset(), compute_kcrv(compute_aux(two_lab_dataset())))
-        assert report_like.passed
+        assert link(two_lab_dataset()).conformity.passed
 
     # (x, u) of two A labs, next to B labs (1, 1) and (2, 1)
     @pytest.mark.parametrize("a_labs, match", [

@@ -10,13 +10,12 @@ from scipy.special import ndtri
 
 from kclink import synthetic
 from kclink.linking import link
-from kclink.model import ValidationError
+from kclink.model import LabResult, ValidationError
 from kclink.synthetic import (
     ScenarioLayout,
     SyntheticScenario,
     generate_scenario,
     load_scenario,
-    sample_lab,
     scenario_from_dict,
 )
 
@@ -109,38 +108,28 @@ class TestDeterminism:
 
 
 class TestSampleLab:
+    """One lab's sample statistics, generated in a layout: a lab reads the
+    substreams of its kind and index whatever the rest of the layout."""
+
     def test_reported_fields_by_kind(self):
-        scenario = reference_scenario()
-        a_only = sample_lab(scenario, "a_only", 0)
+        layout = ScenarioLayout(only_a=1, linking=1, only_b=1)
+        a_only, linking, b_only = generate_scenario(reference_scenario(layout=layout)).labs
         assert a_only.in_group_a and not a_only.in_group_b
-        linking = sample_lab(scenario, "linking", 0)
         assert linking.is_linking and linking.cov_ab is not None
-        b_only = sample_lab(scenario, "b_only", 0)
         assert b_only.in_group_b and not b_only.in_group_a
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError, match="kind"):
-            sample_lab(reference_scenario(), "c_only", 0)
-
-    @pytest.mark.parametrize("index", [-1, 2**32])
-    def test_index_outside_one_key_word(self, index):
-        with pytest.raises(ValidationError, match=r"not in \[0, 2\*\*32\)"):
-            sample_lab(reference_scenario(), "a_only", index)
-        with pytest.raises(TypeError):
-            sample_lab(reference_scenario(), "a_only", 1.0)
 
     def test_vanishing_sigma_reports_truth_exactly(self):
         # perturbations underflow next to the true value: every draw is
         # degenerate and the sampler falls back to the exact mean
-        scenario = reference_scenario(sigma_a=1e-30)
+        scenario = reference_scenario(sigma_a=1e-30, layout=ScenarioLayout(1, 0, 1))
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            lab = sample_lab(scenario, "a_only", 0)
+            lab = generate_scenario(scenario).labs[0]
         assert lab.value_a == 110.0
         assert lab.u_a > 0.0
 
     def test_moments_with_large_n(self):
-        scenario = reference_scenario(n=10_000, seed=11)
-        lab = sample_lab(scenario, "linking", 0)
+        scenario = reference_scenario(n=10_000, seed=11, layout=ScenarioLayout(0, 1, 0))
+        [lab] = generate_scenario(scenario).labs
         n = scenario.n
         assert lab.value_a == pytest.approx(110.0, abs=5 * 20 / math.sqrt(n))
         assert lab.value_b == pytest.approx(120.0, abs=5 * 50 / math.sqrt(n))
@@ -158,7 +147,7 @@ class TestSampleLab:
         )
         rs = np.array([
             lab.cov_ab / (lab.u_a * lab.u_b)
-            for lab in (sample_lab(scenario, "linking", i) for i in range(1000))
+            for lab in generate_scenario(scenario).labs[1:1001]
         ])
         standard_error = rs.std(ddof=1) / math.sqrt(rs.size)
         assert abs(rs.mean()) <= 5 * standard_error
@@ -167,9 +156,9 @@ class TestSampleLab:
         layout = ScenarioLayout(200, 0, 1)
         base = reference_scenario(n=50, layout=layout, seed=7)
         doubled = reference_scenario(n=100, layout=layout, seed=7)
-        u_base = np.mean([sample_lab(base, "a_only", i).u_a for i in range(200)])
+        u_base = np.mean([lab.u_a for lab in generate_scenario(base).labs[:200]])
         u_doubled = np.mean(
-            [sample_lab(doubled, "a_only", i).u_a for i in range(200)]
+            [lab.u_a for lab in generate_scenario(doubled).labs[:200]]
         )
         assert u_base / u_doubled == pytest.approx(math.sqrt(2.0), abs=0.09)
 
@@ -271,7 +260,7 @@ def recorded(call):
 
 
 def reference_uniforms(seed, kind, index, width):
-    seq = np.random.SeedSequence(seed, spawn_key=(synthetic._KIND_KEYS[kind], index, 0))
+    seq = np.random.SeedSequence(seed, spawn_key=(oracles._KIND_KEYS[kind], index, 0))
     draws = np.random.Generator(np.random.Philox(seq)).integers(0, 2**53, size=width)
     return (draws + 0.5) / 2**53
 
@@ -358,7 +347,13 @@ class TestBatchedGeneration:
     @example(2**64 - 1, "a_only", 2**32 - 1, 2, 1e-30)
     @settings(max_examples=60, deadline=None)
     def test_sample_lab_equals_the_reference(self, seed, kind, index, n, sigma_a):
+        # one lab of a kind at any index, sampled on its own
         scenario = reference_scenario(seed=seed, n=n, sigma_a=sigma_a)
-        got = recorded(lambda: sample_lab(scenario, kind, index))
+        label = f"{kind}-{index + 1:02d}"
+        kinds, indices = np.array([[oracles._KIND_KEYS[kind]], [index]], dtype=np.uint32)
+        rows, got_warnings = recorded(
+            lambda: synthetic._sample(scenario, kinds, indices, [label]))
+        numbers = rows[[0, 2, 1, 3, 4], 0].tolist()  # x_a, u_a, x_b, u_b, cov_ab
+        got = LabResult(label, *[None if v != v else v for v in numbers])
         want = recorded(lambda: oracles.reference_sample_lab(scenario, kind, index))
-        assert repr(got) == repr(want)
+        assert repr((got, got_warnings)) == repr(want)
