@@ -8,18 +8,20 @@ subcommands only wire options to the library: every file is read, rendered
 and written by :mod:`kclink.io`.
 
 Exit codes: 0 on success with a passing conformity check, 2 when the
-analysis ran but the conformity check failed, 1 on any error.
+analysis ran but the conformity check failed, 1 on any error (without a
+message when the reader of stdout closes it early).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
 from . import golden
 from .inflation import minimal_inflation
-from .io import emit_plot_data, parse_dataset_with_units, render_report, write_dataset
+from .io import emit_plot_data, parse_dataset_with_units, write_dataset, write_report
 from .linking import LinkingResult, link
 from .model import ComparisonDataset, KclinkError
 from .synthetic import generate_scenario, load_scenario
@@ -42,19 +44,27 @@ def _read(args: argparse.Namespace) -> ComparisonDataset:
     return dataset
 
 
+class _OpenOnWrite:
+    """The ``--output`` file, opened on the first write: a report whose
+    options are rejected leaves no file, nor truncates one."""
+
+    def __init__(self, path: str) -> None:
+        self.path, self.handle = path, None
+
+    def write(self, text: str) -> int:
+        self.handle = self.handle or open(self.path, "w", encoding="utf-8")
+        return self.handle.write(text)
+
+
 def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
-    report = render_report(
-        result,
-        format=args.report_format,
-        decimals=args.decimals,
-        units=args.units,
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)  # then the newline: no copy of the report
-            handle.write("\n")
-    else:
-        print(report)
+    out = _OpenOnWrite(args.output) if args.output else sys.stdout
+    try:
+        write_report(result, out, format=args.report_format, decimals=args.decimals,
+                     units=args.units)
+        out.write("\n")
+    finally:
+        if out is not sys.stdout and out.handle:
+            out.handle.close()
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
@@ -214,7 +224,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_OK if not exit_request.code else EXIT_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader left (`kclink link ... | head`): exit quietly;
+        # what stdout still holds goes nowhere, not into an error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except (KclinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -15,14 +15,15 @@ through :func:`parse_number`, a JSON number through ``float``, an empty cell
 or ``null`` absent, a NaN as +inf) and fills the dataset's columns; their
 checks name the first failing lab in file order, by the line its row starts
 on or by its entry.
-:func:`render_report` builds only the requested report format; reports
-carry full-precision values alongside display-rounded ones, and display
-rounding is half-up and never feeds back into any computation.  The JSON
-report's bytes are those of ``json.dumps(document, sort_keys=True,
-indent=2)`` of its documented structure, written row by row without
-building ``document``.  It and the plot data print each DOE's ``d`` and
-``u_d`` from one text, made on first use and kept with the result
-(:func:`_doe_text`); each output is one join of its rows, written as is.
+:func:`render_report` returns a report and :func:`write_report` writes it to a
+text stream; reports carry full-precision values alongside display-rounded
+ones, and display rounding is half-up and never feeds back into any
+computation.  The JSON report's bytes are those of ``json.dumps(document,
+sort_keys=True, indent=2)`` of its documented structure, written row by row
+without building ``document``.  It and the plot data print each DOE's ``d``
+and ``u_d`` from one text, made on first use and kept with the result
+(:func:`_doe_text`).  Each output is made and written in chunks of rows from
+column slices of ``_CHUNK_ROWS`` labs, in memory that does not grow with N.
 
 The text report's DOE rows are ``%``-templates, one per measured pattern, and
 round the binary value correctly: half-up rounding of its shortest digits but
@@ -40,19 +41,22 @@ import operator
 import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import inf
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
 from .linking import LinkingResult
-from .model import (ComparisonDataset, KclinkError, LabError, LabResult, check_labs,
-                    validate_dataset)
+from .model import (ComparisonDataset, KclinkError, LabError, LabResult, _rows,
+                    check_labs, validate_dataset)
 from .version import __version__
 
 _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
+# the table rows, DOEs, labs or labels that the writers format at a time
+_CHUNK_ROWS = 1024
 
 
 class ParseError(KclinkError):
@@ -259,7 +263,7 @@ def _ties(cells: np.ndarray, decimals: int) -> np.ndarray:
         return (tie | (np.abs(scaled) >= 2.0 ** 49) | (decimals > 21)).any(axis=1)
 
 
-def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str:
+def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Iterator[str]:
     unit_suffix = f" {units}" if units else ""
     labels = result.dataset.labels
     width = max(len("lab"), max(map(len, labels)))
@@ -273,18 +277,21 @@ def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str
               f"{'d_A':>{col}} {'u(d_A)':>{col}} {'d_B':>{col}} {'u(d_B)':>{col}}")
     lines.append(header)
     lines.append("-" * len(header))
-    cells = np.stack([result.d[0], result.u_d[0], result.d[1], result.u_d[1]], axis=1)
+    yield "\n".join(lines) + "\n"
     # A-only, B-only and linking rows; "%.0s" prints an absent cell's NaN as nothing
     value, absent = f"%{col}.{decimals}f", f"{'-':>{col}}%.0s"
-    templates = [f"%-{width}s  {a} {a} {b} {b}"
+    templates = [f"%-{width}s  {a} {a} {b} {b}\n"
                  for a, b in ((value, absent), (absent, value), (value, value))]
-    patterns = (np.dot([1, 2], result.dataset.measured) - 1).tolist()
-    for label, pattern, tie, row in zip(labels, patterns, _ties(cells, decimals).tolist(),
-                                        cells.tolist()):
-        lines.append(
-            f"{label:<{width}}  " + " ".join([f"{_fmt(v, decimals):>{col}}" for v in row])
-            if tie else templates[pattern] % (label, *row))
-    lines.append("-" * len(header))
+    for block in _blocks(len(labels)):
+        d, u_d = result.d[:, block], result.u_d[:, block]
+        cells = np.stack([d[0], u_d[0], d[1], u_d[1]], axis=1)
+        patterns = (np.dot([1, 2], result.dataset.measured[:, block]) - 1).tolist()
+        yield "".join([
+            f"{label:<{width}}  " + " ".join([f"{_fmt(v, decimals):>{col}}" for v in row]) + "\n"
+            if tie else templates[pattern] % (label, *row)
+            for label, pattern, tie, row in zip(labels[block], patterns,
+                                                _ties(cells, decimals).tolist(), cells.tolist())])
+    lines = ["-" * len(header)]
     kcrv = result.kcrv
     lines.append(
         f"KCRV A: y_A = {_fmt(kcrv.y_hat_a, decimals)}{unit_suffix}, "
@@ -306,17 +313,33 @@ def _render_text(result: LinkingResult, decimals: int, units: str | None) -> str
         lines.append("warnings:")
         lines.extend(f"  - {warning}" for warning in result.warnings)
     lines.append("")
-    return "\n".join(lines)
+    yield "\n".join(lines)
 
 
 _float = float.__repr__  # json's text for a finite float
 _str = encode_basestring_ascii  # json's text for a str (ensure_ascii)
 
 
-def _strings(values: Iterable[str], indent: str) -> str:
-    """A JSON array of strings, closing at ``indent``."""
-    items = ",".join([f"\n{indent}  {_str(value)}" for value in values])
-    return f"[{items}\n{indent}]" if items else "[]"
+def _blocks(count: int) -> Iterator[slice]:
+    """Slices of ``_CHUNK_ROWS`` rows that cover ``count`` rows in order."""
+    return (slice(start, start + _CHUNK_ROWS) for start in range(0, count, _CHUNK_ROWS))
+
+
+def _array(head: str, blocks: Iterable[list[str]], indent: str) -> Iterator[str]:
+    """``head``, then a JSON array of the items of ``blocks``, each starting on
+    its own line, closing at ``indent``: one chunk per block."""
+    opening = head + "["
+    for items in blocks:
+        if items:
+            yield opening + ",".join(items)
+            opening = ","
+    yield f"\n{indent}]" if opening == "," else opening + "]"
+
+
+def _strings(head: str, values: Sequence[str], indent: str) -> Iterator[str]:
+    """``head``, then a JSON array of strings, closing at ``indent``."""
+    return _array(head, ([f"\n{indent}  {_str(value)}" for value in values[block]]
+                         for block in _blocks(len(values))), indent)
 
 
 def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
@@ -330,29 +353,26 @@ def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
     return text
 
 
-def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str:
+def _doe_blocks(result: LinkingResult) -> Iterator[tuple[str, Iterator[tuple]]]:
+    """Per standard and block of labs, the standard and, in :meth:`LinkingResult.doe_rows`
+    order, each DOE's label, ``d`` and ``u_d`` text and ``u_d``.  Read each block's
+    rows before the next: zip stops at the labels, before it draws a text."""
+    labels, measured = result.dataset.labels, result.dataset.measured
+    d_text, u_text = map(iter, _doe_text(result))
+    for row, standard in enumerate("AB"):
+        for block in _blocks(len(labels)):
+            mask = measured[row, block]
+            yield standard, zip(compress(labels[block], mask.tolist()), d_text, u_text,
+                                result.u_d[row, block][mask].tolist())
+
+
+def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Iterator[str]:
     # the fixed shape in sorted key order; a dataset always has labs and DOEs.
-    # Rows inline NaN as "null": a call per field costs about a float's text;
-    # each row brings its leading comma, so that the report is one join.
-    aux, kcrv, conf = result.aux, result.kcrv, result.conformity
-    labs = [
-        f',\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
-        f'        "label": {_str(label)},\n'
-        f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
-        f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
-        f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
-        f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
-        for label, x_a, u_a, x_b, u_b, c in result.dataset.rows()
-    ]
-    does = [
-        f',\n    {{\n      "d": {d},\n      "label": {_str(label)},\n'
-        f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'
-        for (label, standard, _, _), d, u_d in zip(result.doe_rows(), *_doe_text(result))
-    ]
-    labs[0], does[0] = labs[0][1:], does[0][1:]
+    # Rows inline NaN as "null": a call per field costs about a float's text.
+    aux, kcrv, conf, dataset = result.aux, result.kcrv, result.conformity, result.dataset
     ratio, shown = ("null", "null") if conf.ratio is None else (
         _float(conf.ratio), _float(round_half_up(conf.ratio, 2)))
-    return "".join((
+    yield from _array((
         f'{{\n  "aux": {{\n    "a": {_float(aux.a)},\n    "b": {_float(aux.b)},\n'
         f'    "c": {_float(aux.c)},\n    "s1": {_float(aux.s1)},\n'
         f'    "s2": {_float(aux.s2)}\n  }},\n'
@@ -364,14 +384,27 @@ def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str
         f'      "u_b": {_float(round_half_up(kcrv.u_b, decimals))},\n'
         f'      "y_a": {_float(round_half_up(kcrv.y_hat_a, decimals))},\n'
         f'      "y_b": {_float(round_half_up(kcrv.y_hat_b, decimals))}\n    }},\n'
-        f'    "ratio": {shown}\n  }},\n'
-        f'  "doe": [', *does,
-        f'\n  ],\n  "input": {{\n    "groups": {{\n'
-        f'      "linking": {_strings(result.dataset.linking, "      ")},\n'
-        f'      "only_a": {_strings(result.dataset.only_a, "      ")},\n'
-        f'      "only_b": {_strings(result.dataset.only_b, "      ")}\n    }},\n'
-        f'    "labs": [', *labs,
-        f'\n    ]\n  }},\n'
+        f'    "ratio": {shown}\n  }},\n  "doe": '), (
+        [f'\n    {{\n      "d": {d},\n      "label": {_str(label)},\n'
+         f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'
+         for label, d, u_d, _ in rows]
+        for standard, rows in _doe_blocks(result)), "  ")
+    yield from _strings(',\n  "input": {\n    "groups": {\n      "linking": ', dataset.linking,
+                        "      ")
+    yield from _strings(',\n      "only_a": ', dataset.only_a, "      ")
+    yield from _strings(',\n      "only_b": ', dataset.only_b, "      ")
+    yield from _array('\n    },\n    "labs": ', (
+        [f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
+         f'        "label": {_str(label)},\n'
+         f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
+         f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
+         f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
+         f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
+         for label, x_a, u_a, x_b, u_b, c in _rows(dataset.labels[block], dataset.x[:, block],
+                                                   dataset.u[:, block], dataset.cov_ab[block])]
+        for block in _blocks(len(dataset.labels))), "    ")
+    yield from _strings((
+        f'\n  }},\n'
         f'  "kcrv": {{\n    "cov_ab": {_float(kcrv.cov_ab)},\n'
         f'    "r_tilde": {_float(kcrv.r_tilde)},\n    "u_a": {_float(kcrv.u_a)},\n'
         f'    "u_b": {_float(kcrv.u_b)},\n    "y_a": {_float(kcrv.y_hat_a)},\n'
@@ -379,8 +412,22 @@ def _render_json(result: LinkingResult, decimals: int, units: str | None) -> str
         f'  "tool": {{\n    "name": "kclink",\n'
         f'    "version": {_str(__version__)}\n  }},\n'
         f'  "units": {"null" if units is None else _str(units)},\n'
-        f'  "warnings": {_strings(result.warnings, "  ")}\n}}'
-    ))
+        f'  "warnings": '), result.warnings, "  ")
+    yield "\n}"
+
+
+def _report(result: LinkingResult, format: str, decimals: object,
+            units: str | None) -> Iterator[str]:
+    """The chunks of the report, its options checked before the first."""
+    if format not in ("text", "json"):
+        raise KclinkError(f"unknown report format: {format!r}")
+    try:  # any integer, NumPy's too, but not a bool
+        places = -1 if isinstance(decimals, bool) else operator.index(decimals)
+    except TypeError:
+        places = -1
+    if places < 0:
+        raise KclinkError(f"decimals must be a non-negative integer, got {decimals!r}")
+    return (_text_chunks if format == "text" else _json_chunks)(result, places, units)
 
 
 def render_report(
@@ -396,17 +443,16 @@ def render_report(
     full-precision values and a ``display`` block rounded to ``decimals``;
     it is deterministic: identical results give identical bytes.
     """
-    if format not in ("text", "json"):
-        raise KclinkError(f"unknown report format: {format!r}")
-    try:  # any integer, NumPy's too, but not a bool
-        places = -1 if isinstance(decimals, bool) else operator.index(decimals)
-    except TypeError:
-        places = -1
-    if places < 0:
-        raise KclinkError(f"decimals must be a non-negative integer, got {decimals!r}")
-    if format == "text":
-        return _render_text(result, places, units)
-    return _render_json(result, places, units)
+    return "".join(_report(result, format, decimals, units))
+
+
+def write_report(result: LinkingResult, file: TextIO, format: Literal["text", "json"] = "text",
+                 *, decimals: int = 3, units: str | None = None) -> None:
+    """Write the report that :func:`render_report` returns to the open text
+    stream ``file``, a chunk per block of ``_CHUNK_ROWS`` labs; the options
+    are checked before the first write."""
+    for chunk in _report(result, format, decimals, units):
+        file.write(chunk)
 
 
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
@@ -444,11 +490,11 @@ def _csv_field(text: str) -> str:
 def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:
     """Write the DOE chart data as CSV: label, standard, d, u_d and the
     expanded (k = 2) uncertainty, one row per degree of equivalence."""
-    rows = [
-        f"{_csv_field(label)},{standard},{d},{u_d},{_float(2.0 * u)}\r\n"
-        for (label, standard, _, u), d, u_d in zip(result.doe_rows(), *_doe_text(result))
-    ]
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("".join(("label,standard,d,u_d,U_d_k2\r\n", *rows)))
+        handle.write("label,standard,d,u_d,U_d_k2\r\n")
+        for standard, rows in _doe_blocks(result):
+            handle.write("".join([
+                f"{_csv_field(label)},{standard},{d},{u_d},{_float(2.0 * u)}\r\n"
+                for label, d, u_d, u in rows]))
     return path

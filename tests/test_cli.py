@@ -198,6 +198,20 @@ class TestLinkCommand:
         assert ("error: decimals must be a non-negative integer, got -1\n"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("existing", [None, "an earlier report\n"])
+    def test_rejected_options_leave_no_report_file(self, gauge_block_file, tmp_path,
+                                                    capsys, existing):
+        out = tmp_path / "r.json"
+        if existing is not None:
+            out.write_text(existing, encoding="utf-8")
+        assert main(["link", "--input", str(gauge_block_file), "--report-format", "json",
+                     "--decimals", "-1", "--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text(encoding="utf-8") == existing
+
     def test_many_decimals(self, gauge_block_file, capsys):
         code = main(["link", "--input", str(gauge_block_file),
                      "--report-format", "json", "--decimals", "400"])
@@ -448,6 +462,34 @@ class TestMisc:
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestClosedStdout:
+    """``kclink link ... | head -1``: a reader that closes the pipe early
+    ends the run quietly with exit 1, whether stdout is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_exits_1_quietly(self, tmp_path, unbuffered):
+        # a report of about 1.5 MB, far more than a pipe holds
+        rows = ["{0}.5,1.0,,,", ",,{1}.25,2.0,", "{0}.5,1.0,{1}.25,2.0,0.5"]
+        data = tmp_path / "big.csv"
+        data.write_text("".join(f"LAB{index:05d},{rows[index % 3].format(index % 7, index % 5)}\n"
+                                for index in range(30_000)), encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(kclink.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open(tmp_path / "stderr", "w+b") as err:
+            child = subprocess.Popen([sys.executable, "-m", "kclink.cli", "link", "--input",
+                                      str(data)], stdout=subprocess.PIPE, stderr=err, env=env)
+            try:
+                assert child.stdout.read(64).startswith(b"distributed linking")
+                child.stdout.close()
+                assert child.wait(timeout=120) == 1
+            finally:
+                child.kill()
+            err.seek(0)
+            assert err.read() == b""
 
 
 class TestColdStart:
