@@ -18,15 +18,19 @@ one group's size never perturbs the draws of other labs.
 
 A scenario's labs are keyed, drawn and reduced together, in blocks of
 ``_BLOCK_LABS`` labs, straight into the dataset's columns: see :func:`_keys`
-and :func:`_draw`.
+and :func:`_draw`.  A layout object builds its labs' kinds, indices and
+labels once, and each thread keeps one Philox generator, given its full state
+before every lab's draw: the substreams and bits are those of fresh objects.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import warnings as _warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from math import isfinite
 from numbers import Real
@@ -49,16 +53,35 @@ _BLOCK_LABS = 256
 
 _M32 = 0xFFFFFFFF
 
+# each thread's Philox generator, made on its first draw
+_THREAD = threading.local()
+
+
+def _number(value, name: str, kind: type):
+    """``value`` as ``kind``: from a number only (not a bool or a string),
+    and an int only from an integral value."""
+    if isinstance(value, bool) or not isinstance(value, Real) or (kind is int and value % 1):
+        raise ValidationError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _integers(obj, *names: str) -> None:
+    for name in names:  # stored as int, through the frozen dataclass
+        object.__setattr__(obj, name, _number(getattr(obj, name), name, int))
+
 
 @dataclass(frozen=True)
 class ScenarioLayout:
-    """How many laboratories of each participation kind to simulate."""
+    """How many laboratories of each participation kind to simulate; the
+    labs' kinds, indices and labels are kept on the object from its first
+    draw, unseen by equality, hashing, ``repr`` and pickling."""
 
     only_a: int
     linking: int
     only_b: int
 
     def __post_init__(self) -> None:
+        _integers(self, "only_a", "linking", "only_b")
         counts = (self.only_a, self.linking, self.only_b)
         if min(counts) < 0:
             raise ValidationError("layout counts must be non-negative")
@@ -66,6 +89,19 @@ class ScenarioLayout:
             raise ValidationError("layout counts must be below 2**32")
         if self.only_a + self.linking < 1 or self.only_b + self.linking < 1:
             raise ValidationError("each standard needs at least one laboratory")
+
+    def __reduce__(self):  # copies and pickles are rebuilt from the counts
+        return ScenarioLayout, (self.only_a, self.linking, self.only_b)
+
+    @cached_property
+    def _labs(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Each lab's kind and index within its kind (read-only uint32
+        arrays) and its label, in layout order."""
+        counts = (self.only_a, self.linking, self.only_b)
+        kinds = np.repeat(np.arange(3, dtype=np.uint32), counts)
+        indices = np.concatenate([np.arange(count, dtype=np.uint32) for count in counts])
+        kinds.flags.writeable = indices.flags.writeable = False
+        return kinds, indices, tuple(f"LAB-{i:02d}" for i in range(1, len(kinds) + 1))
 
 
 @dataclass(frozen=True)
@@ -82,6 +118,7 @@ class SyntheticScenario:
     seed: int
 
     def __post_init__(self) -> None:
+        _integers(self, "n", "seed")
         for name in ("y_a_true", "y_b_true", "sigma_a", "sigma_b"):
             value = getattr(self, name)
             if not isfinite(value):
@@ -191,14 +228,16 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out
         mean[:a], mean[a:], u[:a], u[a:], cov)
     ok = u > 0.0
     ok[a:a + links] &= ok[b:a] & (np.abs(cov) < u[b:a] * u[a:a + links])
-    return np.append(ok[:b], ok[a:])  # each lab's last series
+    return np.concatenate((ok[:b], ok[a:]))  # each lab's last series
 
 
-def _sample(sc: SyntheticScenario, kinds, indices, labels: list[str]) -> np.ndarray:
+def _sample(sc: SyntheticScenario, kinds, indices, labels: Sequence[str]) -> np.ndarray:
     """The x_a, x_b, u_a, u_b, cov_ab rows (NaN where not measured) of the
     labelled labs of the given kinds and indices, in layout order."""
     pool = _seed_pool(sc.seed)
-    philox = np.random.Philox(0)  # this call's own, re-keyed for every lab
+    philox = getattr(_THREAD, "philox", None)  # this thread's, re-keyed for every lab
+    if philox is None:
+        philox = _THREAD.philox = np.random.Philox(0)
     rows = np.full((5, len(labels)), np.nan)
     for first in range(0, len(labels), _BLOCK_LABS):
         block = slice(first, first + _BLOCK_LABS)
@@ -228,24 +267,14 @@ def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     from the lab's next substream with a warning; after 8 degenerate attempts
     the last one's means are reported with floored uncertainties.
     """
-    layout = scenario.layout
-    counts = (layout.only_a, layout.linking, layout.only_b)
-    kinds = np.repeat(np.arange(3, dtype=np.uint32), counts)
-    indices = np.concatenate([np.arange(count, dtype=np.uint32) for count in counts])
-    labels = [f"LAB-{i:02d}" for i in range(1, len(kinds) + 1)]
+    kinds, indices, labels = scenario.layout._labs
     rows = _sample(scenario, kinds, indices, labels)
     return validate_dataset(labels, rows[:2], rows[2:4], rows[4])
 
 
 def _field(data: dict, key: str, kind: type):
-    """``data[key]`` as ``kind``: from a number only (not a bool or a string),
-    and an int not from a fraction."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, Real) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"malformed scenario: {key}: expected "
-                              f"{kind.__name__}, got {value!r}")
-    return kind(value)
+    """``data[key]`` as ``kind``, by the rule of :func:`_number`."""
+    return _number(data[key], f"malformed scenario: {key}", kind)
 
 
 def scenario_from_dict(data: dict) -> SyntheticScenario:

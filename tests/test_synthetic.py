@@ -1,5 +1,10 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -64,6 +69,29 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match=r"below 2\*\*32"):
             ScenarioLayout(*counts)
         ScenarioLayout(*(min(count, 2**32 - 1) for count in counts))
+
+    @pytest.mark.parametrize("field", ["only_a", "linking", "only_b", "n", "seed"])
+    @pytest.mark.parametrize("value, integral", [
+        (2.5, False), (np.float32(2.5), False), (math.inf, False), (math.nan, False),
+        ("2", False), (True, False), (None, False),
+        (2, True), (2.0, True), (np.int64(2), True), (np.uint64(2), True),
+        (np.float32(2.0), True),
+    ])
+    def test_counts_n_and_seed_must_be_integral(self, field, value, integral):
+        # checked as scenario files are, and never truncated; n = 2 is the least n
+        def build():
+            if field in ("n", "seed"):
+                return reference_scenario(**{field: value})
+            counts = {"only_a": 8, "linking": 4, "only_b": 5, field: value}
+            return reference_scenario(layout=ScenarioLayout(**counts))
+
+        if not integral:
+            with pytest.raises(ValidationError, match=f"^{field}: expected int, got "):
+                build()
+            return
+        scenario = build()
+        stored = getattr(scenario if field in ("n", "seed") else scenario.layout, field)
+        assert type(stored) is int and stored == 2
 
 
 class TestDeterminism:
@@ -357,3 +385,108 @@ class TestBatchedGeneration:
         got = LabResult(label, *[None if v != v else v for v in numbers])
         want = recorded(lambda: oracles.reference_sample_lab(scenario, kind, index))
         assert repr((got, got_warnings)) == repr(want)
+
+
+REFERENCE = reference_scenario()
+# two draws of a linking lab always correlate fully, so every attempt is degenerate
+DEGENERATE = reference_scenario(seed=7, layout=ScenarioLayout(0, 3, 0), n=2)
+
+
+class ThreadRecorder(threading.local):
+    """A stand-in for the ``warnings`` module that keeps each thread's
+    warnings apart."""
+
+    def warn(self, message, category, stacklevel):
+        self.seen.append((category, message))
+
+
+def drawn(scenario, recorder):
+    """``repr`` of the dataset and of the warnings of ``generate_scenario``,
+    with ``recorder`` in place of the ``warnings`` module."""
+    recorder.seen = []
+    dataset = generate_scenario(scenario)
+    return repr((dataset, dataset.labs, recorder.seen))
+
+
+class TestKeptSetUp:
+    """Set-up that does not depend on the seed is made once: the layout's
+    labs per layout object, the Philox generator per thread."""
+
+    def test_second_draw_constructs_no_generator(self):
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return philox(*args, **kwargs)
+
+        with mock.patch.object(np.random, "Philox", counting):
+            generate_scenario(reference_scenario(seed=1))
+            made.clear()
+            generate_scenario(reference_scenario(seed=2))
+            recorded(lambda: generate_scenario(DEGENERATE))
+        assert made == []
+
+    def test_datasets_of_one_layout_share_its_labels(self):
+        layout = ScenarioLayout(8, 4, 5)
+        first = generate_scenario(reference_scenario(seed=1, layout=layout))
+        second = generate_scenario(reference_scenario(seed=2, layout=layout))
+        assert first.labels is second.labels
+        kinds, indices, labels = layout._labs
+        assert labels is first.labels
+        assert not kinds.flags.writeable and not indices.flags.writeable
+
+    def test_nothing_leaks_through_the_reused_generator(self):
+        # A, then B on another layout with retries, then A again
+        a = reference_scenario(seed=5)
+        first = generate_scenario(a)
+        recorded(lambda: generate_scenario(DEGENERATE))
+        again = generate_scenario(a)
+        for column in ("x", "u", "cov_ab"):
+            assert getattr(first, column).tobytes() == getattr(again, column).tobytes()
+        assert list(map(repr, first.labs)) == list(
+            map(repr, oracles.reference_scenario_labs(a)))
+
+    def test_layout_value_ignores_the_kept_set_up(self):
+        layout = ScenarioLayout(8, 4, 5)
+        generate_scenario(reference_scenario(layout=layout))
+        assert "_labs" in vars(layout)
+        fresh = ScenarioLayout(8, 4, 5)
+        assert layout == fresh and hash(layout) == hash(fresh)
+        assert repr(layout) == repr(fresh)
+        assert pickle.dumps(layout) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(layout)), copy.deepcopy(layout)):
+            assert clone == layout and vars(clone) == vars(fresh)
+
+
+class TestThreads:
+    def test_threads_draw_as_one_thread(self):
+        # four threads take interleaved seeds of two shared scenarios, one of
+        # them redrawn at every attempt; switching threads as often as possible
+        seeds = range(48)
+        jobs = [dataclasses.replace(scenario, seed=seed)
+                for seed in seeds for scenario in (REFERENCE, DEGENERATE)]
+        recorder = ThreadRecorder()
+        got = [None] * len(jobs)
+        start = threading.Barrier(4, timeout=60)
+
+        def work(first):
+            start.wait()
+            for k in range(first, len(jobs), 4):
+                got[k] = drawn(jobs[k], recorder)
+
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(4)]
+        interval = sys.getswitchinterval()
+        with mock.patch.object(synthetic, "_warnings", recorder):
+            want = [drawn(job, recorder) for job in jobs]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+        assert any("attempt 8" in text for text in want)
