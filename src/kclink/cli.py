@@ -4,8 +4,10 @@ Subcommands: ``link`` analyses a dataset file, ``inflate`` finds the
 minimal uncertainty inflation restoring conformity, ``synth`` generates a
 synthetic dataset from a scenario file, and ``selftest`` re-checks the
 built-in examples against their published reference results.  The
-subcommands only wire options to the library: every file is read, rendered
-and written by :mod:`kclink.io`.
+subcommands only wire options to the library: every file is read and every
+report made by :mod:`kclink.io`; ``link`` and ``inflate`` take a report's
+chunks, whose options are then checked, before they open ``--output`` and
+write them there or to stdout.
 
 Exit codes: 0 on success with a passing conformity check, 2 when the
 analysis ran but the conformity check failed, 1 on any error (without a
@@ -17,11 +19,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from . import golden
 from .inflation import minimal_inflation
-from .io import emit_plot_data, parse_dataset_with_units, write_dataset, write_report
+from .io import (_utf8, emit_plot_data, parse_dataset_with_units, report_chunks,
+                 write_dataset)
 from .linking import LinkingResult, link
 from .model import ComparisonDataset, KclinkError
 from .synthetic import generate_scenario, load_scenario
@@ -38,33 +42,24 @@ def _print_warnings(result: LinkingResult) -> None:
 
 
 def _read(args: argparse.Namespace) -> ComparisonDataset:
+    try:  # a non-UTF-8 byte in argv decodes to a lone surrogate
+        _utf8(args.units)
+    except ValueError as exc:
+        raise KclinkError(f"--units: {exc}") from None
     dataset, file_units = parse_dataset_with_units(args.input)
     if args.units is None:
         args.units = file_units
     return dataset
 
 
-class _OpenOnWrite:
-    """The ``--output`` file, opened on the first write: a report whose
-    options are rejected leaves no file, nor truncates one."""
-
-    def __init__(self, path: str) -> None:
-        self.path, self.handle = path, None
-
-    def write(self, text: str) -> int:
-        self.handle = self.handle or open(self.path, "w", encoding="utf-8")
-        return self.handle.write(text)
-
-
 def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
-    out = _OpenOnWrite(args.output) if args.output else sys.stdout
-    try:
-        write_report(result, out, format=args.report_format, decimals=args.decimals,
-                     units=args.units)
+    # the chunks first: a rejected option leaves no --output file, nor truncates one
+    chunks = report_chunks(result, args.report_format, decimals=args.decimals,
+                           units=args.units)
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else nullcontext(sys.stdout)) as out:
+        out.writelines(chunks)
         out.write("\n")
-    finally:
-        if out is not sys.stdout and out.handle:
-            out.handle.close()
 
 
 def _cmd_link(args: argparse.Namespace) -> int:

@@ -15,15 +15,18 @@ through :func:`parse_number`, a JSON number through ``float``, an empty cell
 or ``null`` absent, a NaN as +inf) and fills the dataset's columns; their
 checks name the first failing lab in file order, by the line its row starts
 on or by its entry.
-:func:`render_report` returns a report and :func:`write_report` writes it to a
-text stream; reports carry full-precision values alongside display-rounded
-ones, and display rounding is half-up and never feeds back into any
-computation.  The JSON report's bytes are those of ``json.dumps(document,
-sort_keys=True, indent=2)`` of its documented structure, written row by row
-without building ``document``.  It and the plot data print each DOE's ``d``
-and ``u_d`` from one text, made on first use and kept with the result
-(:func:`_doe_text`).  Each output is made and written in chunks of rows from
-column slices of ``_CHUNK_ROWS`` labs, in memory that does not grow with N.
+:func:`report_chunks` is the one source of a report: it checks its options
+when called and returns the report's chunks, which :func:`render_report` joins
+and a caller may write as they are made.  Reports carry full-precision values
+alongside display-rounded ones, and display rounding is half-up and never
+feeds back into any computation.  The JSON report's bytes are those of
+``json.dumps(document, sort_keys=True, indent=2)`` of its documented structure:
+``json.dumps`` writes the fixed members, and the arrays that grow with N are
+spliced in row by row, without building ``document``.  It and the plot data
+print each DOE's ``d`` and ``u_d`` from one text, made on first use and kept
+with the result (:func:`_doe_text`).  Each output is made in chunks of rows
+from column slices of ``_CHUNK_ROWS`` labs, in memory that does not grow
+with N.
 
 The text report's DOE rows are ``%``-templates, one per measured pattern, and
 round the binary value correctly: half-up rounding of its shortest digits but
@@ -40,12 +43,13 @@ import json
 import operator
 import re
 from decimal import ROUND_HALF_UP, Context, Decimal
-from functools import lru_cache
+from dataclasses import asdict
+from functools import lru_cache, partial
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import inf
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence, TextIO
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -316,6 +320,7 @@ def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
     yield "\n".join(lines)
 
 
+_dumps = partial(json.dumps, sort_keys=True, indent=2)  # every JSON file kclink writes
 _float = float.__repr__  # json's text for a finite float
 _str = encode_basestring_ascii  # json's text for a str (ensure_ascii)
 
@@ -367,24 +372,20 @@ def _doe_blocks(result: LinkingResult) -> Iterator[tuple[str, Iterator[tuple]]]:
 
 
 def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Iterator[str]:
-    # the fixed shape in sorted key order; a dataset always has labs and DOEs.
+    # json.dumps writes the members before "doe" and after "input", whose
+    # arrays grow with N and go row by row; a dataset always has labs and DOEs.
     # Rows inline NaN as "null": a call per field costs about a float's text.
-    aux, kcrv, conf, dataset = result.aux, result.kcrv, result.conformity, result.dataset
-    ratio, shown = ("null", "null") if conf.ratio is None else (
-        _float(conf.ratio), _float(round_half_up(conf.ratio, 2)))
-    yield from _array((
-        f'{{\n  "aux": {{\n    "a": {_float(aux.a)},\n    "b": {_float(aux.b)},\n'
-        f'    "c": {_float(aux.c)},\n    "s1": {_float(aux.s1)},\n'
-        f'    "s2": {_float(aux.s2)}\n  }},\n'
-        f'  "conformity": {{\n    "dof": {int.__repr__(conf.dof)},\n'
-        f'    "passed": {"true" if conf.passed else "false"},\n'
-        f'    "q2": {_float(conf.q2)},\n    "ratio": {ratio}\n  }},\n'
-        f'  "display": {{\n    "decimals": {int.__repr__(decimals)},\n    "kcrv": {{\n'
-        f'      "u_a": {_float(round_half_up(kcrv.u_a, decimals))},\n'
-        f'      "u_b": {_float(round_half_up(kcrv.u_b, decimals))},\n'
-        f'      "y_a": {_float(round_half_up(kcrv.y_hat_a, decimals))},\n'
-        f'      "y_b": {_float(round_half_up(kcrv.y_hat_b, decimals))}\n    }},\n'
-        f'    "ratio": {shown}\n  }},\n  "doe": '), (
+    kcrv, conf, dataset = result.kcrv, result.conformity, result.dataset
+    estimate = {"cov_ab": kcrv.cov_ab, "r_tilde": kcrv.r_tilde, "u_a": kcrv.u_a,
+                "u_b": kcrv.u_b, "y_a": kcrv.y_hat_a, "y_b": kcrv.y_hat_b}
+    display = {"decimals": decimals,
+               "kcrv": {key: round_half_up(estimate[key], decimals)
+                        for key in ("u_a", "u_b", "y_a", "y_b")},
+               "ratio": None if conf.ratio is None else round_half_up(conf.ratio, 2)}
+    head = _dumps({"aux": asdict(result.aux), "conformity": asdict(conf), "display": display})
+    tail = _dumps({"kcrv": estimate, "tool": {"name": "kclink", "version": __version__},
+                   "units": units, "warnings": result.warnings})
+    yield from _array(head[:-len("\n}")] + ',\n  "doe": ', (
         [f'\n    {{\n      "d": {d},\n      "label": {_str(label)},\n'
          f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'
          for label, d, u_d, _ in rows]
@@ -403,22 +404,13 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
          for label, x_a, u_a, x_b, u_b, c in _rows(dataset.labels[block], dataset.x[:, block],
                                                    dataset.u[:, block], dataset.cov_ab[block])]
         for block in _blocks(len(dataset.labels))), "    ")
-    yield from _strings((
-        f'\n  }},\n'
-        f'  "kcrv": {{\n    "cov_ab": {_float(kcrv.cov_ab)},\n'
-        f'    "r_tilde": {_float(kcrv.r_tilde)},\n    "u_a": {_float(kcrv.u_a)},\n'
-        f'    "u_b": {_float(kcrv.u_b)},\n    "y_a": {_float(kcrv.y_hat_a)},\n'
-        f'    "y_b": {_float(kcrv.y_hat_b)}\n  }},\n'
-        f'  "tool": {{\n    "name": "kclink",\n'
-        f'    "version": {_str(__version__)}\n  }},\n'
-        f'  "units": {"null" if units is None else _str(units)},\n'
-        f'  "warnings": '), result.warnings, "  ")
-    yield "\n}"
+    yield "\n  }," + tail[len("{"):]
 
 
-def _report(result: LinkingResult, format: str, decimals: object,
-            units: str | None) -> Iterator[str]:
-    """The chunks of the report, its options checked before the first."""
+def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text", *,
+                  decimals: int = 3, units: str | None = None) -> Iterator[str]:
+    """The report that :func:`render_report` returns, a chunk per block of
+    ``_CHUNK_ROWS`` labs; the options are checked here, before the first chunk."""
     if format not in ("text", "json"):
         raise KclinkError(f"unknown report format: {format!r}")
     try:  # any integer, NumPy's too, but not a bool
@@ -443,16 +435,7 @@ def render_report(
     full-precision values and a ``display`` block rounded to ``decimals``;
     it is deterministic: identical results give identical bytes.
     """
-    return "".join(_report(result, format, decimals, units))
-
-
-def write_report(result: LinkingResult, file: TextIO, format: Literal["text", "json"] = "text",
-                 *, decimals: int = 3, units: str | None = None) -> None:
-    """Write the report that :func:`render_report` returns to the open text
-    stream ``file``, a chunk per block of ``_CHUNK_ROWS`` labs; the options
-    are checked before the first write."""
-    for chunk in _report(result, format, decimals, units):
-        file.write(chunk)
+    return "".join(report_chunks(result, format, decimals=decimals, units=units))
 
 
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
@@ -468,7 +451,7 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if path.suffix.lower() == ".json":
             records = [dict(zip(_CSV_COLUMNS, row)) for row in rows]
-            handle.write(json.dumps({"labs": records}, indent=2, sort_keys=True) + "\n")
+            handle.write(_dumps({"labs": records}) + "\n")
         else:
             writer = csv.writer(handle)
             writer.writerow(_CSV_COLUMNS)

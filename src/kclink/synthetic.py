@@ -59,15 +59,19 @@ _THREAD = threading.local()
 
 def _number(value, name: str, kind: type):
     """``value`` as ``kind``: from a number only (not a bool or a string),
-    and an int only from an integral value."""
+    an int only from an integral value and a float only within its range."""
     if isinstance(value, bool) or not isinstance(value, Real) or (kind is int and value % 1):
         raise ValidationError(f"{name}: expected {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # e.g. float(10**400)
+        raise ValidationError(f"{name}: expected {kind.__name__}, "
+                              f"got a number beyond its range") from None
 
 
-def _integers(obj, *names: str) -> None:
-    for name in names:  # stored as int, through the frozen dataclass
-        object.__setattr__(obj, name, _number(getattr(obj, name), name, int))
+def _convert(obj, kind: type, *names: str) -> None:
+    for name in names:  # stored as kind, through the frozen dataclass
+        object.__setattr__(obj, name, _number(getattr(obj, name), name, kind))
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ class ScenarioLayout:
     only_b: int
 
     def __post_init__(self) -> None:
-        _integers(self, "only_a", "linking", "only_b")
+        _convert(self, int, "only_a", "linking", "only_b")
         counts = (self.only_a, self.linking, self.only_b)
         if min(counts) < 0:
             raise ValidationError("layout counts must be non-negative")
@@ -118,7 +122,10 @@ class SyntheticScenario:
     seed: int
 
     def __post_init__(self) -> None:
-        _integers(self, "n", "seed")
+        _convert(self, int, "n", "seed")
+        _convert(self, float, "y_a_true", "y_b_true", "sigma_a", "sigma_b", "rho")
+        if not isinstance(self.layout, ScenarioLayout):
+            raise ValidationError(f"layout: expected ScenarioLayout, got {self.layout!r}")
         for name in ("y_a_true", "y_b_true", "sigma_a", "sigma_b"):
             value = getattr(self, name)
             if not isfinite(value):
@@ -288,7 +295,7 @@ def scenario_from_dict(data: dict) -> SyntheticScenario:
                                  seed=_field(data, "seed", int))
     except KeyError as missing:
         raise ValidationError(f"scenario is missing field {missing}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
+    except TypeError as exc:  # a layout that is not an object
         raise ValidationError(f"malformed scenario: {exc}") from None
 
 

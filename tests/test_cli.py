@@ -348,9 +348,15 @@ class TestSynthCommand:
          "malformed scenario: sigma_a: expected float, got '20'$"),
         ("count-null.json", SCENARIO_JSON.replace('"only_a": 8', '"only_a": null'),
          "malformed scenario: only_a: expected int, got None$"),
+        ("layout-array.json", SCENARIO_JSON.replace(
+            '{"only_a": 8, "linking": 4, "only_b": 5}', "[8, 4, 5]"), "malformed scenario: "),
+        ("truth-overflow.json",
+         SCENARIO_JSON.replace('"y_a_true": 110', f'"y_a_true": {10**400}'),
+         "malformed scenario: y_a_true: expected float, got a number beyond its range$"),
     ], ids=["seed-inf", "n-inf", "digits", "latin1", "deep", "count", "n-fraction",
             "seed-fraction", "count-fraction", "seed-bool", "count-bool", "sigma-bool",
-            "n-string", "n-string-fraction", "seed-hex", "sigma-string", "count-null"])
+            "n-string", "n-string-fraction", "seed-hex", "sigma-string", "count-null",
+            "layout-array", "truth-overflow"])
     def test_unreadable_scenario_exits_1(self, tmp_path, capsys, name, content, match):
         path = tmp_path / name
         if isinstance(content, str):
@@ -436,6 +442,45 @@ class TestUnitsFlow:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["link", "--input", str(path), "--units", "um"]) == 0
         assert "values in um" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("output", [None, "new", "existing"])
+    @pytest.mark.parametrize("command", [["link"],
+                                         ["inflate", "--lab", "INMETRO1", "--standard", "B"]])
+    def test_units_that_are_not_utf8_exit_1(self, gauge_block_file, tmp_path, capsys,
+                                            command, output):
+        # a non-UTF-8 byte in argv reaches --units as a lone surrogate
+        out = tmp_path / "r.txt"
+        if output == "existing":
+            out.write_text("an earlier report\n", encoding="utf-8")
+        argv = [*command, "--input", str(gauge_block_file), "--units", "\udcff"]
+        assert main(argv + (["--output", str(out)] if output else [])) == 1
+        assert capsys.readouterr() == (
+            "", "error: --units: 'utf-8' codec can't encode character '\\udcff' in position 0:"
+                " surrogates not allowed\n")
+        if output == "existing":
+            assert out.read_text(encoding="utf-8") == "an earlier report\n"
+        else:
+            assert not out.exists()
+
+
+class TestWriteErrors:
+    """An output that cannot be written ends the run with one error line."""
+
+    @pytest.mark.parametrize("target", ["/dev/full", "a directory"])
+    @pytest.mark.parametrize("command", [
+        ["link", "--output"], ["link", "--plot-data"],
+        ["inflate", "--lab", "INMETRO1", "--standard", "B", "--output"]])
+    def test_unwritable_output_exits_1(self, gauge_block_file, tmp_path, capsys, command,
+                                       target):
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full here")
+        *command, option = command
+        path = target if target == "/dev/full" else str(tmp_path)
+        assert main([*command, "--input", str(gauge_block_file), option, path]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
 
 
 class TestMisc:

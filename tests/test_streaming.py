@@ -10,7 +10,7 @@ import pytest
 
 from kclink import io as kio
 from kclink.cli import main
-from kclink.io import emit_plot_data, render_report, write_dataset, write_report
+from kclink.io import emit_plot_data, render_report, report_chunks, write_dataset
 from kclink.linking import link
 from kclink.model import KclinkError, validate_dataset
 
@@ -58,7 +58,7 @@ def test_outputs_at_chunk_boundaries_match_the_references(count, tmp_path, capsy
         report = render_report(result, format, units="nm")
         assert first_difference(report, reference(result, 3, "nm")) is None
         stream = io.StringIO()
-        write_report(result, stream, format, units="nm")
+        stream.writelines(report_chunks(result, format, units="nm"))
         assert first_difference(stream.getvalue(), report) is None
         out, plot = tmp_path / f"report.{format}", tmp_path / f"plot.{format}.csv"
         argv = ["link", "--input", str(data), "--report-format", format, "--units", "nm"]
@@ -76,7 +76,7 @@ def test_outputs_at_chunk_boundaries_match_the_references(count, tmp_path, capsy
 def test_write_report_checks_its_options_before_writing(format, decimals):
     stream = io.StringIO()
     with pytest.raises(KclinkError):
-        write_report(link(mixed_dataset(5)), stream, format, decimals=decimals)
+        stream.writelines(report_chunks(link(mixed_dataset(5)), format, decimals=decimals))
     assert stream.getvalue() == ""
 
 
@@ -98,7 +98,7 @@ def test_writer_memory_does_not_grow_with_the_labs(output, tmp_path):
             emit_plot_data(result, path)
         else:
             with open(path, "w", encoding="utf-8") as handle:
-                write_report(result, handle, output)
+                handle.writelines(report_chunks(result, output))
 
     peaks = []
     for count in (10_000, 40_000):

@@ -93,6 +93,25 @@ class TestScenarioValidation:
         stored = getattr(scenario if field in ("n", "seed") else scenario.layout, field)
         assert type(stored) is int and stored == 2
 
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param(field, value, id=f"{field}-{kind}")
+          for field in ("y_a_true", "y_b_true", "sigma_a", "sigma_b", "rho")
+          for kind, value in (("str", "1"), ("none", None), ("bool", True),
+                              ("int-beyond-float", 10**400))),
+        pytest.param("layout", (2, 1, 2), id="layout-tuple"),
+    ])
+    def test_truth_sigma_rho_and_layout_are_checked(self, field, value):
+        # as scenario files are: a string, None or a bool is not a number, and an
+        # integer beyond the float range is not a float
+        with pytest.raises(ValidationError, match=f"^{field}: expected "):
+            reference_scenario(**{field: value})
+
+    def test_truth_sigma_and_rho_are_stored_as_float(self):
+        scenario = reference_scenario(y_a_true=110, sigma_b=np.float32(50.0), rho=np.int64(0))
+        stored = [getattr(scenario, field) for field in ("y_a_true", "sigma_b", "rho")]
+        assert [type(value) for value in stored] == [float] * 3
+        assert scenario == reference_scenario(rho=0.0)
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
