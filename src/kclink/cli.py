@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--report-format", choices=("text", "json"),
                         default="text")
     report.add_argument("--decimals", type=int, default=3,
-                        help="display decimals in the report (default 3)")
+                        help="display decimals in the report, 0 to 1074 (default 3)")
     report.add_argument("--units", default=None,
                         help="unit label echoed in the report")
 

@@ -37,8 +37,9 @@ class InflationResult:
     ``minimal_u`` is the value to report: the smallest uncertainty with
     three significant digits at which the dataset passes.  ``critical_u``
     is the exact pass/fail boundary (``minimal_u`` is ``critical_u``
-    rounded up and confirmed by a full re-analysis).  ``relinked`` is the
-    full analysis at ``minimal_u``.
+    rounded up and confirmed by a full re-analysis; the rounding's backoff can
+    leave it just below ``critical_u`` where the re-analysis passes).
+    ``relinked`` is the full analysis at ``minimal_u``.
     """
 
     label: str
@@ -66,7 +67,8 @@ def _with_uncertainty(
 
 
 def _round_up_significant(x: float, digits: int) -> float:
-    """Smallest number with ``digits`` significant digits that is >= x."""
+    """Smallest number with ``digits`` significant digits that is >= x, less a
+    backoff of about 1e-9 of the last digit's unit: 11.2000000001 gives 11.2."""
     if x <= 0.0:
         raise ValueError("expected a positive value")
     exponent = math.floor(math.log10(x))

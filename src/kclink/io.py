@@ -26,14 +26,14 @@ spliced in row by row, without building ``document``.  It and the plot data
 print each DOE's ``d`` and ``u_d`` from one text, made on first use and kept
 with the result (:func:`_doe_text`).  Each output is made in chunks of rows
 from column slices of ``_CHUNK_ROWS`` labs, in memory that does not grow
-with N.
+with N.  :func:`_csv_field` quotes every CSV field as ``csv.writer`` does.
 
-The text report's DOE rows are ``%``-templates, one per measured pattern, and
-round the binary value correctly: half-up rounding of its shortest digits but
-at a decimal tie.  A tie mask sends a row through :func:`round_half_up` when a
-cell may be a tie (``k = rint(v * 10^(d+1))`` is an odd multiple of 5 and
-``k / 10^(d+1) == v``), when ``|v| * 10^(d+1) >= 2^49`` (ulp(v) is then not
-surely below 0.025 * 10^-d) or when ``d > 21`` (``10^(d+1)`` is inexact).
+The text report prints every DOE row by a ``%``-template per measured pattern,
+which rounds the binary value correctly: half-up rounding of its shortest
+digits but at a decimal tie.  A tie mask first replaces by its :func:`round_half_up`
+a cell that may be a tie (``k = rint(v * 10^(d+1))`` is an odd multiple of 5
+and ``k / 10^(d+1) == v``), one with ``|v| * 10^(d+1) >= 2^49`` (ulp(v) is then
+not surely below 0.025 * 10^-d) and every cell when ``d > 21`` (inexact 10^(d+1)).
 """
 
 from __future__ import annotations
@@ -253,18 +253,17 @@ def round_half_up(value: float, decimals: int) -> float:
 
 
 def _fmt(value: float, decimals: int) -> str:
-    # NaN marks a value the lab did not measure
-    return "-" if value != value else f"{round_half_up(value, decimals):.{decimals}f}"
+    return f"{round_half_up(value, decimals):.{decimals}f}"
 
 
 def _ties(cells: np.ndarray, decimals: int) -> np.ndarray:
-    """Per row of ``cells``, whether it needs :func:`_fmt`: the tie mask above."""
-    with np.errstate(all="ignore"):  # NaN (absent) cells are never flagged
+    """Per cell, whether it needs :func:`round_half_up`: the tie mask above."""
+    with np.errstate(all="ignore"):  # NaN (absent) cells: flagged only when d > 21
         scale = np.float64(10.0) ** (decimals + 1)  # exact up to 10^22
         scaled = cells * scale
         k = np.rint(scaled)
         tie = (np.abs(np.fmod(k, 10.0)) == 5.0) & (k / scale == cells)
-        return (tie | (np.abs(scaled) >= 2.0 ** 49) | (decimals > 21)).any(axis=1)
+        return tie | (np.abs(scaled) >= 2.0 ** 49) | (decimals > 21)
 
 
 def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Iterator[str]:
@@ -289,12 +288,11 @@ def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
     for block in _blocks(len(labels)):
         d, u_d = result.d[:, block], result.u_d[:, block]
         cells = np.stack([d[0], u_d[0], d[1], u_d[1]], axis=1)
+        tie = _ties(cells, decimals)
+        cells[tie] = [round_half_up(v, decimals) for v in cells[tie].tolist()]
         patterns = (np.dot([1, 2], result.dataset.measured[:, block]) - 1).tolist()
-        yield "".join([
-            f"{label:<{width}}  " + " ".join([f"{_fmt(v, decimals):>{col}}" for v in row]) + "\n"
-            if tie else templates[pattern] % (label, *row)
-            for label, pattern, tie, row in zip(labels[block], patterns,
-                                                _ties(cells, decimals).tolist(), cells.tolist())])
+        yield "".join([templates[pattern] % (label, *row)
+                       for label, pattern, row in zip(labels[block], patterns, cells.tolist())])
     lines = ["-" * len(header)]
     kcrv = result.kcrv
     lines.append(
@@ -410,7 +408,8 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
 def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text", *,
                   decimals: int = 3, units: str | None = None) -> Iterator[str]:
     """The report that :func:`render_report` returns, a chunk per block of
-    ``_CHUNK_ROWS`` labs; the options are checked here, before the first chunk."""
+    ``_CHUNK_ROWS`` labs; the options are checked here, before the first chunk.
+    ``decimals`` runs from 0 to 1074, a double's last fractional digit."""
     if format not in ("text", "json"):
         raise KclinkError(f"unknown report format: {format!r}")
     try:  # any integer, NumPy's too, but not a bool
@@ -419,6 +418,8 @@ def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text
         places = -1
     if places < 0:
         raise KclinkError(f"decimals must be a non-negative integer, got {decimals!r}")
+    if places > 1074:  # more could only print zeros
+        raise KclinkError(f"decimals must be at most 1074, got {decimals!r}")
     return (_text_chunks if format == "text" else _json_chunks)(result, places, units)
 
 
@@ -446,19 +447,16 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     label has surrounding whitespace (labels are stripped on reading).
     """
     path = Path(path)
-    rows = [[label, *[None if v != v else v for v in numbers]]
-            for label, *numbers in dataset.rows()]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if path.suffix.lower() == ".json":
-            records = [dict(zip(_CSV_COLUMNS, row)) for row in rows]
+            records = [dict(zip(_CSV_COLUMNS, [label, *[None if v != v else v for v in numbers]]))
+                       for label, *numbers in dataset.rows()]
             handle.write(_dumps({"labs": records}) + "\n")
         else:
-            writer = csv.writer(handle)
-            writer.writerow(_CSV_COLUMNS)
-            writer.writerows(
-                [label, *("" if v is None else repr(v) for v in numbers)]
-                for label, *numbers in rows
-            )
+            handle.write(",".join(_CSV_COLUMNS) + "\r\n")
+            handle.writelines(_csv_field(label) + "".join(["," if v != v else f",{v!r}"
+                                                           for v in numbers]) + "\r\n"
+                              for label, *numbers in dataset.rows())
     return path
 
 

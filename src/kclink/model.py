@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, starmap
+from itertools import compress
 from math import inf, isfinite
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
@@ -150,24 +150,17 @@ def _rows(labels, x, u, cov_ab) -> Iterator[tuple]:
     return zip(labels, x_a, u_a, x_b, u_b, cov_ab.tolist())
 
 
-def _checked_lab(label, x_a, u_a, x_b, u_b, cov_ab) -> LabResult:
-    """The lab of a row of a built dataset, whose columns passed the checks
-    of :class:`LabResult`: built without running them a second time."""
-    lab = object.__new__(LabResult)
-    vars(lab).update(label=label, value_a=None if x_a != x_a else x_a,
-                     u_a=None if u_a != u_a else u_a, value_b=None if x_b != x_b else x_b,
-                     u_b=None if u_b != u_b else u_b, cov_ab=None if cov_ab != cov_ab else cov_ab)
-    return lab
-
-
-def check_labs(labels: Sequence, x: np.ndarray, u: np.ndarray, cov_ab: np.ndarray) -> None:
-    """Build the labs of the columns (NaN read as absent) as :class:`LabResult`
-    in input order, and raise the first error as a :class:`LabError`."""
+def check_labs(labels: Sequence, x: np.ndarray, u: np.ndarray,
+               cov_ab: np.ndarray) -> tuple[LabResult, ...]:
+    """The labs of the columns (NaN read as absent) as :class:`LabResult`, in
+    input order; the first error is raised as a :class:`LabError`."""
+    labs = []
     for index, (label, *numbers) in enumerate(_rows(labels, x, u, cov_ab)):
         try:
-            LabResult(label, *[None if v != v else v for v in numbers])
+            labs.append(LabResult(label, *[None if v != v else v for v in numbers]))
         except ValidationError as exc:
             raise LabError(str(exc), index) from None
+    return tuple(labs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +177,7 @@ class ComparisonDataset:
     raise :class:`ValidationError`.  The columns are kept as read-only
     copies, and datasets compare by them and ``labels``.  Derived: ``cov``
     (0 where not reported), the boolean ``measured`` (per standard, the
-    labs that measured it) and ``labs``, built on first access.
+    labs that measured it) and ``labs``, built by :func:`check_labs` on first access.
 
     ``only_a``, ``only_b`` and ``linking`` hold the laboratory labels of
     the three disjoint participation groups, in input order.  ``warnings``
@@ -267,7 +260,7 @@ class ComparisonDataset:
 
     @cached_property
     def labs(self) -> tuple[LabResult, ...]:
-        return tuple(starmap(_checked_lab, self.rows()))
+        return check_labs(self.labels, self.x, self.u, self.cov_ab)
 
     def rows(self) -> Iterator[tuple]:
         """``(label, x_a, u_a, x_b, u_b, cov_ab)`` per lab, NaN where absent."""

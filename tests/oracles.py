@@ -18,8 +18,8 @@ walk over the ``LabResult`` objects for the five sums and one for the
 degrees of equivalence and q2, building a ``DegreeOfEquivalence`` per
 reported value.  The report references build the JSON report as a nested
 dict handed to ``json.dumps``, render the text table from ``does`` objects,
-round with a fresh ``Decimal`` context per value and write plot data
-through ``csv.writer``.  The synthetic-data reference simulates
+round with a fresh ``Decimal`` context per value and write plot data and
+CSV dataset files through ``csv.writer``.  The synthetic-data reference simulates
 one laboratory at a time with its own ``SeedSequence`` and
 ``Generator(Philox(...))``, draws with ``Generator.integers`` and reduces
 with 1-D ``np.mean``/``np.sum``; the seed's entropy pool is NumPy's
@@ -743,6 +743,23 @@ def plot_data(result: LinkingResult) -> str:
             [entry.label, entry.standard,
              repr(entry.d), repr(entry.u_d), repr(2.0 * entry.u_d)]
         )
+    return buffer.getvalue()
+
+
+def dataset_file(dataset: ComparisonDataset, suffix: str) -> str:
+    """The dataset file of ``dataset.labs``: ``{"labs": [...]}`` through
+    ``json.dumps`` for ``.json``, else CSV through ``csv.writer``."""
+    fields = [[lab.label, lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab]
+              for lab in dataset.labs]
+    columns = ["label", "x_a", "u_a", "x_b", "u_b", "cov_ab"]
+    if suffix == ".json":
+        records = [dict(zip(columns, row)) for row in fields]
+        return json.dumps({"labs": records}, sort_keys=True, indent=2) + "\n"
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for label, *numbers in fields:
+        writer.writerow([label, *["" if v is None else repr(v) for v in numbers]])
     return buffer.getvalue()
 
 

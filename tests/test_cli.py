@@ -202,23 +202,28 @@ class TestLinkCommand:
     def test_rejected_options_leave_no_report_file(self, gauge_block_file, tmp_path,
                                                     capsys, existing):
         out = tmp_path / "r.json"
-        if existing is not None:
-            out.write_text(existing, encoding="utf-8")
-        assert main(["link", "--input", str(gauge_block_file), "--report-format", "json",
-                     "--decimals", "-1", "--output", str(out)]) == 1
-        assert capsys.readouterr().out == ""
-        if existing is None:
-            assert not out.exists()
-        else:
-            assert out.read_text(encoding="utf-8") == existing
+        for decimals in ("-1", "3000000"):  # below 0, above a double's 1074 digits
+            if existing is not None:
+                out.write_text(existing, encoding="utf-8")
+            assert main(["link", "--input", str(gauge_block_file), "--report-format", "json",
+                         "--decimals", decimals, "--output", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "\nerror: decimals must be " in captured.err
+            assert captured.err.endswith(f", got {decimals}\n")
+            if existing is None:
+                assert not out.exists()
+            else:
+                assert out.read_text(encoding="utf-8") == existing
 
     def test_many_decimals(self, gauge_block_file, capsys):
-        code = main(["link", "--input", str(gauge_block_file),
-                     "--report-format", "json", "--decimals", "400"])
-        assert code == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["display"]["decimals"] == 400
-        assert report["display"]["kcrv"]["y_a"] == report["kcrv"]["y_a"]
+        for decimals in (400, 1074):  # 1074: a double's last fractional digit
+            code = main(["link", "--input", str(gauge_block_file),
+                         "--report-format", "json", "--decimals", str(decimals)])
+            assert code == 2
+            report = json.loads(capsys.readouterr().out)
+            assert report["display"]["decimals"] == decimals
+            assert report["display"]["kcrv"]["y_a"] == report["kcrv"]["y_a"]
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["link"]) == 1

@@ -479,6 +479,7 @@ class TestRounding:
     @pytest.mark.parametrize("value, expected", [
         (11.1427, 11.2),
         (11.2, 11.2),
+        (11.2000000001, 11.2),  # the backoff rounds down just above the grid
         (0.04231, 0.0424),
         (99.99, 100.0),
         (104327.0, 105000.0),

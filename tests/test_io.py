@@ -583,6 +583,15 @@ class TestReportBytes:
             path = emit_plot_data(result, Path(directory) / "doe.csv")
             assert path.read_bytes() == oracles.plot_data(result).encode("utf-8")
 
+    @given(dataset=datasets(), names=st.lists(labels, min_size=9, max_size=9, unique=True),
+           suffix=st.sampled_from([".csv", ".json"]))
+    @example(dataset=NO_WARNINGS, names=['a,"b"', "x\r\ny", "\x00\t"], suffix=".csv")
+    def test_dataset_file_is_csv_writer_or_json_dumps(self, dataset, names, suffix):
+        dataset = _relabelled(dataset, names)
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
+            assert path.read_bytes() == oracles.dataset_file(dataset, suffix).encode("utf-8")
+
 
 # labels as csv.writer quotes them, and any other text
 plot_labels = st.lists(st.text(',"\r\nx;') | st.text(min_size=1),

@@ -72,7 +72,8 @@ def test_outputs_at_chunk_boundaries_match_the_references(count, tmp_path, capsy
 
 
 @pytest.mark.parametrize("format, decimals", [("xml", 3), ("json", -1), ("text", True),
-                                              ("text", 1.5)])
+                                              ("text", 1.5), ("json", 1075),
+                                              ("text", 3_000_000)])
 def test_write_report_checks_its_options_before_writing(format, decimals):
     stream = io.StringIO()
     with pytest.raises(KclinkError):
