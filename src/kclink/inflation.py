@@ -5,22 +5,25 @@ to question a single suspiciously small uncertainty claim and ask: what is
 the smallest uncertainty for that laboratory at which the whole dataset
 passes?  One leave-one-out rule answers it for every target.  The rest is
 the dataset without the target's value for the inflated standard (a linking
-target stays as an exclusive lab of the other standard); linking it once
-gives KCRVs ``y0``, KCRV covariance ``V0`` and residual ``q0``.  Adding the
-value back adds one scalar residual: ``q2(u) = q0 + eps(u)^2 / var(u)``,
-where ``eps`` and ``var`` are linear and quadratic in ``u`` because the
-target's correlation stays fixed.  So the boundary ``q2(u) = N - 2`` is
-exactly a root of a quadratic in ``u``.  It is reported rounded up to
-three significant digits and confirmed by one full re-analysis.
+target stays as an exclusive lab of the other standard); one statistics pass
+over the dataset with that value masked out gives the rest's KCRVs ``y0``,
+KCRV covariance ``V0`` and residual ``q0``, bit for bit those of linking the
+rest.  The verdict on the original data comes from the same pass,
+unmasked, so a failing search makes one full analysis, the confirming one.
+Adding the value back adds one scalar residual:
+``q2(u) = q0 + eps(u)^2 / var(u)``, where ``eps`` and ``var`` are linear and
+quadratic in ``u`` because the target's correlation stays fixed.  So the
+boundary ``q2(u) = N - 2`` is exactly a root of a quadratic in ``u``.  It is
+reported rounded up to three significant digits and confirmed by one full
+re-analysis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
-from .linking import LinkingResult, Standard, link
+from .linking import LinkingResult, Standard, _conformity, _statistics, link
 from .model import ComparisonDataset, KclinkError, validate_dataset
 
 _SIGNIFICANT_DIGITS = 3
@@ -109,8 +112,11 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
 
     The rest drops only the target's value ``x_s`` for the inflated
     standard s (row ``row`` of the columns); a linking target keeps its
-    value ``x_o`` of the other standard o.  Given ``x_o``, the value ``x_s``
-    adds one residual ``eps(u) = e_s - p u e_o`` with ``e = x - y0`` and
+    value ``x_o`` of the other standard o.  Its ``y0``, ``V0``, ``q0`` and
+    residuals ``e = x - y0`` come from the statistics pass with ``x_s``
+    masked out: the rest's ``link`` bit for bit, with no copy of the
+    columns, no validation and no DOEs.  Given ``x_o``, the value ``x_s``
+    adds one residual ``eps(u) = e_s - p u e_o`` with
     ``p = r / u_o`` (``p = 0`` without a covariance), of variance
     ``var(u) = (1 - r^2) u^2 + V_ss - 2 p u V_so + p^2 u^2 V_oo``.  With
     ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic
@@ -119,25 +125,19 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
     """
     if (dataset.card_a, dataset.card_b)[row] == 1:
         return None  # the target alone fixes this KCRV: q2 ignores u
-    x, u, cov_ab = dataset.x.copy(), dataset.u.copy(), dataset.cov_ab.copy()
-    x[row, index] = u[row, index] = cov_ab[index] = math.nan
-    keep = (x == x).any(axis=0)  # all labs but a target left with no value
-    loo = link(validate_dataset(compress(dataset.labels, keep.tolist()),
-                                x[:, keep], u[:, keep], cov_ab[keep]))
-    k = dof - loo.conformity.q2
+    _, kcrv, e, q0 = _statistics(dataset, without=(index, row))
+    k = dof - _conformity(q0, dof - 1).q2  # the rest has one value less
     if not k > 0.0:
         return None
 
-    kcrv = loo.kcrv
-    y0 = kcrv.y_hat_a, kcrv.y_hat_b
     v0 = kcrv.u_a * kcrv.u_a, kcrv.u_b * kcrv.u_b
-    xs, us = dataset.x[:, index].tolist(), dataset.u[:, index].tolist()
+    es, us = e[:, index].tolist(), dataset.u[:, index].tolist()
     covariance, other = dataset.cov[index].item(), 1 - row
-    e_s, u0 = xs[row] - y0[row], us[row]
+    e_s, u0 = es[row], us[row]
     p = r = e_o = v_oo = 0.0
     if covariance:
         r = covariance / (u0 * us[other])
-        p, e_o, v_oo = r / us[other], xs[other] - y0[other], v0[other]
+        p, e_o, v_oo = r / us[other], es[other], v0[other]
     alpha = k * (1.0 - r * r + p * p * v_oo) - p * p * (e_o * e_o)
     beta = 2.0 * p * (e_s * e_o - k * kcrv.cov_ab)
     gamma = k * v0[row] - e_s * e_s
@@ -152,8 +152,8 @@ def minimal_inflation(
 ) -> InflationResult:
     """Find the smallest uncertainty for one lab that makes the data conform.
 
-    ``critical_u`` is the exact boundary from one leave-one-out analysis
-    (see the module docstring); ``minimal_u`` is that boundary rounded up
+    ``critical_u`` is the exact boundary from one leave-one-out statistics
+    pass (see the module docstring); ``minimal_u`` is that boundary rounded up
     to three significant digits, stepped up while a full re-analysis still
     fails.  A target that reported a covariance keeps its correlation
     coefficient fixed while the covariance rescales.
@@ -173,12 +173,12 @@ def minimal_inflation(
         raise InflationError(f"{label} did not measure standard {standard}")
     original_u = dataset.u[row, index].item()
 
-    baseline = link(dataset)
-    if baseline.conformity.passed:
+    dof = dataset.n_total - 2
+    if _conformity(_statistics(dataset)[3], dof).passed:
         return InflationResult(label, standard, original_u, minimal_u=original_u,
-                               critical_u=original_u, relinked=baseline)
+                               critical_u=original_u, relinked=link(dataset))
 
-    critical_u = _critical_u(dataset, index, row, baseline.conformity.dof)
+    critical_u = _critical_u(dataset, index, row, dof)
     if critical_u is None:
         raise InflationError(
             f"no uncertainty makes the dataset pass; the misfit is not "

@@ -22,11 +22,14 @@ alongside display-rounded ones, and display rounding is half-up and never
 feeds back into any computation.  The JSON report's bytes are those of
 ``json.dumps(document, sort_keys=True, indent=2)`` of its documented structure:
 ``json.dumps`` writes the fixed members, and the arrays that grow with N are
-spliced in row by row, without building ``document``.  It and the plot data
-print each DOE's ``d`` and ``u_d`` from one text, made on first use and kept
-with the result (:func:`_doe_text`).  Each output is made in chunks of rows
-from column slices of ``_CHUNK_ROWS`` labs, in memory that does not grow
-with N.  :func:`_csv_field` quotes every CSV field as ``csv.writer`` does.
+spliced in row by row, without building ``document``; a JSON dataset file
+is ``json.dumps({"labs": [...]}, sort_keys=True, indent=2)`` and a newline,
+its records written as the report's ``input.labs``.  The JSON report and
+the plot data print each DOE's ``d`` and ``u_d`` from one text, made on
+first use and kept with the result (:func:`_doe_text`).  Each output is made
+in chunks of rows from column slices of ``_CHUNK_ROWS`` labs, in memory that
+does not grow with N.  :func:`_csv_field` quotes every CSV field as
+``csv.writer`` does.
 
 The text report prints every DOE row by a ``%``-template per measured pattern,
 which rounds the binary value correctly: half-up rounding of its shortest
@@ -392,17 +395,23 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
                         "      ")
     yield from _strings(',\n      "only_a": ', dataset.only_a, "      ")
     yield from _strings(',\n      "only_b": ', dataset.only_b, "      ")
-    yield from _array('\n    },\n    "labs": ', (
-        [f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
-         f'        "label": {_str(label)},\n'
-         f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
-         f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
-         f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
-         f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
-         for label, x_a, u_a, x_b, u_b, c in _rows(dataset.labels[block], dataset.x[:, block],
-                                                   dataset.u[:, block], dataset.cov_ab[block])]
-        for block in _blocks(len(dataset.labels))), "    ")
+    yield from _array('\n    },\n    "labs": ', _lab_records(dataset), "    ")
     yield "\n  }," + tail[len("{"):]
+
+
+def _lab_records(dataset: ComparisonDataset) -> Iterator[list[str]]:
+    """Per block of labs, each lab's record in the JSON report's ``input.labs``,
+    after its newline and indent."""
+    for block in _blocks(len(dataset.labels)):
+        yield [f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
+               f'        "label": {_str(label)},\n'
+               f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
+               f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
+               f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
+               f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
+               for label, x_a, u_a, x_b, u_b, c in _rows(
+                   dataset.labels[block], dataset.x[:, block], dataset.u[:, block],
+                   dataset.cov_ab[block])]
 
 
 def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text", *,
@@ -448,10 +457,11 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     """
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        if path.suffix.lower() == ".json":
-            records = [dict(zip(_CSV_COLUMNS, [label, *[None if v != v else v for v in numbers]]))
-                       for label, *numbers in dataset.rows()]
-            handle.write(_dumps({"labs": records}) + "\n")
+        if path.suffix.lower() == ".json":  # json.dumps(..., indent=2) + "\n", row by row:
+            # the report's records one level out (labels are escaped: a "\n" starts a line)
+            handle.writelines(chunk.replace("\n  ", "\n") for chunk in
+                              _array('{\n    "labs": ', _lab_records(dataset), "    "))
+            handle.write("\n}\n")
         else:
             handle.write(",".join(_CSV_COLUMNS) + "\r\n")
             handle.writelines(_csv_field(label) + "".join(["," if v != v else f",{v!r}"

@@ -16,15 +16,18 @@ Squares are written as products: ``x * x`` is correctly rounded, while
 in the last place, and results would then no longer scale bit-exactly
 under a power-of-two change of units.
 
-The engine works on the dataset's float64 columns: :func:`compute_aux`
-gives the five sums, which fix the KCRVs (:func:`compute_kcrv`), and the
-residuals against those KCRVs give the degrees of equivalence and the
-chi-square.  Each per-lab term is computed elementwise in the expression
-order of its scalar formula, and each sum is ``math.fsum`` over the terms'
-``.tolist()``.  NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly
-rounded, as Python's float operations are, and ``fsum`` is exactly rounded
-whatever the order of its terms: the results are the bits a per-lab Python
-walk gives, and they do not depend on the order in which labs are listed.
+The engine works on the dataset's float64 columns.  One statistics pass
+(``_statistics``) gives the five sums (:func:`compute_aux`), which fix the
+KCRVs (:func:`compute_kcrv`), and the chi-square of the residuals against
+them; :func:`link` adds the degrees of equivalence.  The same pass with one
+measured value masked out gives, bit for bit, the statistics of the dataset
+without that value, as the inflation search needs them.  Each per-lab
+term is computed elementwise in the expression order of its scalar
+formula, and each sum is ``math.fsum`` over the terms' ``.tolist()``.
+NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly rounded, as
+Python's float operations are, and ``fsum`` is exactly rounded whatever
+the order of its terms: the results are the bits a per-lab Python walk
+gives, and they do not depend on the order in which labs are listed.
 """
 
 from __future__ import annotations
@@ -167,13 +170,18 @@ class LinkingResult:
         return tuple(starmap(DegreeOfEquivalence, self.doe_rows()))
 
 
-def _bivariate(dataset: ComparisonDataset) -> tuple[np.ndarray, ...]:
-    """``u^2``, the mask of the labs with one bivariate term (a nonzero
-    covariance) and its denominator ``u_a^2 * u_b^2 - cov_ab^2``.  Other
-    labs add a univariate term per standard, so that for a zero-covariance
-    linking lab the uncorrelated reduction is an identity, not a limit."""
-    v = dataset.u * dataset.u
-    return v, dataset.cov.astype(bool), v[0] * v[1] - dataset.cov * dataset.cov
+def _bivariate(dataset: ComparisonDataset, without=None) -> tuple[np.ndarray, ...]:
+    """``u^2``, the masks of the measured entries and of the labs with one
+    bivariate term (a nonzero covariance), and its denominator
+    ``u_a^2 * u_b^2 - cov_ab^2``.  Other labs add a univariate term per
+    standard, so that for a zero-covariance linking lab the uncorrelated
+    reduction is an identity, not a limit.  ``without=(index, row)`` clears
+    ``measured[row, index]`` and ``bivariate[index]`` in copies of the masks."""
+    v, measured, bivariate = dataset.u * dataset.u, dataset.measured, dataset.cov.astype(bool)
+    if without is not None:
+        (index, row), measured = without, measured.copy()
+        measured[row, index] = bivariate[index] = False
+    return v, measured, bivariate, v[0] * v[1] - dataset.cov * dataset.cov
 
 
 def _term_sums(*terms: list[float]) -> list[float]:
@@ -196,8 +204,8 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
         return _aux(dataset, *_bivariate(dataset))
 
 
-def _aux(dataset: ComparisonDataset, v, bivariate, den) -> AuxQuantities:
-    x, cov, measured = dataset.x, dataset.cov, dataset.measured
+def _aux(dataset: ComparisonDataset, v, measured, bivariate, den) -> AuxQuantities:
+    x, cov = dataset.x, dataset.cov
     singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
     if np.count_nonzero(singular):
         raise ValidationError(
@@ -208,7 +216,7 @@ def _aux(dataset: ComparisonDataset, v, bivariate, den) -> AuxQuantities:
     w = np.where(bivariate, v[::-1] / den, np.reciprocal(v))[measured].tolist()
     s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[
         measured].tolist()
-    n_a = dataset.card_a
+    n_a = np.count_nonzero(measured[0])
     sums = _term_sums(w[:n_a], w[n_a:], (cov / den)[bivariate].tolist(),
                       s[:n_a], s[n_a:])
     if not all(map(isfinite, sums)):
@@ -285,40 +293,43 @@ def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray)
     raise ValidationError(f"{label}: the DOE variance exceeds the float range")
 
 
-def _residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate, v, bivariate, den):
-    """Degrees of equivalence and the residual chi-square, from the terms
-    of :func:`_bivariate`.
+def _statistics(dataset: ComparisonDataset, without=None):
+    """``(aux, kcrv, d, q2)``: the five sums, the KCRVs, the residuals
+    ``d = x - y_hat`` and their chi-square over the measured entries.  q2
+    substitutes the estimates into the weighted sum of squared deviations, a
+    bivariate form for a lab with a covariance; it is returned as it is, and
+    :func:`_conformity` checks it after :func:`link`'s DOE guard has had the
+    chance to name a lab.
 
-    The DOEs ``d = x - y_hat`` and ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)`` are
-    read-only columns shaped like ``dataset.x``; the variances subtract
-    because each result is itself part of the reference value, with
-    covariance between them equal to the KCRV variance.
-
-    q2 substitutes the estimates into the weighted sum of squared
-    deviations; linking laboratories with a covariance contribute their
-    full bivariate quadratic form.  The test passes when q2 does not exceed
-    N - 2, the number of reported values minus the two estimated
-    quantities.
+    ``without=(index, row)`` leaves out lab ``index``'s value for the
+    standard of row ``row``: the lab adds no term for it, and univariate
+    terms for any other standard.  Every other lab adds the terms it adds to
+    the rest, the dataset without that value, and ``fsum`` is exactly
+    rounded: the results, and the errors up to the KCRVs, are the rest's
+    ``link``'s, bit for bit.
     """
-    y = np.array((kcrv.y_hat_a, kcrv.u_a * kcrv.u_a, kcrv.y_hat_b, kcrv.u_b * kcrv.u_b)
-                 ).reshape(2, 2)  # per standard: y_hat, u(y_hat)^2
-    d = dataset.x - y[:, :1]
-    u_d = _doe_uncertainty(dataset, v, y[:, 1:])
-    dd = d * d
-    # bivariate: (d_a d_a v_b - 2 cov d_a d_b + d_b d_b v_a) / den, 2 cov exactly
-    ddv, cov = dd * v[::-1], dataset.cov
-    [q2] = _term_sums((dd / v)[dataset.measured > bivariate].tolist() + (
-        (ddv[0] - (cov + cov) * d[0] * d[1] + ddv[1]) / den)[bivariate].tolist())
+    with np.errstate(all="ignore"):
+        v, measured, bivariate, den = terms = _bivariate(dataset, without)
+        aux = _aux(dataset, *terms)
+        kcrv = compute_kcrv(aux)
+        d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
+        dd = d * d
+        # bivariate: (d_a d_a v_b - 2 cov d_a d_b + d_b d_b v_a) / den, 2 cov exactly
+        ddv, cov = dd * v[::-1], dataset.cov
+        [q2] = _term_sums((dd / v)[measured > bivariate].tolist() + (
+            (ddv[0] - (cov + cov) * d[0] * d[1] + ddv[1]) / den)[bivariate].tolist())
+    return aux, kcrv, d, q2
+
+
+def _conformity(q2: float, dof: int) -> ConformityReport:
+    """The :class:`ConformityReport` of q2 with ``dof`` = N - 2 (N reported
+    values, two estimates); a non-finite q2 is a :class:`ValidationError`."""
     # a non-finite KCRV makes some d, and with it q2, non-finite as well
     if not isfinite(q2):
         raise ValidationError("the residual chi-square exceeds the float range")
-    dof = dataset.n_total - 2
     if dof > 0:
-        conformity = ConformityReport(q2, dof, q2 / dof, q2 <= dof)
-    else:
-        conformity = ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
-    d.flags.writeable = u_d.flags.writeable = False
-    return d, u_d, conformity
+        return ConformityReport(q2, dof, q2 / dof, q2 <= dof)
+    return ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
 
 
 def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
@@ -337,12 +348,19 @@ def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
 
 
 def link(dataset: ComparisonDataset) -> LinkingResult:
-    """Run the full analysis: sums, KCRVs, DOEs and conformity check."""
+    """Run the full analysis: sums, KCRVs, DOEs and conformity check.
+
+    The DOEs ``d = x - y_hat`` and ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)`` are
+    read-only columns shaped like ``dataset.x``; the variances subtract
+    because each result is itself part of the reference value, with
+    covariance between them equal to the KCRV variance.
+    """
+    aux, kcrv, d, q2 = _statistics(dataset)
+    v_y = np.array(((kcrv.u_a * kcrv.u_a,), (kcrv.u_b * kcrv.u_b,)))  # u(y_hat)^2
     with np.errstate(all="ignore"):
-        terms = _bivariate(dataset)
-        aux = _aux(dataset, *terms)
-        kcrv = compute_kcrv(aux)
-        d, u_d, conformity = _residuals(dataset, kcrv, *terms)
+        u_d = _doe_uncertainty(dataset, dataset.u * dataset.u, v_y)
+    conformity = _conformity(q2, dataset.n_total - 2)
+    d.flags.writeable = u_d.flags.writeable = False
     warnings = list(dataset.warnings)
     if conformity.dof == 0:
         warnings.append(

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from math import inf, nan
 
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
-from kclink.model import LabResult, validate_dataset
+from kclink.model import LabResult, ValidationError, validate_dataset
 
 
 def _flush_tiny(value: float) -> float:
@@ -69,6 +69,16 @@ def datasets(draw, max_per_group: int = 3, value_st=values, u_st=uncertainties):
 def moderate_datasets(max_per_group: int = 3):
     return datasets(max_per_group, value_st=moderate_values,
                     u_st=moderate_uncertainties)
+
+
+@st.composite
+def full_range_datasets(draw):
+    values = st.floats(min_value=-1e300, max_value=1e300)
+    uncertainties = st.floats(min_value=1e-300, max_value=1e300)
+    try:
+        return draw(datasets(3, value_st=values, u_st=uncertainties))
+    except ValidationError:  # a covariance r * u_a * u_b beyond the float range
+        assume(False)
 
 
 def _fields(lab: LabResult) -> list:

@@ -13,7 +13,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kclink.io import emit_plot_data, render_report
 from kclink.linking import LinkingResult, link
@@ -27,7 +27,7 @@ from kclink.model import (
 from kclink.synthetic import ScenarioLayout, SyntheticScenario, generate_scenario
 
 from . import oracles
-from .strategies import datasets
+from .strategies import datasets, full_range_datasets
 
 
 def assert_matches_reference(result: LinkingResult, directory, decimals=3, units=None):
@@ -85,16 +85,6 @@ def test_text_report_equals_the_reference_on_decimal_ties(pair):
     assert result.kcrv.y_hat_a == result.kcrv.y_hat_b == 0.0
     assert render_report(result, "text", decimals=decimals) == (
         oracles.text_report(oracles.reference_link(dataset), decimals, None))
-
-
-@st.composite
-def full_range_datasets(draw):
-    values = st.floats(min_value=-1e300, max_value=1e300)
-    uncertainties = st.floats(min_value=1e-300, max_value=1e300)
-    try:
-        return draw(datasets(3, value_st=values, u_st=uncertainties))
-    except ValidationError:  # a covariance r * u_a * u_b beyond the float range
-        assume(False)
 
 
 def _guard(exc: KclinkError):

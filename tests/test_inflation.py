@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kclink import inflation
 from kclink.golden import gauge_block_dataset
@@ -13,10 +15,11 @@ from kclink.inflation import (
     _round_up_significant,
     minimal_inflation,
 )
-from kclink.linking import link
-from kclink.model import LabResult, validate_dataset
+from kclink.linking import _statistics, compute_aux, compute_kcrv, link
+from kclink.model import KclinkError, LabResult, validate_dataset
 
 from . import oracles
+from .strategies import datasets, full_range_datasets
 
 
 def failing_three_lab_dataset():
@@ -56,6 +59,59 @@ def outcome(dataset, label, standard):
         return str(exc)
 
 
+def rest_of(dataset, index, row):
+    """The dataset without lab ``index``'s value for the standard of row
+    ``row``, validated afresh (an exclusive lab leaves, and a linking lab
+    stays as an exclusive lab of the other standard), and the mask of the
+    labs it keeps."""
+    x, u, cov_ab = dataset.x.copy(), dataset.u.copy(), dataset.cov_ab.copy()
+    x[row, index] = u[row, index] = cov_ab[index] = math.nan
+    keep = (x == x).any(axis=0)
+    return validate_dataset(compress(dataset.labels, keep.tolist()),
+                            x[:, keep], u[:, keep], cov_ab[keep]), keep
+
+
+def error_of(call):
+    """The class and message of the ``KclinkError`` that ``call()`` raises,
+    else None."""
+    try:
+        call()
+    except KclinkError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.one_of(datasets(), full_range_datasets()))
+@example(gauge_block_dataset())  # INMETRO1/B among its entries
+@example(linking_target_dataset())  # C1: a linking target of either standard
+@settings(max_examples=200, deadline=None)
+def test_masked_statistics_are_the_rest_linked(dataset):
+    """For every measured value whose standard keeps another value, the
+    statistics pass with that value masked out gives the bits of the rest's
+    ``link``: the sums, the KCRVs, the residuals of the values the rest keeps
+    and q2, or the error of the sums or KCRVs."""
+    for row, index in np.argwhere(dataset.measured).tolist():
+        if (dataset.card_a, dataset.card_b)[row] == 1:
+            continue
+        rest, keep = rest_of(dataset, index, row)
+        masked = lambda: _statistics(dataset, without=(index, row))
+        failed = error_of(lambda: compute_kcrv(compute_aux(rest)))
+        if failed:
+            assert error_of(masked) == failed
+            continue
+
+        def bits(aux, kcrv, d, q2):
+            # repr is the shortest round-trip text, so equal reprs are equal bits
+            return repr((aux, kcrv, d[rest.measured].tolist(), q2))
+
+        aux, kcrv, d, q2 = masked()
+        statistics = bits(aux, kcrv, d[:, keep], q2)
+        assert statistics == bits(*_statistics(rest))
+        if error_of(lambda: link(rest)) is None:
+            result = link(rest)
+            assert statistics == bits(result.aux, result.kcrv, result.d, result.conformity.q2)
+
+
 class TestGoldenInflation:
     def test_reported_minimal_uncertainty(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -64,23 +120,25 @@ class TestGoldenInflation:
         assert found.critical_u == pytest.approx(11.1426943354, rel=1e-9)
         assert found.relinked.conformity.passed
 
-    @pytest.mark.parametrize("make, label, dropped", [
-        (gauge_block_dataset, "INMETRO1", 1),  # an exclusive target leaves
-        (linking_target_dataset, "C1", 0),  # a linking one keeps its A value
+    @pytest.mark.parametrize("make, label", [
+        (gauge_block_dataset, "INMETRO1"),  # an exclusive target
+        (linking_target_dataset, "C1"),  # a linking one keeps its A value
     ], ids=["INMETRO1", "C1"])
-    def test_one_leave_one_out_and_three_links(self, make, label, dropped,
-                                               monkeypatch):
-        calls = []
-
-        def counting_link(dataset):
-            calls.append(len(dataset.labs))
-            return link(dataset)
-
+    def test_one_leave_one_out_and_three_links(self, make, label, monkeypatch):
+        # the verdict on the data and the leave-one-out come from statistics
+        # passes: the one full analysis is the confirming link, of the one
+        # dataset that the search validates, at full size
+        links, validations = [], []
         dataset = make()
-        monkeypatch.setattr(inflation, "link", counting_link)
-        minimal_inflation(dataset, label, "B")
-        n = len(dataset.labs)
-        assert calls == [n, n - dropped, n]
+        monkeypatch.setattr(inflation, "link",
+                            lambda trial: links.append(trial) or link(trial))
+        monkeypatch.setattr(inflation, "validate_dataset",
+                            lambda *args: validations.append(args) or validate_dataset(*args))
+        found = minimal_inflation(dataset, label, "B")
+        assert len(validations) == 1
+        assert len(links) == 1 and links[0] is found.relinked.dataset
+        assert links[0].labels == dataset.labels
+        assert links[0].lab(label).u_b == found.minimal_u
 
     def test_matches_bisection_oracle(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -209,7 +267,7 @@ class TestConfirmationLoop:
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
         assert found.critical_u == 11.1
         assert found.minimal_u == 11.2
-        assert [dataset.lab("INMETRO1").u_b for dataset in links] == [4.0, 11.1, 11.2]
+        assert [dataset.lab("INMETRO1").u_b for dataset in links] == [11.1, 11.2]
         assert found.relinked.conformity.passed
 
     def test_gives_up_after_100_steps(self, gauge_block, monkeypatch):
