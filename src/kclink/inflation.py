@@ -6,11 +6,12 @@ the smallest uncertainty for that laboratory at which the whole dataset
 passes?  One leave-one-out rule answers it for every target.  The rest is
 the dataset without the target's value for the inflated standard (a linking
 target stays as an exclusive lab of the other standard); one statistics pass
-over the dataset with that value masked out gives the rest's KCRVs ``y0``,
-KCRV covariance ``V0`` and residual ``q0``, bit for bit those of linking the
-rest.  The verdict on the original data comes from the same pass,
-unmasked, so a failing search makes one full analysis, the confirming one.
-Adding the value back adds one scalar residual:
+with that value's ``measured`` entry and the target's ``bivariate`` cleared,
+in copies of the masks, gives the rest's KCRVs ``y0``, KCRV covariance ``V0``
+and residual ``q0``, bit for bit those of linking the rest.  The verdict on
+the original data comes from the unmasked pass, which also makes a passing
+dataset's result; a failing search makes one full analysis, the confirming
+one.  Adding the value back adds one scalar residual:
 ``q2(u) = q0 + eps(u)^2 / var(u)``, where ``eps`` and ``var`` are linear and
 quadratic in ``u`` because the target's correlation stays fixed.  So the
 boundary ``q2(u) = N - 2`` is exactly a root of a quadratic in ``u``.  It is
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linking import LinkingResult, Standard, _conformity, _statistics, link
+from .linking import LinkingResult, Standard, _conformity, _linked, _statistics, link
 from .model import ComparisonDataset, KclinkError, validate_dataset
 
 _SIGNIFICANT_DIGITS = 3
@@ -110,22 +111,24 @@ def _nonnegative_intervals(a: float, b: float, c: float) -> list[tuple[float, fl
 def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> float | None:
     """Smallest u >= the original at which q2(u) <= dof; None if none.
 
-    The rest drops only the target's value ``x_s`` for the inflated
-    standard s (row ``row`` of the columns); a linking target keeps its
-    value ``x_o`` of the other standard o.  Its ``y0``, ``V0``, ``q0`` and
-    residuals ``e = x - y0`` come from the statistics pass with ``x_s``
-    masked out: the rest's ``link`` bit for bit, with no copy of the
-    columns, no validation and no DOEs.  Given ``x_o``, the value ``x_s``
-    adds one residual ``eps(u) = e_s - p u e_o`` with
+    The rest drops only the target's value ``x_s`` for the inflated standard s
+    (row ``row`` of the columns); a linking target keeps its value ``x_o`` of
+    the other standard o.  Its ``y0``, ``V0``, ``q0`` and residuals
+    ``e = x - y0`` come from the statistics pass with ``measured[row, index]``
+    and ``bivariate[index]`` cleared in copies of the masks: the rest's
+    ``link`` bit for bit, with no validation and no DOEs.  Given ``x_o``, the
+    value ``x_s`` adds one residual ``eps(u) = e_s - p u e_o`` with
     ``p = r / u_o`` (``p = 0`` without a covariance), of variance
     ``var(u) = (1 - r^2) u^2 + V_ss - 2 p u V_so + p^2 u^2 V_oo``.  With
-    ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic
-    in u.  The data fail at ``u0``, so the boundary is the first root above
-    it, or ``u0`` itself when rounding puts it inside a passing interval.
+    ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic in
+    u.  The data fail at ``u0``, so the boundary is the first root above it,
+    or ``u0`` itself when rounding puts it inside a passing interval.
     """
     if (dataset.card_a, dataset.card_b)[row] == 1:
         return None  # the target alone fixes this KCRV: q2 ignores u
-    _, kcrv, e, q0 = _statistics(dataset, without=(index, row))
+    measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
+    measured[row, index] = bivariate[index] = False
+    _, _, kcrv, e, q0 = _statistics(dataset, measured, bivariate)
     k = dof - _conformity(q0, dof - 1).q2  # the rest has one value less
     if not k > 0.0:
         return None
@@ -174,9 +177,10 @@ def minimal_inflation(
     original_u = dataset.u[row, index].item()
 
     dof = dataset.n_total - 2
-    if _conformity(_statistics(dataset)[3], dof).passed:
+    statistics = _statistics(dataset, dataset.measured, dataset.bivariate)
+    if _conformity(statistics[4], dof).passed:
         return InflationResult(label, standard, original_u, minimal_u=original_u,
-                               critical_u=original_u, relinked=link(dataset))
+                               critical_u=original_u, relinked=_linked(dataset, *statistics))
 
     critical_u = _critical_u(dataset, index, row, dof)
     if critical_u is None:

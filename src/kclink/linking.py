@@ -19,10 +19,10 @@ under a power-of-two change of units.
 The engine works on the dataset's float64 columns.  One statistics pass
 (``_statistics``) gives the five sums (:func:`compute_aux`), which fix the
 KCRVs (:func:`compute_kcrv`), and the chi-square of the residuals against
-them; :func:`link` adds the degrees of equivalence.  The same pass with one
-measured value masked out gives, bit for bit, the statistics of the dataset
-without that value, as the inflation search needs them.  Each per-lab
-term is computed elementwise in the expression order of its scalar
+them; :func:`link` adds the degrees of equivalence.  The caller passes the
+masks: copies with one ``measured`` entry and its lab's ``bivariate`` cleared
+give the statistics of the dataset without that value, bit for bit.  Each
+per-lab term is computed elementwise in the expression order of its scalar
 formula, and each sum is ``math.fsum`` over the terms' ``.tolist()``.
 NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly rounded, as
 Python's float operations are, and ``fsum`` is exactly rounded whatever
@@ -170,20 +170,6 @@ class LinkingResult:
         return tuple(starmap(DegreeOfEquivalence, self.doe_rows()))
 
 
-def _bivariate(dataset: ComparisonDataset, without=None) -> tuple[np.ndarray, ...]:
-    """``u^2``, the masks of the measured entries and of the labs with one
-    bivariate term (a nonzero covariance), and its denominator
-    ``u_a^2 * u_b^2 - cov_ab^2``.  Other labs add a univariate term per
-    standard, so that for a zero-covariance linking lab the uncorrelated
-    reduction is an identity, not a limit.  ``without=(index, row)`` clears
-    ``measured[row, index]`` and ``bivariate[index]`` in copies of the masks."""
-    v, measured, bivariate = dataset.u * dataset.u, dataset.measured, dataset.cov.astype(bool)
-    if without is not None:
-        (index, row), measured = without, measured.copy()
-        measured[row, index] = bivariate[index] = False
-    return v, measured, bivariate, v[0] * v[1] - dataset.cov * dataset.cov
-
-
 def _term_sums(*terms: list[float]) -> list[float]:
     try:
         return [fsum(column) for column in terms]
@@ -201,11 +187,14 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
     positive finite float, or a weight determinant ``a*b - c^2`` not positive.
     """
     with np.errstate(all="ignore"):
-        return _aux(dataset, *_bivariate(dataset))
+        return _aux(dataset, dataset.measured, dataset.bivariate)[2]
 
 
-def _aux(dataset: ComparisonDataset, v, measured, bivariate, den) -> AuxQuantities:
-    x, cov = dataset.x, dataset.cov
+def _aux(dataset: ComparisonDataset, measured, bivariate):
+    """``(v, den, aux)``: ``u^2``, the bivariate terms' denominator
+    ``u_a^2 * u_b^2 - cov_ab^2`` and the five sums over the ``measured`` entries."""
+    x, cov, v = dataset.x, dataset.cov, dataset.u * dataset.u
+    den = v[0] * v[1] - cov * cov
     singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
     if np.count_nonzero(singular):
         raise ValidationError(
@@ -227,7 +216,7 @@ def _aux(dataset: ComparisonDataset, v, measured, bivariate, den) -> AuxQuantiti
             f"the weight sums are beyond the float range (a = {a}, b = {b}, "
             f"a*b - c^2 = {a * b - c * c})"
         )
-    return AuxQuantities(*sums)
+    return v, den, AuxQuantities(*sums)
 
 
 def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
@@ -293,24 +282,23 @@ def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray)
     raise ValidationError(f"{label}: the DOE variance exceeds the float range")
 
 
-def _statistics(dataset: ComparisonDataset, without=None):
-    """``(aux, kcrv, d, q2)``: the five sums, the KCRVs, the residuals
-    ``d = x - y_hat`` and their chi-square over the measured entries.  q2
-    substitutes the estimates into the weighted sum of squared deviations, a
-    bivariate form for a lab with a covariance; it is returned as it is, and
+def _statistics(dataset: ComparisonDataset, measured, bivariate):
+    """``(v, aux, kcrv, d, q2)``: ``u^2``, the five sums over the ``measured``
+    entries, the KCRVs, the residuals ``d = x - y_hat`` and their chi-square.
+    q2 substitutes the estimates into the weighted sum of squared deviations,
+    a bivariate form for a lab in ``bivariate``; it is returned as it is, and
     :func:`_conformity` checks it after :func:`link`'s DOE guard has had the
     chance to name a lab.
 
-    ``without=(index, row)`` leaves out lab ``index``'s value for the
-    standard of row ``row``: the lab adds no term for it, and univariate
-    terms for any other standard.  Every other lab adds the terms it adds to
-    the rest, the dataset without that value, and ``fsum`` is exactly
-    rounded: the results, and the errors up to the KCRVs, are the rest's
-    ``link``'s, bit for bit.
+    The caller passes the dataset's masks, or copies in which one lab's
+    ``measured`` entry for one standard and its ``bivariate`` are cleared: the
+    lab then adds no term for that standard and univariate terms for any other,
+    every other lab adds the terms it adds to the rest (the dataset without
+    that value), and ``fsum`` is exactly rounded, so the results, and the
+    errors up to the KCRVs, are the rest's ``link``'s, bit for bit.
     """
     with np.errstate(all="ignore"):
-        v, measured, bivariate, den = terms = _bivariate(dataset, without)
-        aux = _aux(dataset, *terms)
+        v, den, aux = _aux(dataset, measured, bivariate)
         kcrv = compute_kcrv(aux)
         d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
         dd = d * d
@@ -318,7 +306,7 @@ def _statistics(dataset: ComparisonDataset, without=None):
         ddv, cov = dd * v[::-1], dataset.cov
         [q2] = _term_sums((dd / v)[measured > bivariate].tolist() + (
             (ddv[0] - (cov + cov) * d[0] * d[1] + ddv[1]) / den)[bivariate].tolist())
-    return aux, kcrv, d, q2
+    return v, aux, kcrv, d, q2
 
 
 def _conformity(q2: float, dof: int) -> ConformityReport:
@@ -355,10 +343,14 @@ def link(dataset: ComparisonDataset) -> LinkingResult:
     because each result is itself part of the reference value, with
     covariance between them equal to the KCRV variance.
     """
-    aux, kcrv, d, q2 = _statistics(dataset)
+    return _linked(dataset, *_statistics(dataset, dataset.measured, dataset.bivariate))
+
+
+def _linked(dataset: ComparisonDataset, v, aux, kcrv, d, q2) -> LinkingResult:
+    """:func:`link`'s result from the dataset's unmasked statistics pass."""
     v_y = np.array(((kcrv.u_a * kcrv.u_a,), (kcrv.u_b * kcrv.u_b,)))  # u(y_hat)^2
     with np.errstate(all="ignore"):
-        u_d = _doe_uncertainty(dataset, dataset.u * dataset.u, v_y)
+        u_d = _doe_uncertainty(dataset, v, v_y)
     conformity = _conformity(q2, dataset.n_total - 2)
     d.flags.writeable = u_d.flags.writeable = False
     warnings = list(dataset.warnings)

@@ -176,8 +176,9 @@ class ComparisonDataset:
     empty input, duplicate labels or a standard that no laboratory measured
     raise :class:`ValidationError`.  The columns are kept as read-only
     copies, and datasets compare by them and ``labels``.  Derived: ``cov``
-    (0 where not reported), the boolean ``measured`` (per standard, the
-    labs that measured it) and ``labs``, built by :func:`check_labs` on first access.
+    (0 where not reported), the boolean ``measured`` (per standard, the labs
+    that measured it) and ``bivariate`` (the labs with a nonzero ``cov``, one
+    term each in the sums), and ``labs``, built by :func:`check_labs` on first access.
 
     ``only_a``, ``only_b`` and ``linking`` hold the laboratory labels of
     the three disjoint participation groups, in input order.  ``warnings``
@@ -197,6 +198,7 @@ class ComparisonDataset:
     warnings: tuple[str, ...] = field(init=False)
     cov: np.ndarray = field(init=False, repr=False)
     measured: np.ndarray = field(init=False, repr=False)
+    bivariate: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -232,6 +234,7 @@ class ComparisonDataset:
             if not exclusive and not linking:
                 raise ValidationError(f"no laboratory measured standard {standard}")
         cov = np.where(reported, cov_ab, 0.0)  # reported by linking labs only
+        bivariate = cov != 0.0  # a zero cov adds univariate terms: an identity, not a limit
         unreported = ", ".join(compress(labels, (linked ^ reported).tolist()))
         warnings = tuple(warning for warning, found in (
             ("no linking laboratories: the two comparisons are analysed as "
@@ -240,13 +243,13 @@ class ComparisonDataset:
              f"({unreported}); treated as zero", unreported),
             ("all linking covariances are zero or absent: the linking degenerates "
              "to independent per-group weighted means",
-             linking and not np.count_nonzero(cov)),
+             linking and not np.count_nonzero(bivariate)),
         ) if found)
-        for column in (x, u, cov_ab, cov, measured):
+        for column in (x, u, cov_ab, cov, measured, bivariate):
             column.setflags(write=False)
         vars(self).update(labels=labels, x=x, u=u, cov_ab=cov_ab, only_a=only_a,
                           only_b=only_b, linking=linking, warnings=warnings, cov=cov,
-                          measured=measured)
+                          measured=measured, bivariate=bivariate)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComparisonDataset):

@@ -165,13 +165,14 @@ class TestColumns:
         assert synthetic.cov.tolist() == [lab.covariance for lab in labs]
         assert synthetic.measured.tolist() == [
             [lab.in_group_a for lab in labs], [lab.in_group_b for lab in labs]]
+        assert synthetic.bivariate.tolist() == [lab.covariance != 0.0 for lab in labs]
         for column in (synthetic.x, synthetic.u, synthetic.cov):
             assert column.dtype == np.float64
 
     def test_columns_are_read_only(self, gauge_block):
         result = link(gauge_block)
         for column in (gauge_block.x, gauge_block.u, gauge_block.cov,
-                       gauge_block.measured, result.d, result.u_d):
+                       gauge_block.measured, gauge_block.bivariate, result.d, result.u_d):
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[..., 0] = 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kclink import inflation
+from kclink import inflation, linking
 from kclink.golden import gauge_block_dataset
 from kclink.inflation import (
     InflationError,
@@ -94,7 +94,9 @@ def test_masked_statistics_are_the_rest_linked(dataset):
         if (dataset.card_a, dataset.card_b)[row] == 1:
             continue
         rest, keep = rest_of(dataset, index, row)
-        masked = lambda: _statistics(dataset, without=(index, row))
+        measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
+        measured[row, index] = bivariate[index] = False
+        masked = lambda: _statistics(dataset, measured, bivariate)[1:]
         failed = error_of(lambda: compute_kcrv(compute_aux(rest)))
         if failed:
             assert error_of(masked) == failed
@@ -106,7 +108,7 @@ def test_masked_statistics_are_the_rest_linked(dataset):
 
         aux, kcrv, d, q2 = masked()
         statistics = bits(aux, kcrv, d[:, keep], q2)
-        assert statistics == bits(*_statistics(rest))
+        assert statistics == bits(*_statistics(rest, rest.measured, rest.bivariate)[1:])
         if error_of(lambda: link(rest)) is None:
             result = link(rest)
             assert statistics == bits(result.aux, result.kcrv, result.d, result.conformity.q2)
@@ -191,11 +193,23 @@ class TestGoldenInflation:
 
 
 class TestSearchBehaviour:
-    def test_already_passing_returns_original(self, synthetic):
+    def test_already_passing_returns_original(self, synthetic, monkeypatch):
+        # the relinked result is the data's link, made from the verdict's pass
+        expected, passes, links = link(synthetic), [], []
+        counted = lambda *args: passes.append(args) or _statistics(*args)
+        monkeypatch.setattr(linking, "_statistics", counted)
+        monkeypatch.setattr(inflation, "_statistics", counted)
+        monkeypatch.setattr(inflation, "link", lambda trial: links.append(trial) or link(trial))
         found = minimal_inflation(synthetic, "LAB-13", "B")
+        assert len(passes) == 1 and not links
         assert found.minimal_u == synthetic.lab("LAB-13").u_b
         assert found.critical_u == found.minimal_u
-        assert found.relinked.kcrv == link(synthetic).kcrv
+        relinked = found.relinked
+        assert relinked.dataset is synthetic
+        for name in ("aux", "kcrv", "conformity", "warnings"):
+            assert getattr(relinked, name) == getattr(expected, name)
+        for name in ("d", "u_d"):
+            assert repr(getattr(relinked, name).tolist()) == repr(getattr(expected, name).tolist())
 
     def test_agrees_with_fine_grid_scan(self):
         dataset = failing_three_lab_dataset()
