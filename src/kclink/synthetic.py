@@ -18,9 +18,11 @@ one group's size never perturbs the draws of other labs.
 
 A scenario's labs are keyed, drawn and reduced together, in blocks of
 ``_BLOCK_LABS`` labs, straight into the dataset's columns: see :func:`_keys`
-and :func:`_draw`.  A layout object builds its labs' kinds, indices and
-labels once, and each thread keeps one Philox generator, given its full state
-before every lab's draw: the substreams and bits are those of fresh objects.
+and :func:`_draw`.  Only the seed's work is redone per replicate.  A layout
+object builds its labs' kinds, labels and the seed-independent words of their
+keys (:func:`_lab_words`) once, so :func:`_keys` runs only the mixes that read
+the seed's pool; each thread keeps one Philox generator, given its full state
+before every lab's draw.  The substreams and bits are those of fresh objects.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
-from math import isfinite
+from math import isfinite, sqrt
 from numbers import Real
 from pathlib import Path
 
@@ -77,7 +79,7 @@ def _convert(obj, kind: type, *names: str) -> None:
 @dataclass(frozen=True)
 class ScenarioLayout:
     """How many laboratories of each participation kind to simulate; the
-    labs' kinds, indices and labels are kept on the object from its first
+    labs' kinds, key words and labels are kept on the object from its first
     draw, unseen by equality, hashing, ``repr`` and pickling."""
 
     only_a: int
@@ -99,13 +101,15 @@ class ScenarioLayout:
 
     @cached_property
     def _labs(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        """Each lab's kind and index within its kind (read-only uint32
-        arrays) and its label, in layout order."""
+        """Each lab's kind, the seed-independent words of its substream keys
+        (:func:`_lab_words` of its kind and index within its kind; both
+        read-only uint32 arrays) and its label, in layout order."""
         counts = (self.only_a, self.linking, self.only_b)
         kinds = np.repeat(np.arange(3, dtype=np.uint32), counts)
-        indices = np.concatenate([np.arange(count, dtype=np.uint32) for count in counts])
-        kinds.flags.writeable = indices.flags.writeable = False
-        return kinds, indices, tuple(f"LAB-{i:02d}" for i in range(1, len(kinds) + 1))
+        words = _lab_words(kinds, np.concatenate(
+            [np.arange(count, dtype=np.uint32) for count in counts]))
+        kinds.flags.writeable = words.flags.writeable = False
+        return kinds, words, tuple(f"LAB-{i:02d}" for i in range(1, len(kinds) + 1))
 
 
 @dataclass(frozen=True)
@@ -146,27 +150,25 @@ def _hashmix(value, xor, mult):
     return value ^ value >> 16
 
 
-def _mix(x, y):
-    value = 0xCA01F9DD * x - 0x4973F715 * y  # MIX_MULT_L, MIX_MULT_R
-    return value ^ value >> 16
-
-
 def _column(words) -> np.ndarray:
     return np.array(words, dtype=np.uint32)[:, None]
 
 
+# seed_seq's mix(x, y) is (MIX_MULT_L * x - MIX_MULT_R * y) ^ its >> 16
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # each hashmix step xors with one constant of a chain and multiplies by the
 # next: INIT_A * MULT_A**i while entropy is mixed into the 4-word pool
 # (steps 0-3 take the seed words, 4-15 cross-mix the pool, then each spawn
 # word takes one step per pool slot), INIT_B * MULT_B**i for the output
 _A = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(29)]
 _B = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(5)]
-# hashes of every kind and attempt word into the 4 pool slots
-_KIND_HASH = _hashmix(np.arange(3, dtype=np.uint32), _column(_A[16:20]),
-                      _column(_A[17:21]))
+# MIX_MULT_R times the hash of every kind and attempt word into the 4 pool
+# slots: the right-hand words of their mixes
+_KIND_WORDS = _MIX_R * _hashmix(np.arange(3, dtype=np.uint32), _column(_A[16:20]),
+                                _column(_A[17:21]))
 _INDEX_XOR, _INDEX_MULT = _column(_A[20:24]), _column(_A[21:25])
-_ATTEMPT_HASH = _hashmix(np.arange(_MAX_ATTEMPTS, dtype=np.uint32), _column(_A[24:28]),
-                         _column(_A[25:29]))
+_ATTEMPT_WORDS = _MIX_R * _hashmix(np.arange(_MAX_ATTEMPTS, dtype=np.uint32),
+                                   _column(_A[24:28]), _column(_A[25:29]))
 _STATE_XOR, _STATE_MULT = _column(_B[:4]), _column(_B[1:])
 
 
@@ -175,15 +177,29 @@ def _seed_pool(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).pool[:, None]
 
 
-def _keys(pool: np.ndarray, kinds: np.ndarray, indices: np.ndarray, attempt: int):
+def _lab_words(kinds: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The right-hand words of the kind and index mixes of :func:`_keys`,
+    shaped (2, 4, labs): they depend on the labs, not on the seed."""
+    return np.stack((_KIND_WORDS[:, kinds],
+                     _MIX_R * _hashmix(indices, _INDEX_XOR, _INDEX_MULT)))
+
+
+def _keys(pool: np.ndarray, words: np.ndarray, attempt: int):
     """``SeedSequence(seed, spawn_key=(kind, index, attempt))
-    .generate_state(2, np.uint64)`` per lab, from the seed's ``pool``."""
-    words = _mix(pool, _KIND_HASH[:, kinds])
-    words = _mix(words, _hashmix(indices, _INDEX_XOR, _INDEX_MULT))
-    words = _mix(words, _ATTEMPT_HASH[:, attempt, None])
-    words = _hashmix(words, _STATE_XOR, _STATE_MULT)
+    .generate_state(2, np.uint64)`` per lab, from the seed's ``pool`` and the
+    labs' :func:`_lab_words`: the pool-dependent mixes, in place on one
+    (4, labs) array."""
+    keys = _MIX_L * pool - words[0]
+    for right in (words[1], _ATTEMPT_WORDS[:, attempt, None]):
+        keys ^= keys >> 16
+        keys *= _MIX_L
+        keys -= right
+    keys ^= keys >> 16
+    keys ^= _STATE_XOR  # the output hashmix
+    keys *= _STATE_MULT
+    keys ^= keys >> 16
     # word pairs read as little-endian uint64, as numpy does
-    return words.T.astype("<u4", order="C").view("<u8").tolist()
+    return keys.T.astype("<u4", order="C").view("<u8").tolist()
 
 
 def _moments(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +219,7 @@ def _ndtri():
     return ndtri
 
 
-def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out):
+def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     """Write the labs, in layout order, at ``attempt`` into their columns of
     ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a sample is
     not degenerate; the rows of a standard not measured are left alone.
@@ -214,22 +230,29 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out
     key = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    raw = []
-    for kind, lab_key in zip(kinds.tolist(), _keys(pool, kinds, indices, attempt)):
+    raw, kinds = [], kinds.tolist()
+    for kind, lab_key in zip(kinds, _keys(pool, words, attempt)):
         key["key"] = lab_key
         philox.state = state
         raw.append(philox.random_raw(widths[kind]))
-    z = _ndtri()(((np.concatenate(raw) >> 11) + 0.5) / 2**53).reshape(-1, n)
+    raw = np.concatenate(raw)
+    raw >>= 11
+    uniforms = raw + 0.5
+    uniforms *= 2**-53  # a power of two: exactly the division
+    z = _ndtri()(uniforms).reshape(-1, n)
     # one series per lab and standard, A's then B's: standard A's labs are
     # [0, a), B's [b, len(kinds)) and linking [b, a); lab j's A series is j,
     # its B series a + j - b
-    b, links = np.bincount(kinds, minlength=2)[:2].tolist()
+    b, links = kinds.count(0), kinds.count(1)
     a = b + links
     z_a, z_i = z[b:a + links:2], z[b + 1:a + links:2]  # a linking lab's two halves
-    mean, u, dev = _moments(np.concatenate((
-        sc.y_a_true + sc.sigma_a * np.concatenate((z[:b], z_a)),
-        sc.y_b_true + sc.sigma_b * np.concatenate(
-            (sc.rho * z_a + np.sqrt(1.0 - sc.rho**2) * z_i, z[a + links:])))))
+    obs = np.concatenate((z[:b], z_a, sc.rho * z_a + sqrt(1.0 - sc.rho**2) * z_i,
+                          z[a + links:]))
+    for series, sigma, truth in ((obs[:a], sc.sigma_a, sc.y_a_true),
+                                 (obs[a:], sc.sigma_b, sc.y_b_true)):
+        series *= sigma
+        series += truth
+    mean, u, dev = _moments(obs)
     cov = np.add.reduce(dev[b:a] * dev[a:a + links], axis=1) / (n - 1) / n
     out[0, :a], out[1, b:], out[2, :a], out[3, b:], out[4, b:a] = (
         mean[:a], mean[a:], u[:a], u[a:], cov)
@@ -238,9 +261,9 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, indices, attempt: int, out
     return np.concatenate((ok[:b], ok[a:]))  # each lab's last series
 
 
-def _sample(sc: SyntheticScenario, kinds, indices, labels: Sequence[str]) -> np.ndarray:
+def _sample(sc: SyntheticScenario, kinds, words, labels: Sequence[str]) -> np.ndarray:
     """The x_a, x_b, u_a, u_b, cov_ab rows (NaN where not measured) of the
-    labelled labs of the given kinds and indices, in layout order."""
+    labelled labs of the given kinds and :func:`_lab_words`, in layout order."""
     pool = _seed_pool(sc.seed)
     philox = getattr(_THREAD, "philox", None)  # this thread's, re-keyed for every lab
     if philox is None:
@@ -248,7 +271,7 @@ def _sample(sc: SyntheticScenario, kinds, indices, labels: Sequence[str]) -> np.
     rows = np.full((5, len(labels)), np.nan)
     for first in range(0, len(labels), _BLOCK_LABS):
         block = slice(first, first + _BLOCK_LABS)
-        ok = _draw(sc, pool, philox, kinds[block], indices[block], 0, rows[:, block])
+        ok = _draw(sc, pool, philox, kinds[block], words[..., block], 0, rows[:, block])
         for lab in compress(range(first, len(labels)), (~ok).tolist()):  # degenerate
             one = slice(lab, lab + 1)  # the lab alone, at its next substreams
             for attempt in range(1, _MAX_ATTEMPTS + 1):
@@ -260,7 +283,8 @@ def _sample(sc: SyntheticScenario, kinds, indices, labels: Sequence[str]) -> np.
                     rows[2:4, lab] = np.maximum(
                         u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
                     rows[4, lab] = cov if cov != cov else 0.0
-                elif _draw(sc, pool, philox, kinds[one], indices[one], attempt, rows[:, one])[0]:
+                elif _draw(sc, pool, philox, kinds[one], words[..., one], attempt,
+                           rows[:, one])[0]:
                     break
     return rows
 
@@ -274,8 +298,8 @@ def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     from the lab's next substream with a warning; after 8 degenerate attempts
     the last one's means are reported with floored uncertainties.
     """
-    kinds, indices, labels = scenario.layout._labs
-    rows = _sample(scenario, kinds, indices, labels)
+    kinds, words, labels = scenario.layout._labs
+    rows = _sample(scenario, kinds, words, labels)
     return validate_dataset(labels, rows[:2], rows[2:4], rows[4])
 
 

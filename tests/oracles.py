@@ -564,9 +564,8 @@ def _reference_residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate):
         if den is not None:
             terms.append(
                 (
-                    d_a * d_a * (lab.u_b * lab.u_b)
-                    - 2.0 * lab.covariance * d_a * d_b
-                    + d_b * d_b * (lab.u_a * lab.u_a)
+                    d_a * (d_a * (lab.u_b * lab.u_b) - lab.covariance * d_b)
+                    + d_b * (d_b * (lab.u_a * lab.u_a) - lab.covariance * d_a)
                 )
                 / den
             )

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import compress
@@ -16,7 +17,7 @@ from kclink.inflation import (
     minimal_inflation,
 )
 from kclink.linking import _statistics, compute_aux, compute_kcrv, link
-from kclink.model import KclinkError, LabResult, validate_dataset
+from kclink.model import KclinkError, LabResult, ValidationError, validate_dataset
 
 from . import oracles
 from .strategies import datasets, full_range_datasets
@@ -81,6 +82,13 @@ def error_of(call):
     return None
 
 
+def statistics_of(dataset, measured, bivariate):
+    """``_statistics`` without ``v``, in the ``np.errstate`` scope that its
+    callers open."""
+    with np.errstate(all="ignore"):
+        return _statistics(dataset, measured, bivariate)[1:]
+
+
 @given(st.one_of(datasets(), full_range_datasets()))
 @example(gauge_block_dataset())  # INMETRO1/B among its entries
 @example(linking_target_dataset())  # C1: a linking target of either standard
@@ -96,7 +104,7 @@ def test_masked_statistics_are_the_rest_linked(dataset):
         rest, keep = rest_of(dataset, index, row)
         measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
         measured[row, index] = bivariate[index] = False
-        masked = lambda: _statistics(dataset, measured, bivariate)[1:]
+        masked = lambda: statistics_of(dataset, measured, bivariate)
         failed = error_of(lambda: compute_kcrv(compute_aux(rest)))
         if failed:
             assert error_of(masked) == failed
@@ -108,7 +116,7 @@ def test_masked_statistics_are_the_rest_linked(dataset):
 
         aux, kcrv, d, q2 = masked()
         statistics = bits(aux, kcrv, d[:, keep], q2)
-        assert statistics == bits(*_statistics(rest, rest.measured, rest.bivariate)[1:])
+        assert statistics == bits(*statistics_of(rest, rest.measured, rest.bivariate))
         if error_of(lambda: link(rest)) is None:
             result = link(rest)
             assert statistics == bits(result.aux, result.kcrv, result.d, result.conformity.q2)
@@ -210,6 +218,22 @@ class TestSearchBehaviour:
             assert getattr(relinked, name) == getattr(expected, name)
         for name in ("d", "u_d"):
             assert repr(getattr(relinked, name).tolist()) == repr(getattr(expected, name).tolist())
+
+    def test_passing_data_raise_as_link_does(self):
+        # u(x)^2 = inf for A2 (the u_d-inf case of test_linking): the data pass,
+        # and the verdict's DOE step raises in the statistics pass's errstate
+        dataset = validate_dataset([
+            LabResult("A1", value_a=0.0, u_a=1.0),
+            LabResult("A2", value_a=0.0, u_a=1e160),
+            LabResult("B1", value_b=1.0, u_b=1.0),
+            LabResult("B2", value_b=2.0, u_b=1.0),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (link, lambda data: minimal_inflation(data, "A1", "A")):
+                with pytest.raises(ValidationError, match=r"^A2: the DOE variance "
+                                                          r"exceeds the float range$"):
+                    call(dataset)
 
     def test_agrees_with_fine_grid_scan(self):
         dataset = failing_three_lab_dataset()

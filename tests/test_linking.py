@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from kclink import linking
+from kclink.golden import gauge_block_dataset, synthetic_dataset
+from kclink.inflation import minimal_inflation
 from kclink.linking import (
     AuxQuantities,
     KcrvEstimate,
@@ -18,6 +20,7 @@ from kclink.linking import (
 )
 from kclink.model import (
     InternalInconsistencyError,
+    KclinkError,
     LabResult,
     ValidationError,
     validate_dataset,
@@ -481,6 +484,50 @@ class TestLink:
             assert entry.u_d == pytest.approx(
                 lam * mate.u_d, rel=1e-9, abs=1e-7 * lam * u_x
             )
+
+    @staticmethod
+    def _search(dataset, label, standard):
+        """``(minimal_u, critical_u)`` of a search, or the class of its error."""
+        try:
+            found = minimal_inflation(dataset, label, standard)
+        except KclinkError as exc:
+            return type(exc)
+        return repr((found.minimal_u, found.critical_u))
+
+    @given(datasets())
+    @example(gauge_block_dataset())
+    @example(synthetic_dataset())
+    @example(  # q2 0.8, or 0.8000000000000003 exchanged with a left-to-right term
+        validate_dataset([
+            LabResult("H01", value_a=0.0, u_a=1.5, value_b=0.0, u_b=1.0, cov_ab=0.75),
+            LabResult("H02", value_b=1.0, u_b=0.5),
+        ]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exchanging_the_standards_is_bit_exact(self, dataset):
+        # the paper's "no priority" claim: exchanging A and B (the rows of x
+        # and u, cov_ab kept) exchanges every result bit for bit
+        exchanged = validate_dataset(dataset.labels, dataset.x[::-1], dataset.u[::-1],
+                                     dataset.cov_ab)
+        try:
+            result = link(dataset)
+        except KclinkError as exc:
+            with pytest.raises(type(exc)):
+                link(exchanged)
+            return
+        other = link(exchanged)
+        aux, kcrv = result.aux, result.kcrv
+        assert repr(other.aux) == repr(replace(aux, a=aux.b, b=aux.a, s1=aux.s2, s2=aux.s1))
+        assert repr(other.kcrv) == repr(replace(kcrv, y_hat_a=kcrv.y_hat_b,
+                                                y_hat_b=kcrv.y_hat_a, u_a=kcrv.u_b,
+                                                u_b=kcrv.u_a))
+        assert repr(other.conformity) == repr(result.conformity)
+        for name in ("d", "u_d"):
+            assert getattr(other, name).tobytes() == getattr(result, name)[::-1].tobytes()
+        for row, index in np.argwhere(dataset.measured).tolist():
+            label = dataset.labels[index]
+            assert (self._search(exchanged, label, "BA"[row])
+                    == self._search(dataset, label, "AB"[row]))
 
     def test_warnings_carried_from_dataset(self, gauge_block):
         result = link(gauge_block)

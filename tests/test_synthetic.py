@@ -342,8 +342,8 @@ class TestBatchedGeneration:
     @example(2**64 - 1, [(2, 2**32 - 1), (0, 0)], 7)
     @settings(max_examples=200, deadline=None)
     def test_keys_are_seed_sequence_states(self, seed, labs, attempt):
-        kind_keys, indices = np.array(labs, dtype=np.uint32).T
-        got = synthetic._keys(synthetic._seed_pool(seed), kind_keys, indices, attempt)
+        words = synthetic._lab_words(*np.array(labs, dtype=np.uint32).T)
+        got = synthetic._keys(synthetic._seed_pool(seed), words, attempt)
         want = [
             np.random.SeedSequence(seed, spawn_key=(kind, index, attempt))
             .generate_state(2, np.uint64).tolist()
@@ -398,8 +398,9 @@ class TestBatchedGeneration:
         scenario = reference_scenario(seed=seed, n=n, sigma_a=sigma_a)
         label = f"{kind}-{index + 1:02d}"
         kinds, indices = np.array([[oracles._KIND_KEYS[kind]], [index]], dtype=np.uint32)
+        words = synthetic._lab_words(kinds, indices)
         rows, got_warnings = recorded(
-            lambda: synthetic._sample(scenario, kinds, indices, [label]))
+            lambda: synthetic._sample(scenario, kinds, words, [label]))
         numbers = rows[[0, 2, 1, 3, 4], 0].tolist()  # x_a, u_a, x_b, u_b, cov_ab
         got = LabResult(label, *[None if v != v else v for v in numbers])
         want = recorded(lambda: oracles.reference_sample_lab(scenario, kind, index))
@@ -429,7 +430,8 @@ def drawn(scenario, recorder):
 
 class TestKeptSetUp:
     """Set-up that does not depend on the seed is made once: the layout's
-    labs per layout object, the Philox generator per thread."""
+    labs and their key words per layout object, the Philox generator per
+    thread."""
 
     def test_second_draw_constructs_no_generator(self):
         made = []
@@ -451,9 +453,28 @@ class TestKeptSetUp:
         first = generate_scenario(reference_scenario(seed=1, layout=layout))
         second = generate_scenario(reference_scenario(seed=2, layout=layout))
         assert first.labels is second.labels
-        kinds, indices, labels = layout._labs
+        kinds, words, labels = layout._labs
         assert labels is first.labels
-        assert not kinds.flags.writeable and not indices.flags.writeable
+        assert not kinds.flags.writeable and not words.flags.writeable
+        assert layout._labs[1] is words  # built once, read by every draw
+        with pytest.raises(ValueError, match="read-only"):
+            words[..., 0] = 0
+
+    @pytest.mark.parametrize("scenario", [REFERENCE, DEGENERATE],
+                             ids=["first-attempt", "every-attempt"])
+    def test_kept_words_draw_as_a_fresh_layout(self, scenario):
+        # one layout object and its words across seeds and redraw attempts,
+        # against a fresh layout at each seed
+        for seed in (0, 1, 2**32, 2**64 - 1):
+            kept = dataclasses.replace(scenario, seed=seed)
+            fresh = dataclasses.replace(
+                kept, layout=ScenarioLayout(*dataclasses.astuple(scenario.layout)))
+            (got, got_warnings), (want, want_warnings) = (
+                recorded(lambda: generate_scenario(one)) for one in (kept, fresh))
+            assert kept.layout._labs[1] is scenario.layout._labs[1]
+            for column in ("x", "u", "cov_ab"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+            assert got_warnings == want_warnings
 
     def test_nothing_leaks_through_the_reused_generator(self):
         # A, then B on another layout with retries, then A again
@@ -476,6 +497,11 @@ class TestKeptSetUp:
         assert pickle.dumps(layout) == pickle.dumps(fresh)
         for clone in (pickle.loads(pickle.dumps(layout)), copy.deepcopy(layout)):
             assert clone == layout and vars(clone) == vars(fresh)
+        # the kept words are those a fresh layout builds
+        words, fresh_words = layout._labs[1], fresh._labs[1]
+        assert words is not fresh_words and words.dtype == fresh_words.dtype == np.uint32
+        assert words.shape == fresh_words.shape == (2, 4, 17)
+        assert words.tobytes() == fresh_words.tobytes()
 
 
 class TestThreads:
