@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linking import LinkingResult, Standard, _conformity, _linked, _statistics, link
 from .model import ComparisonDataset, KclinkError, validate_dataset
 
@@ -124,8 +122,7 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
     ``var(u) = (1 - r^2) u^2 + V_ss - 2 p u V_so + p^2 u^2 V_oo``.  With
     ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic in
     u.  The data fail at ``u0``, so the boundary is the first root above it,
-    or ``u0`` itself when rounding puts it inside a passing interval.  It runs
-    in its caller's ``np.errstate`` scope, as the pass does.
+    or ``u0`` itself when rounding puts it inside a passing interval.
     """
     if (dataset.card_a, dataset.card_b)[row] == 1:
         return None  # the target alone fixes this KCRV: q2 ignores u
@@ -180,13 +177,12 @@ def minimal_inflation(
     original_u = dataset.u[row, index].item()
 
     dof = dataset.n_total - 2
-    with np.errstate(all="ignore"):  # one scope for the passes and the DOE step
-        statistics = _statistics(dataset, dataset.measured, dataset.bivariate)
-        if _conformity(statistics[4], dof).passed:
-            return InflationResult(label, standard, original_u, minimal_u=original_u,
-                                   critical_u=original_u,
-                                   relinked=_linked(dataset, *statistics))
-        critical_u = _critical_u(dataset, index, row, dof)
+    statistics = _statistics(dataset, dataset.measured, dataset.bivariate)
+    if _conformity(statistics[4], dof).passed:
+        return InflationResult(label, standard, original_u, minimal_u=original_u,
+                               critical_u=original_u, relinked=_linked(dataset, *statistics))
+
+    critical_u = _critical_u(dataset, index, row, dof)
     if critical_u is None:
         raise InflationError(
             f"no uncertainty makes the dataset pass; the misfit is not "

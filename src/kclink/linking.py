@@ -21,11 +21,10 @@ The engine works on the dataset's float64 columns.  One statistics pass
 KCRVs (:func:`compute_kcrv`), and the chi-square of the residuals against
 them; :func:`link` adds the degrees of equivalence.  The caller passes the
 masks: copies with one ``measured`` entry and its lab's ``bivariate`` cleared
-give the statistics of the dataset without that value, bit for bit.  The
-pass and the DOE step run in one ``np.errstate`` scope that their caller
-opens.  Each per-lab term is computed elementwise in the expression order of
-its scalar formula, in which every ``+`` and ``*`` commutes when A and B are
-exchanged, and each sum is ``math.fsum`` over the terms' ``.tolist()``.
+give the statistics of the dataset without that value, bit for bit.  Each
+per-lab term is computed elementwise in the expression order of its scalar
+formula, in which every ``+`` and ``*`` commutes when A and B are exchanged,
+and each sum is ``math.fsum`` over the terms' ``.tolist()``.
 NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly rounded, as
 Python's float operations are, and ``fsum`` is exactly rounded whatever
 the order of its terms: the results are the bits a per-lab Python walk
@@ -298,16 +297,16 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
     lab then adds no term for that standard and univariate terms for any other,
     every other lab adds the terms it adds to the rest (the dataset without
     that value), and ``fsum`` is exactly rounded, so the results, and the
-    errors up to the KCRVs, are the rest's ``link``'s, bit for bit.  It runs in
-    its caller's ``np.errstate(all="ignore")``; its guards catch overflows.
+    errors up to the KCRVs, are the rest's ``link``'s, bit for bit.
     """
-    v, den, aux = _aux(dataset, measured, bivariate)
-    kcrv = compute_kcrv(aux)
-    d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
-    # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
-    dwd = d * (d * v[::-1] - dataset.cov * d[::-1])  # its two products
-    [q2] = _term_sums((d * d / v)[measured > bivariate].tolist() + (
-        (dwd[0] + dwd[1]) / den)[bivariate].tolist())
+    with np.errstate(all="ignore"):
+        v, den, aux = _aux(dataset, measured, bivariate)
+        kcrv = compute_kcrv(aux)
+        d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
+        # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
+        dwd = d * (d * v[::-1] - dataset.cov * d[::-1])  # its two products
+        [q2] = _term_sums((d * d / v)[measured > bivariate].tolist() + (
+            (dwd[0] + dwd[1]) / den)[bivariate].tolist())
     return v, aux, kcrv, d, q2
 
 
@@ -345,14 +344,14 @@ def link(dataset: ComparisonDataset) -> LinkingResult:
     because each result is itself part of the reference value, with
     covariance between them equal to the KCRV variance.
     """
-    with np.errstate(all="ignore"):
-        return _linked(dataset, *_statistics(dataset, dataset.measured, dataset.bivariate))
+    return _linked(dataset, *_statistics(dataset, dataset.measured, dataset.bivariate))
 
 
 def _linked(dataset: ComparisonDataset, v, aux, kcrv, d, q2) -> LinkingResult:
     """:func:`link`'s result from the dataset's unmasked statistics pass."""
     v_y = np.array(((kcrv.u_a * kcrv.u_a,), (kcrv.u_b * kcrv.u_b,)))  # u(y_hat)^2
-    u_d = _doe_uncertainty(dataset, v, v_y)
+    with np.errstate(all="ignore"):
+        u_d = _doe_uncertainty(dataset, v, v_y)
     conformity = _conformity(q2, dataset.n_total - 2)
     d.flags.writeable = u_d.flags.writeable = False
     warnings = list(dataset.warnings)

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
-from math import isfinite, sqrt
+from math import isfinite
 from numbers import Real
 from pathlib import Path
 
@@ -230,8 +230,8 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     key = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    raw, kinds = [], kinds.tolist()
-    for kind, lab_key in zip(kinds, _keys(pool, words, attempt)):
+    raw = []
+    for kind, lab_key in zip(kinds.tolist(), _keys(pool, words, attempt)):
         key["key"] = lab_key
         philox.state = state
         raw.append(philox.random_raw(widths[kind]))
@@ -243,16 +243,13 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     # one series per lab and standard, A's then B's: standard A's labs are
     # [0, a), B's [b, len(kinds)) and linking [b, a); lab j's A series is j,
     # its B series a + j - b
-    b, links = kinds.count(0), kinds.count(1)
+    b, links = np.bincount(kinds, minlength=2)[:2].tolist()
     a = b + links
     z_a, z_i = z[b:a + links:2], z[b + 1:a + links:2]  # a linking lab's two halves
-    obs = np.concatenate((z[:b], z_a, sc.rho * z_a + sqrt(1.0 - sc.rho**2) * z_i,
-                          z[a + links:]))
-    for series, sigma, truth in ((obs[:a], sc.sigma_a, sc.y_a_true),
-                                 (obs[a:], sc.sigma_b, sc.y_b_true)):
-        series *= sigma
-        series += truth
-    mean, u, dev = _moments(obs)
+    mean, u, dev = _moments(np.concatenate((
+        sc.y_a_true + sc.sigma_a * np.concatenate((z[:b], z_a)),
+        sc.y_b_true + sc.sigma_b * np.concatenate(
+            (sc.rho * z_a + np.sqrt(1.0 - sc.rho**2) * z_i, z[a + links:])))))
     cov = np.add.reduce(dev[b:a] * dev[a:a + links], axis=1) / (n - 1) / n
     out[0, :a], out[1, b:], out[2, :a], out[3, b:], out[4, b:a] = (
         mean[:a], mean[a:], u[:a], u[a:], cov)

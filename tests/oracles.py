@@ -8,8 +8,8 @@ finite differences.  Sums mirroring the estimator's five auxiliary
 quantities are accumulated naively (plain ``sum``) in reversed lab order.
 The minimal-inflation reference re-validates and re-links the whole
 dataset at every trial uncertainty and bisects the pass/fail crossings;
-``exact_q2`` evaluates q2 at a trial uncertainty, and ``exact_estimates``
-the estimates, in ``Fraction`` arithmetic, which is exact for float inputs.
+``exact_q2`` evaluates q2 at a trial uncertainty in ``Fraction``
+arithmetic, which is exact for float inputs.
 The reference dataset is the earlier per-lab validation: a ``LabResult``
 per row, then the dataset-wide checks, with the columns built from the
 labs by ``np.fromiter``.
@@ -361,27 +361,10 @@ def exact_q2(
     """The exact q2 with one lab's uncertainty for ``standard`` set to ``u``.
 
     The target's correlation coefficient is held fixed, so its covariance
-    becomes ``cov * u / u0``.  q2 is the weighted sum of squared residuals
-    at the exact solution of the normal equations.
+    becomes ``cov * u / u0``.  Each lab contributes its inverse covariance
+    matrix to the 2x2 normal equations, which are solved exactly; q2 is
+    the weighted sum of squared residuals at that solution.
     """
-    y, observations = _exact_fit(dataset, label, standard, u)
-    return sum(
-        w * (Fraction(x[i]) - y[i]) * (Fraction(x[j]) - y[j])
-        for x, weight in observations for (i, j), w in weight.items()
-    )
-
-
-def exact_estimates(dataset: ComparisonDataset) -> list[Fraction]:
-    """The exact least-squares estimates ``[y_a, y_b]`` of the dataset."""
-    return _exact_fit(dataset)[0]
-
-
-def _exact_fit(dataset: ComparisonDataset, label: str | None = None,
-               standard: str = "A", u: float | None = None):
-    """``(y, observations)``: the exact solution of the 2x2 normal equations,
-    to which each lab contributes its inverse covariance matrix, and each
-    lab's ``(x, weight)``; the lab named ``label`` has its uncertainty for
-    ``standard`` set to ``u``."""
     normal = [[Fraction(0)] * 2 for _ in range(2)]
     rhs = [Fraction(0)] * 2
     observations = []
@@ -408,7 +391,10 @@ def _exact_fit(dataset: ComparisonDataset, label: str | None = None,
     det = normal[0][0] * normal[1][1] - normal[0][1] * normal[1][0]
     y = [(normal[1][1] * rhs[0] - normal[0][1] * rhs[1]) / det,
          (normal[0][0] * rhs[1] - normal[1][0] * rhs[0]) / det]
-    return y, observations
+    return sum(
+        w * (Fraction(x[i]) - y[i]) * (Fraction(x[j]) - y[j])
+        for x, weight in observations for (i, j), w in weight.items()
+    )
 
 
 def columns(labs) -> tuple:

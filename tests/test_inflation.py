@@ -82,13 +82,6 @@ def error_of(call):
     return None
 
 
-def statistics_of(dataset, measured, bivariate):
-    """``_statistics`` without ``v``, in the ``np.errstate`` scope that its
-    callers open."""
-    with np.errstate(all="ignore"):
-        return _statistics(dataset, measured, bivariate)[1:]
-
-
 @given(st.one_of(datasets(), full_range_datasets()))
 @example(gauge_block_dataset())  # INMETRO1/B among its entries
 @example(linking_target_dataset())  # C1: a linking target of either standard
@@ -104,7 +97,7 @@ def test_masked_statistics_are_the_rest_linked(dataset):
         rest, keep = rest_of(dataset, index, row)
         measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
         measured[row, index] = bivariate[index] = False
-        masked = lambda: statistics_of(dataset, measured, bivariate)
+        masked = lambda: _statistics(dataset, measured, bivariate)[1:]
         failed = error_of(lambda: compute_kcrv(compute_aux(rest)))
         if failed:
             assert error_of(masked) == failed
@@ -116,7 +109,7 @@ def test_masked_statistics_are_the_rest_linked(dataset):
 
         aux, kcrv, d, q2 = masked()
         statistics = bits(aux, kcrv, d[:, keep], q2)
-        assert statistics == bits(*statistics_of(rest, rest.measured, rest.bivariate))
+        assert statistics == bits(*_statistics(rest, rest.measured, rest.bivariate)[1:])
         if error_of(lambda: link(rest)) is None:
             result = link(rest)
             assert statistics == bits(result.aux, result.kcrv, result.d, result.conformity.q2)
@@ -221,7 +214,7 @@ class TestSearchBehaviour:
 
     def test_passing_data_raise_as_link_does(self):
         # u(x)^2 = inf for A2 (the u_d-inf case of test_linking): the data pass,
-        # and the verdict's DOE step raises in the statistics pass's errstate
+        # and the passing branch's DOE step raises, with no RuntimeWarning
         dataset = validate_dataset([
             LabResult("A1", value_a=0.0, u_a=1.0),
             LabResult("A2", value_a=0.0, u_a=1e160),

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -297,16 +296,22 @@ class TestComputeQ2:
         0.00390625,
         0.0,
     )
-    @example(  # y_hat_b is thousands of ulps from the exact estimate 1.0
-        validate_dataset([
-            LabResult("H01", value_a=2832.0, u_a=0.125, value_b=1.0, u_b=1.0,
-                      cov_ab=0.1171875),
-        ]),
-        0.0,
-        0.0625,
-    )
     @settings(max_examples=150, deadline=None)
     def test_chi_square_decomposition(self, dataset, t_a, t_b):
+        self.check_decomposition(dataset, t_a, t_b)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "compute_kcrv's closed form cancels in y_hat_b = (c*s1 + a*s2)/det: "
+        "y_hat_b is 8,176 ulps below the exact 1.0 (see CHANGES.md)"))
+    def test_chi_square_decomposition_with_cancelling_estimates(self):
+        # a value large beside its uncertainty and a high linking correlation
+        self.check_decomposition(validate_dataset([
+            LabResult("H01", value_a=2832.0, u_a=0.125, value_b=1.0, u_b=1.0,
+                      cov_ab=0.1171875),
+        ]), 0.0, 0.0625)
+
+    @staticmethod
+    def check_decomposition(dataset, t_a, t_b):
         # direct objective equals the recentred quadratic form plus q2
         result = link(dataset)
         kcrv = result.kcrv
@@ -319,18 +324,15 @@ class TestComputeQ2:
             1.0 - kcrv.r_tilde**2
         )
         recomposed = quad + result.conformity.q2
-        # the stored estimates are rounded: an error e in y_hat shifts the
-        # direct objective by the quad's gradient times e/u, i.e.
-        # 2 (R^-1 z) . (e / u).  The closed form's cancellation can leave
-        # far more than one ulp in an estimate whose value is small beside
-        # the other standard's, so e is measured against the exact estimates
+        # the stored estimates are rounded: an error eps in y_hat shifts
+        # the direct objective by the quad's gradient times eps/u, i.e.
+        # 2 (R^-1 z) . (ulp(y_hat) / u) for one ulp in each estimate
         r = kcrv.r_tilde
         g_a = (z_a - r * z_b) / (1.0 - r * r)
         g_b = (z_b - r * z_a) / (1.0 - r * r)
-        exact_a, exact_b = oracles.exact_estimates(dataset)
         rounding = 2.0 * (
-            abs(g_a) * float(abs(Fraction(kcrv.y_hat_a) - exact_a)) / kcrv.u_a
-            + abs(g_b) * float(abs(Fraction(kcrv.y_hat_b) - exact_b)) / kcrv.u_b
+            abs(g_a) * math.ulp(kcrv.y_hat_a) / kcrv.u_a
+            + abs(g_b) * math.ulp(kcrv.y_hat_b) / kcrv.u_b
         )
         assert abs(direct - recomposed) <= (
             1e-9 * max(direct, recomposed, 1e-6) + rounding
