@@ -4,8 +4,9 @@ Subcommands: ``link`` analyses a dataset file, ``inflate`` finds the
 minimal uncertainty inflation restoring conformity, ``synth`` generates a
 synthetic dataset from a scenario file, and ``selftest`` re-checks the
 built-in examples against their published reference results.  The
-subcommands only wire options to the library: every file is read and every
-report made by :mod:`kclink.io`; ``link`` and ``inflate`` take a report's
+subcommands only wire options to the library: every dataset file is read and
+written and every report made by :mod:`kclink.io`, a scenario file read by
+:func:`kclink.synthetic.load_scenario`; ``link`` and ``inflate`` take a report's
 chunks, whose options are then checked, before they open ``--output`` and
 write them there or to stdout.
 
@@ -101,7 +102,7 @@ def _close(value: float, expected: float, atol: float) -> bool:
 
 def _selftest_dataset(name, result, expected, atol) -> list[str]:
     failures: list[str] = []
-    doe = {(label, standard): (d, u_d) for label, standard, d, u_d in result.doe_rows()}
+    doe = {(entry.label, entry.standard): (entry.d, entry.u_d) for entry in result.does}
     kcrv = expected["kcrv"]
     checks = [
         ("y_a", result.kcrv.y_hat_a, kcrv["y_a"]),

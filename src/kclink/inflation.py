@@ -54,41 +54,40 @@ class InflationResult:
     relinked: LinkingResult
 
 
-def _with_uncertainty(
-    dataset: ComparisonDataset, label: str, standard: Standard, u: float
-) -> ComparisonDataset:
-    """The dataset with one lab's uncertainty replaced, as two column edits.
+def _with_uncertainty(dataset: ComparisonDataset, index: int, row: int,
+                      u: float) -> ComparisonDataset:
+    """The dataset with lab ``index``'s uncertainty in row ``row`` of the
+    columns replaced, as two column edits.
 
     For a linking laboratory with a reported covariance the correlation
     coefficient is held fixed, i.e. the covariance is rescaled in
     proportion to the new uncertainty.
     """
-    index, row = dataset.index(label), "AB".index(standard)
     uncertainties, cov_ab = dataset.u.copy(), dataset.cov_ab.copy()
     cov_ab[index] = cov_ab[index].item() * (u / uncertainties[row, index].item())
     uncertainties[row, index] = u
     return validate_dataset(dataset.labels, dataset.x, uncertainties, cov_ab)
 
 
-def _round_up_significant(x: float, digits: int) -> float:
-    """Smallest number with ``digits`` significant digits that is >= x, less a
+def _round_up_significant(x: float) -> float:
+    """Smallest number with three significant digits that is >= x, less a
     backoff of about 1e-9 of the last digit's unit: 11.2000000001 gives 11.2."""
     if x <= 0.0:
         raise ValueError("expected a positive value")
     exponent = math.floor(math.log10(x))
-    decimals = digits - 1 - exponent
+    decimals = _SIGNIFICANT_DIGITS - 1 - exponent
     quantum = 10.0 ** (-decimals)
     # the tiny backoff keeps values already on the grid from being bumped up
     candidate = math.ceil(x / quantum - 1e-9) * quantum
     return round(candidate, decimals) if decimals > 0 else candidate
 
 
-def _next_up_significant(x: float, digits: int) -> float:
-    stepped = _round_up_significant(x, digits)
+def _next_up_significant(x: float) -> float:
+    stepped = _round_up_significant(x)
     if stepped > x:
         return stepped
     exponent = math.floor(math.log10(x))
-    decimals = digits - 1 - exponent
+    decimals = _SIGNIFICANT_DIGITS - 1 - exponent
     stepped = x + 10.0 ** (-decimals)
     return round(stepped, decimals) if decimals > 0 else stepped
 
@@ -189,14 +188,12 @@ def minimal_inflation(
             f"attributable to {label} (standard {standard})"
         )
 
-    minimal_u = max(
-        _round_up_significant(critical_u, _SIGNIFICANT_DIGITS), original_u
-    )
+    minimal_u = max(_round_up_significant(critical_u), original_u)
     for _ in range(100):
-        relinked = link(_with_uncertainty(dataset, label, standard, minimal_u))
+        relinked = link(_with_uncertainty(dataset, index, row, minimal_u))
         if relinked.conformity.passed:
             break
-        minimal_u = _next_up_significant(minimal_u, _SIGNIFICANT_DIGITS)
+        minimal_u = _next_up_significant(minimal_u)
     else:
         raise InflationError("could not settle on a rounded passing uncertainty")
 

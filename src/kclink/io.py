@@ -26,9 +26,9 @@ spliced in row by row, without building ``document``; a JSON dataset file
 is ``json.dumps({"labs": [...]}, sort_keys=True, indent=2)`` and a newline,
 its records written as the report's ``input.labs``.  The JSON report and
 the plot data print each DOE's ``d`` and ``u_d`` from one text, made on
-first use and kept with the result (:func:`_doe_text`).  Each output is made
-in chunks of rows from column slices of ``_CHUNK_ROWS`` labs, in memory that
-does not grow with N.  :func:`_csv_field` quotes every CSV field as
+first use and kept with the result (:func:`_doe_text`).  Each output, a
+dataset file too, is made in chunks of rows from column slices of
+``_CHUNK_ROWS`` labs, in memory that does not grow with N.  :func:`_csv_field` quotes every CSV field as
 ``csv.writer`` does.
 
 The text report prints every DOE row by a ``%``-template per measured pattern,
@@ -47,7 +47,7 @@ import operator
 import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from dataclasses import asdict
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -242,17 +242,12 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
         raise ParseError(f"{where}{places[exc.index]}: {exc}") from None
 
 
-@lru_cache(maxsize=32)
-def _rounding(decimals: int) -> tuple[Decimal, Context]:
-    # 309 integer digits cover every finite float; the shared context only
-    # collects status flags, which nothing reads
-    return Decimal(1).scaleb(-decimals), Context(prec=max(decimals, 0) + 309)
-
-
 def round_half_up(value: float, decimals: int) -> float:
     """Round half away from zero at the given number of decimals."""
-    quantum, context = _rounding(decimals)
-    return float(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context))
+    # 309 integer digits cover every finite float; the context only collects
+    # status flags, which nothing reads
+    return float(Decimal(repr(value)).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP,
+                                               Context(prec=max(decimals, 0) + 309)))
 
 
 def _fmt(value: float, decimals: int) -> str:
@@ -349,7 +344,7 @@ def _strings(head: str, values: Sequence[str], indent: str) -> Iterator[str]:
 
 
 def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
-    """The text of each DOE's ``d`` and ``u_d``, in :meth:`LinkingResult.doe_rows`
+    """The text of each DOE's ``d`` and ``u_d``, in :attr:`LinkingResult.does`
     order: made on first use and kept with the result, for both outputs."""
     text = vars(result).get("_doe_text")
     if text is None:
@@ -360,7 +355,7 @@ def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
 
 
 def _doe_blocks(result: LinkingResult) -> Iterator[tuple[str, Iterator[tuple]]]:
-    """Per standard and block of labs, the standard and, in :meth:`LinkingResult.doe_rows`
+    """Per standard and block of labs, the standard and, in :attr:`LinkingResult.does`
     order, each DOE's label, ``d`` and ``u_d`` text and ``u_d``.  Read each block's
     rows before the next: zip stops at the labels, before it draws a text."""
     labels, measured = result.dataset.labels, result.dataset.measured
@@ -464,9 +459,11 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
             handle.write("\n}\n")
         else:
             handle.write(",".join(_CSV_COLUMNS) + "\r\n")
-            handle.writelines(_csv_field(label) + "".join(["," if v != v else f",{v!r}"
-                                                           for v in numbers]) + "\r\n"
-                              for label, *numbers in dataset.rows())
+            for block in _blocks(len(dataset.labels)):
+                handle.write("".join([_csv_field(label) + "".join(
+                    ["," if v != v else f",{v!r}" for v in numbers]) + "\r\n"
+                    for label, *numbers in _rows(dataset.labels[block], dataset.x[:, block],
+                                                 dataset.u[:, block], dataset.cov_ab[block])]))
     return path
 
 

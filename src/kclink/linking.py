@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat, starmap
 from math import exp, fsum, inf, isfinite, pi, sqrt
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -156,20 +156,15 @@ class LinkingResult:
     d: np.ndarray = field(repr=False, compare=False)
     u_d: np.ndarray = field(repr=False, compare=False)
 
-    def doe_rows(self) -> Iterator[tuple[str, Standard, float, float]]:
-        """``(label, standard, d, u_d)`` per degree of equivalence: one A
-        entry per lab that measured A, then one B entry per lab that
+    @cached_property
+    def does(self) -> tuple[DegreeOfEquivalence, ...]:
+        """One A entry per lab that measured A, then one B entry per lab that
         measured B, in input order."""
-        return chain.from_iterable(
+        return tuple(starmap(DegreeOfEquivalence, chain.from_iterable(
             compress(zip(self.dataset.labels, repeat(standard), d, u_d), measured)
             for standard, measured, d, u_d in zip(
                 "AB", self.dataset.measured.tolist(), self.d.tolist(),
-                self.u_d.tolist())
-        )
-
-    @cached_property
-    def does(self) -> tuple[DegreeOfEquivalence, ...]:
-        return tuple(starmap(DegreeOfEquivalence, self.doe_rows()))
+                self.u_d.tolist()))))
 
 
 def _term_sums(*terms: list[float]) -> list[float]:

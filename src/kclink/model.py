@@ -265,10 +265,6 @@ class ComparisonDataset:
     def labs(self) -> tuple[LabResult, ...]:
         return check_labs(self.labels, self.x, self.u, self.cov_ab)
 
-    def rows(self) -> Iterator[tuple]:
-        """``(label, x_a, u_a, x_b, u_b, cov_ab)`` per lab, NaN where absent."""
-        return _rows(self.labels, self.x, self.u, self.cov_ab)
-
     @cached_property
     def _index(self) -> dict[str, int]:
         return dict(zip(self.labels, range(len(self.labels))))

@@ -266,23 +266,26 @@ def _sample(sc: SyntheticScenario, kinds, words, labels: Sequence[str]) -> np.nd
     if philox is None:
         philox = _THREAD.philox = np.random.Philox(0)
     rows = np.full((5, len(labels)), np.nan)
-    for first in range(0, len(labels), _BLOCK_LABS):
-        block = slice(first, first + _BLOCK_LABS)
-        ok = _draw(sc, pool, philox, kinds[block], words[..., block], 0, rows[:, block])
-        for lab in compress(range(first, len(labels)), (~ok).tolist()):  # degenerate
-            one = slice(lab, lab + 1)  # the lab alone, at its next substreams
-            for attempt in range(1, _MAX_ATTEMPTS + 1):
-                _warnings.warn(f"{labels[lab]}: degenerate sample (attempt {attempt}), "
-                               f"redrawing from the next substream",
-                               RuntimeWarning, stacklevel=3)
-                if attempt == _MAX_ATTEMPTS:  # keep the means, floor the uncertainties
-                    x, u, cov = rows[:2, lab], rows[2:4, lab], rows[4, lab]
-                    rows[2:4, lab] = np.maximum(
-                        u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
-                    rows[4, lab] = cov if cov != cov else 0.0
-                elif _draw(sc, pool, philox, kinds[one], words[..., one], attempt,
-                           rows[:, one])[0]:
-                    break
+    # an overflow shows as a degenerate sample or a rejected value, not a NumPy
+    # warning; scoped here, not in a helper, to keep the redraws' stacklevel
+    with np.errstate(all="ignore"):
+        for first in range(0, len(labels), _BLOCK_LABS):
+            block = slice(first, first + _BLOCK_LABS)
+            ok = _draw(sc, pool, philox, kinds[block], words[..., block], 0, rows[:, block])
+            for lab in compress(range(first, len(labels)), (~ok).tolist()):  # degenerate
+                one = slice(lab, lab + 1)  # the lab alone, at its next substreams
+                for attempt in range(1, _MAX_ATTEMPTS + 1):
+                    _warnings.warn(f"{labels[lab]}: degenerate sample (attempt {attempt}), "
+                                   f"redrawing from the next substream",
+                                   RuntimeWarning, stacklevel=3)
+                    if attempt == _MAX_ATTEMPTS:  # keep the means, floor the uncertainties
+                        x, u, cov = rows[:2, lab], rows[2:4, lab], rows[4, lab]
+                        rows[2:4, lab] = np.maximum(
+                            u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
+                        rows[4, lab] = cov if cov != cov else 0.0
+                    elif _draw(sc, pool, philox, kinds[one], words[..., one], attempt,
+                               rows[:, one])[0]:
+                        break
     return rows
 
 

@@ -248,7 +248,7 @@ class TestSearchBehaviour:
         dataset = failing_three_lab_dataset()
         found = minimal_inflation(dataset, "B2", "B")
         assert found.critical_u <= found.minimal_u
-        assert found.minimal_u == _round_up_significant(found.critical_u, 3)
+        assert found.minimal_u == _round_up_significant(found.critical_u)
         assert found.relinked.conformity.passed
 
     def test_linking_lab_keeps_correlation_fixed(self):
@@ -376,7 +376,7 @@ class TestClosedFormEdgeCases:
         assert found.minimal_u == 69.3
         assert found.relinked.conformity.passed
         for u in (69.2, 120.0):
-            trial = inflation._with_uncertainty(dataset, "R02", "A", u)
+            trial = inflation._with_uncertainty(dataset, dataset.index("R02"), 0, u)
             assert not link(trial).conformity.passed
 
     @pytest.mark.parametrize("target", [
@@ -574,11 +574,11 @@ class TestRounding:
         (104327.0, 105000.0),
     ])
     def test_round_up_significant(self, value, expected):
-        assert _round_up_significant(value, 3) == pytest.approx(
+        assert _round_up_significant(value) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_next_up_moves_strictly(self):
-        assert _next_up_significant(11.2, 3) == pytest.approx(11.3, rel=1e-12)
-        assert _next_up_significant(9.99, 3) == pytest.approx(10.0, rel=1e-12)
-        assert _next_up_significant(11.14, 3) == pytest.approx(11.2, rel=1e-12)
+        assert _next_up_significant(11.2) == pytest.approx(11.3, rel=1e-12)
+        assert _next_up_significant(9.99) == pytest.approx(10.0, rel=1e-12)
+        assert _next_up_significant(11.14) == pytest.approx(11.2, rel=1e-12)

@@ -1,6 +1,6 @@
-"""The report and plot-data writers emit bounded chunks of rows: the bytes
-are the single-join references' at every chunk boundary, and the memory a
-writer holds does not grow with the number of labs."""
+"""The report, plot-data and dataset-file writers emit bounded chunks of rows:
+the bytes are the single-join references' at every chunk boundary, and the
+memory a writer holds does not grow with the number of labs."""
 
 import io
 import tracemalloc
@@ -54,6 +54,9 @@ def test_outputs_at_chunk_boundaries_match_the_references(count, tmp_path, capsy
     assert kio._ties(last, 3).all()  # the last row is rounded through Decimal
     assert result.warnings  # the lab without a covariance
     data = write_dataset(dataset, tmp_path / "labs.csv")
+    for path in (data, write_dataset(dataset, tmp_path / "labs.json")):
+        assert first_difference(path.read_bytes().decode("utf-8"),
+                                oracles.dataset_file(dataset, path.suffix)) is None
     for format, reference in REFERENCES.items():
         report = render_report(result, format, units="nm")
         assert first_difference(report, reference(result, 3, "nm")) is None
@@ -90,13 +93,15 @@ def _traced_peak(write) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("output", ["json", "text", "plot"])
+@pytest.mark.parametrize("output", ["json", "text", "plot", "labs.csv", "labs.json"])
 def test_writer_memory_does_not_grow_with_the_labs(output, tmp_path):
     path = tmp_path / "out"
 
     def write(result):
         if output == "plot":
             emit_plot_data(result, path)
+        elif output.startswith("labs"):  # a dataset file
+            write_dataset(result.dataset, tmp_path / output)
         else:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.writelines(report_chunks(result, output))
