@@ -24,12 +24,13 @@ feeds back into any computation.  The JSON report's bytes are those of
 ``json.dumps`` writes the fixed members, and the arrays that grow with N are
 spliced in row by row, without building ``document``; a JSON dataset file
 is ``json.dumps({"labs": [...]}, sort_keys=True, indent=2)`` and a newline,
-its records written as the report's ``input.labs``.  The JSON report and
-the plot data print each DOE's ``d`` and ``u_d`` from one text, made on
-first use and kept with the result (:func:`_doe_text`).  Each output, a
-dataset file too, is made in chunks of rows from column slices of
-``_CHUNK_ROWS`` labs, in memory that does not grow with N.  :func:`_csv_field` quotes every CSV field as
-``csv.writer`` does.
+its records written as the report's ``input.labs``.  Each output, a dataset
+file too, is made in chunks of rows from column slices of ``_CHUNK_ROWS``
+labs, in memory that does not grow with N.  Both DOE writers take a block's
+labels and the slices of its ``d`` and ``u_d`` text from :func:`_doe_slices`;
+the text is made once and kept with the result (:func:`_doe_text`).  A block's
+labels are JSON-escaped by one ``map``, and searched once for a character that
+:func:`_csv_field` quotes as ``csv.writer`` does.
 
 The text report prints every DOE row by a ``%``-template per measured pattern,
 which rounds the binary value correctly: half-up rounding of its shortest
@@ -48,7 +49,7 @@ import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from dataclasses import asdict
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
 from pathlib import Path
@@ -131,10 +132,10 @@ def _is_header(row: list[str], path: Path) -> bool:
     return True
 
 
-def _csv_rows(path: Path, where: str):
-    """The line each data row starts on (a quoted cell may span lines), its
-    label and numbers: plain number cells through ``float``, a row with any
-    other cell through :func:`_row`."""
+def _csv_rows(path: Path, where: str, places: list, labels: list, numbers: list) -> None:
+    """Append the line each data row starts on (a quoted cell may span lines),
+    its label and numbers to the caller's columns: plain number cells through
+    ``float``, a row with any other cell through :func:`_row`."""
     width = len(_CSV_COLUMNS)
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -154,19 +155,21 @@ def _csv_rows(path: Path, where: str):
                     row += [""] * (width - len(row))
                 _, x_a, u_a, x_b, u_b, cov_ab = row
                 try:  # unrolled, not a comprehension: this runs for every row of a file
-                    numbers = [float(x_a) if x_a else _ABSENT, float(u_a) if u_a else _ABSENT,
-                               float(x_b) if x_b else _ABSENT, float(u_b) if u_b else _ABSENT,
-                               float(cov_ab) if cov_ab else _ABSENT]
+                    numbers += [float(x_a) if x_a else _ABSENT, float(u_a) if u_a else _ABSENT,
+                                float(x_b) if x_b else _ABSENT, float(u_b) if u_b else _ABSENT,
+                                float(cov_ab) if cov_ab else _ABSENT]
                 except ValueError:  # a decimal comma, a typographic minus, ...
-                    label, numbers = _row(row[0], row[1:], where, lineno)
-                yield lineno, label, numbers
+                    label, cells = _row(row[0], row[1:], where, lineno)
+                    numbers += cells
+                places.append(lineno)
+                labels.append(label)
         except csv.Error as exc:  # e.g. a cell beyond the reader's field size limit
             raise ParseError(f"{path}:{start}: {exc}") from None
 
 
-def _json_rows(path: Path, where: str):
-    """Index, label and numbers of each lab entry, through :func:`_row`,
-    and the units."""
+def _json_rows(path: Path, where: str, places: list, labels: list, numbers: list) -> object:
+    """Append the index, label and numbers of each lab entry, through
+    :func:`_row`, to the caller's columns; return the units."""
     text = path.read_text(encoding="utf-8-sig")
     try:
         data = json.loads(text)
@@ -185,15 +188,15 @@ def _json_rows(path: Path, where: str):
             f"{path}: expected an array of lab objects "
             f'(or {{"units": ..., "labs": [...]}})'
         )
-
-    def rows():
-        for index, entry in enumerate(data):
-            if not isinstance(entry, dict):
-                raise ParseError(f"{path}: lab entry {index} is not an object")
-            label, *cells = map(entry.get, _CSV_COLUMNS)
-            yield index, *_row(label, cells, where, index)
-
-    return rows(), units
+    for index, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: lab entry {index} is not an object")
+        label, *cells = map(entry.get, _CSV_COLUMNS)
+        label, cells = _row(label, cells, where, index)
+        numbers += cells
+        places.append(index)
+        labels.append(label)
+    return units
 
 
 def parse_dataset(path: str | Path) -> ComparisonDataset:
@@ -215,13 +218,9 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
     try:
         if path.suffix.lower() == ".json":
             where = f"{path}: lab entry "
-            rows, units = _json_rows(path, where)
+            units = _json_rows(path, where, places, labels, numbers)
         else:
-            rows = _csv_rows(path, where)
-        for place, label, row in rows:
-            places.append(place)
-            labels.append(label)
-            numbers += row
+            _csv_rows(path, where, places, labels, numbers)
     except ParseError as exc:
         stop = exc
     except UnicodeDecodeError as exc:
@@ -354,17 +353,20 @@ def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
     return text
 
 
-def _doe_blocks(result: LinkingResult) -> Iterator[tuple[str, Iterator[tuple]]]:
-    """Per standard and block of labs, the standard and, in :attr:`LinkingResult.does`
-    order, each DOE's label, ``d`` and ``u_d`` text and ``u_d``.  Read each block's
-    rows before the next: zip stops at the labels, before it draws a text."""
+def _doe_slices(result: LinkingResult) -> Iterator[tuple[str, list, list, list, np.ndarray]]:
+    """Per standard and block of labs, in :attr:`LinkingResult.does` order: the
+    standard, the labels of the block's labs that measured it, their ``d`` and
+    ``u_d`` text (slices of :func:`_doe_text`) and their ``u_d``."""
     labels, measured = result.dataset.labels, result.dataset.measured
-    d_text, u_text = map(iter, _doe_text(result))
+    d_text, u_text = _doe_text(result)
+    stop = 0
     for row, standard in enumerate("AB"):
         for block in _blocks(len(labels)):
             mask = measured[row, block]
-            yield standard, zip(compress(labels[block], mask.tolist()), d_text, u_text,
-                                result.u_d[row, block][mask].tolist())
+            names = list(compress(labels[block], mask.tolist()))
+            start, stop = stop, stop + len(names)
+            yield (standard, names, d_text[start:stop], u_text[start:stop],
+                   result.u_d[row, block][mask])
 
 
 def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Iterator[str]:
@@ -382,10 +384,10 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
     tail = _dumps({"kcrv": estimate, "tool": {"name": "kclink", "version": __version__},
                    "units": units, "warnings": result.warnings})
     yield from _array(head[:-len("\n}")] + ',\n  "doe": ', (
-        [f'\n    {{\n      "d": {d},\n      "label": {_str(label)},\n'
+        [f'\n    {{\n      "d": {d},\n      "label": {label},\n'
          f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'
-         for label, d, u_d, _ in rows]
-        for standard, rows in _doe_blocks(result)), "  ")
+         for label, d, u_d in zip(map(_str, labels), d_text, u_text)]
+        for standard, labels, d_text, u_text, _ in _doe_slices(result)), "  ")
     yield from _strings(',\n  "input": {\n    "groups": {\n      "linking": ', dataset.linking,
                         "      ")
     yield from _strings(',\n      "only_a": ', dataset.only_a, "      ")
@@ -399,13 +401,13 @@ def _lab_records(dataset: ComparisonDataset) -> Iterator[list[str]]:
     after its newline and indent."""
     for block in _blocks(len(dataset.labels)):
         yield [f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
-               f'        "label": {_str(label)},\n'
+               f'        "label": {label},\n'
                f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
                f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
                f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
                f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
                for label, x_a, u_a, x_b, u_b, c in _rows(
-                   dataset.labels[block], dataset.x[:, block], dataset.u[:, block],
+                   map(_str, dataset.labels[block]), dataset.x[:, block], dataset.u[:, block],
                    dataset.cov_ab[block])]
 
 
@@ -460,10 +462,11 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
         else:
             handle.write(",".join(_CSV_COLUMNS) + "\r\n")
             for block in _blocks(len(dataset.labels)):
-                handle.write("".join([_csv_field(label) + "".join(
+                handle.write("".join([label + "".join(
                     ["," if v != v else f",{v!r}" for v in numbers]) + "\r\n"
-                    for label, *numbers in _rows(dataset.labels[block], dataset.x[:, block],
-                                                 dataset.u[:, block], dataset.cov_ab[block])]))
+                    for label, *numbers in _rows(_csv_labels(dataset.labels[block]),
+                                                 dataset.x[:, block], dataset.u[:, block],
+                                                 dataset.cov_ab[block])]))
     return path
 
 
@@ -475,14 +478,21 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
+def _csv_labels(labels: Sequence[str]) -> Iterable[str]:
+    """A block's labels as :func:`_csv_field` writes them, after one search of
+    the whole block: only a block with a label to quote calls it per label."""
+    return map(_csv_field, labels) if _NEEDS_QUOTES("".join(labels)) else labels
+
+
 def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:
     """Write the DOE chart data as CSV: label, standard, d, u_d and the
     expanded (k = 2) uncertainty, one row per degree of equivalence."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("label,standard,d,u_d,U_d_k2\r\n")
-        for standard, rows in _doe_blocks(result):
-            handle.write("".join([
-                f"{_csv_field(label)},{standard},{d},{u_d},{_float(2.0 * u)}\r\n"
-                for label, d, u_d, u in rows]))
+        for standard, labels, d_text, u_text, u_d in _doe_slices(result):
+            if labels:  # a row is its fields joined by commas, as csv.writer joins them
+                handle.write("\r\n".join(map(",".join, zip(
+                    _csv_labels(labels), repeat(standard), d_text, u_text,
+                    map(_float, (2.0 * u_d).tolist())))) + "\r\n")
     return path

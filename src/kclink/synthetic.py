@@ -221,8 +221,8 @@ def _ndtri():
 
 def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     """Write the labs, in layout order, at ``attempt`` into their columns of
-    ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a sample is
-    not degenerate; the rows of a standard not measured are left alone.
+    ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a finite sample
+    is degenerate; the rows of a standard not measured are left alone.
     ``philox`` is re-keyed per lab, and one inverse CDF and one reduction
     serve all labs."""
     n = sc.n
@@ -253,9 +253,11 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     cov = np.add.reduce(dev[b:a] * dev[a:a + links], axis=1) / (n - 1) / n
     out[0, :a], out[1, b:], out[2, :a], out[3, b:], out[4, b:a] = (
         mean[:a], mean[a:], u[:a], u[a:], cov)
-    ok = u > 0.0
-    ok[a:a + links] &= ok[b:a] & (np.abs(cov) < u[b:a] * u[a:a + links])
-    return np.concatenate((ok[:b], ok[a:]))  # each lab's last series
+    # zero spread, or |cov| >= u_a * u_b (which a zero u_a or u_b implies), as
+    # comparisons that a NaN from an overflow fails: it is no degenerate sample
+    bad = u <= 0.0
+    bad[a:a + links] = np.abs(cov) - u[b:a] * u[a:a + links] >= 0.0
+    return np.concatenate((bad[:b], bad[a:]))  # each lab's last series
 
 
 def _sample(sc: SyntheticScenario, kinds, words, labels: Sequence[str]) -> np.ndarray:
@@ -266,13 +268,13 @@ def _sample(sc: SyntheticScenario, kinds, words, labels: Sequence[str]) -> np.nd
     if philox is None:
         philox = _THREAD.philox = np.random.Philox(0)
     rows = np.full((5, len(labels)), np.nan)
-    # an overflow shows as a degenerate sample or a rejected value, not a NumPy
+    # an overflow shows as a value the dataset's checks reject, not a NumPy
     # warning; scoped here, not in a helper, to keep the redraws' stacklevel
     with np.errstate(all="ignore"):
         for first in range(0, len(labels), _BLOCK_LABS):
             block = slice(first, first + _BLOCK_LABS)
-            ok = _draw(sc, pool, philox, kinds[block], words[..., block], 0, rows[:, block])
-            for lab in compress(range(first, len(labels)), (~ok).tolist()):  # degenerate
+            bad = _draw(sc, pool, philox, kinds[block], words[..., block], 0, rows[:, block])
+            for lab in compress(range(first, len(labels)), bad.tolist()):  # degenerate
                 one = slice(lab, lab + 1)  # the lab alone, at its next substreams
                 for attempt in range(1, _MAX_ATTEMPTS + 1):
                     _warnings.warn(f"{labels[lab]}: degenerate sample (attempt {attempt}), "
@@ -283,8 +285,8 @@ def _sample(sc: SyntheticScenario, kinds, words, labels: Sequence[str]) -> np.nd
                         rows[2:4, lab] = np.maximum(
                             u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
                         rows[4, lab] = cov if cov != cov else 0.0
-                    elif _draw(sc, pool, philox, kinds[one], words[..., one], attempt,
-                               rows[:, one])[0]:
+                    elif not _draw(sc, pool, philox, kinds[one], words[..., one], attempt,
+                                   rows[:, one])[0]:
                         break
     return rows
 
@@ -296,7 +298,8 @@ def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     the A-only, linking and B-only groups in that order.  A sample with zero
     spread (or, for a linking lab, a singular sample correlation) is redrawn
     from the lab's next substream with a warning; after 8 degenerate attempts
-    the last one's means are reported with floored uncertainties.
+    the last one's means are reported with floored uncertainties.  A sample
+    that overflowed is not redrawn: the dataset's checks reject its value.
     """
     kinds, words, labels = scenario.layout._labs
     rows = _sample(scenario, kinds, words, labels)

@@ -3,10 +3,16 @@ the bytes are the single-join references' at every chunk boundary, and the
 memory a writer holds does not grow with the number of labs."""
 
 import io
+import tempfile
 import tracemalloc
+from dataclasses import replace
+from itertools import compress
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kclink import io as kio
 from kclink.cli import main
@@ -15,6 +21,7 @@ from kclink.linking import link
 from kclink.model import KclinkError, validate_dataset
 
 from . import oracles
+from .strategies import datasets
 
 CHUNK = kio._CHUNK_ROWS
 REFERENCES = {"json": oracles.json_report, "text": oracles.text_report}
@@ -113,3 +120,71 @@ def test_writer_memory_does_not_grow_with_the_labs(output, tmp_path):
         write(result)  # warm up
         peaks.append(_traced_peak(lambda: write(result)))
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+# a label that csv.writer quotes or json.dumps escapes, or both
+special_labels = st.text(',"\r\n\\\x00\téx', min_size=1).filter(
+    lambda text: kio._NEEDS_QUOTES(text) or kio._str(text) != f'"{text}"')
+
+
+@st.composite
+def blocked_datasets(draw):
+    """A dataset of several blocks of 2 or 3 labs and that block size: some
+    blocks hold a label to quote or escape, the others only plain labels."""
+    chunk = draw(st.integers(2, 3))
+    dataset = draw(datasets(4).filter(lambda data: len(data.labels) > chunk))
+    blocks = range(0, len(dataset.labels), chunk)
+    special = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks))
+                   .filter(lambda flags: any(flags) and not all(flags)))
+    names = [f"P{index}" for index in range(len(dataset.labels))]
+    for start, flagged in zip(blocks, special):
+        if flagged:
+            index = draw(st.integers(start, min(start + chunk, len(names)) - 1))
+            names[index] = draw(special_labels) + f"{index}"
+    return validate_dataset(replace(lab, label=name)
+                            for lab, name in zip(dataset.labs, names)), chunk
+
+
+@given(blocked_datasets())
+@settings(deadline=None)
+def test_writers_over_blocks_of_mixed_labels_match_the_references(case):
+    # each block decides once whether its labels need quoting or escaping
+    dataset, chunk = case
+    result = link(dataset)
+    with mock.patch.object(kio, "_CHUNK_ROWS", chunk), \
+            tempfile.TemporaryDirectory() as directory:
+        plot = emit_plot_data(result, Path(directory) / "plot.csv")
+        assert plot.read_bytes() == oracles.plot_data(result).encode("utf-8")
+        assert render_report(result, "json") == oracles.json_report(result, 3, None)
+        for suffix in (".csv", ".json"):
+            path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
+            assert path.read_bytes() == oracles.dataset_file(dataset, suffix).encode("utf-8")
+
+
+@pytest.mark.parametrize("quoted", [None, 0, 1, 2])
+def test_csv_labels_are_quoted_only_in_the_block_that_needs_it(quoted, tmp_path, monkeypatch):
+    # a call counter on _csv_field, not a timing: with no label to quote it is
+    # never called, else only for the rows of the quoted label's block of DOEs,
+    # A's and B's (the label is a linking lab's)
+    count = 2 * CHUNK + CHUNK // 2
+    mixed = mixed_dataset(count)
+    labels = [f"L{index:05d}" for index in range(count)]
+    block = slice(0, 0)
+    if quoted is not None:
+        block = slice(quoted * CHUNK, (quoted + 1) * CHUNK)
+        index = quoted * CHUNK + 7
+        index += (2 - index % 3) % 3  # a linking lab of mixed_dataset
+        labels[index] = 'L, "é"'
+    dataset = validate_dataset(labels, mixed.x, mixed.u, mixed.cov_ab)
+    assert quoted is None or dataset.measured[:, index].all()
+    result = link(dataset)
+    calls, field = [], kio._csv_field
+    monkeypatch.setattr(kio, "_csv_field", lambda text: calls.append(text) or field(text))
+    plot = emit_plot_data(result, tmp_path / "plot.csv")
+    assert calls == [label for row in dataset.measured[:, block].tolist()
+                     for label in compress(labels[block], row)]
+    assert plot.read_bytes() == oracles.plot_data(result).encode("utf-8")
+    calls.clear()
+    data = write_dataset(dataset, tmp_path / "labs.csv")
+    assert calls == labels[block]
+    assert data.read_bytes() == oracles.dataset_file(dataset, ".csv").encode("utf-8")
