@@ -134,11 +134,10 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
 
     v0 = kcrv.u_a * kcrv.u_a, kcrv.u_b * kcrv.u_b
     es, us = e[:, index].tolist(), dataset.u[:, index].tolist()
-    covariance, other = dataset.cov[index].item(), 1 - row
-    e_s, u0 = es[row], us[row]
+    e_s, u0, other = es[row], us[row], 1 - row
     p = r = e_o = v_oo = 0.0
-    if covariance:
-        r = covariance / (u0 * us[other])
+    if dataset.bivariate[index]:
+        r = dataset.cov_ab[index].item() / (u0 * us[other])
         p, e_o, v_oo = r / us[other], es[other], v0[other]
     alpha = k * (1.0 - r * r + p * p * v_oo) - p * p * (e_o * e_o)
     beta = 2.0 * p * (e_s * e_o - k * kcrv.cov_ab)

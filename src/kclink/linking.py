@@ -189,8 +189,9 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
 
 def _aux(dataset: ComparisonDataset, measured, bivariate):
     """``(v, den, aux)``: ``u^2``, the bivariate terms' denominator
-    ``u_a^2 * u_b^2 - cov_ab^2`` and the five sums over the ``measured`` entries."""
-    x, cov, v = dataset.x, dataset.cov, dataset.u * dataset.u
+    ``u_a^2 * u_b^2 - cov_ab^2`` and the five sums over the ``measured`` entries.
+    Every use of ``cov_ab``, NaN where not reported, is selected by ``bivariate``."""
+    x, cov, v = dataset.x, dataset.cov_ab, dataset.u * dataset.u
     den = v[0] * v[1] - cov * cov
     singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
     if np.count_nonzero(singular):
@@ -266,7 +267,7 @@ def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray)
     u_d = np.sqrt(radicand)  # NaN where not measured
     if np.count_nonzero(np.isfinite(u_d)) == dataset.n_total:
         return u_d
-    tolerated = (radicand >= -_RADICAND_RTOL * dataset.u * dataset.u) & (radicand < inf)
+    tolerated = (radicand >= -_RADICAND_RTOL * v) & (radicand < inf)
     failed = dataset.measured > tolerated
     lab = int(failed.any(axis=0).argmax())
     if not failed[:, lab].any():
@@ -299,7 +300,7 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
         kcrv = compute_kcrv(aux)
         d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
         # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
-        dwd = d * (d * v[::-1] - dataset.cov * d[::-1])  # its two products
+        dwd = d * (d * v[::-1] - dataset.cov_ab * d[::-1])  # its two products
         [q2] = _term_sums((d * d / v)[measured > bivariate].tolist() + (
             (dwd[0] + dwd[1]) / den)[bivariate].tolist())
     return v, aux, kcrv, d, q2

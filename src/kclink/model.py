@@ -175,10 +175,10 @@ class ComparisonDataset:
     message as a :class:`LabError` (see :func:`check_labs`).  Then an
     empty input, duplicate labels or a standard that no laboratory measured
     raise :class:`ValidationError`.  The columns are kept as read-only
-    copies, and datasets compare by them and ``labels``.  Derived: ``cov``
-    (0 where not reported), the boolean ``measured`` (per standard, the labs
-    that measured it) and ``bivariate`` (the labs with a nonzero ``cov``, one
-    term each in the sums), and ``labs``, built by :func:`check_labs` on first access.
+    copies, and datasets compare by them and ``labels``.  Derived: the boolean
+    ``measured`` (per standard, the labs that measured it) and ``bivariate`` (the
+    labs with a nonzero ``cov_ab``, one term each in the sums; a zero or absent
+    one gives two univariate terms), and ``labs``, built by :func:`check_labs` on first access.
 
     ``only_a``, ``only_b`` and ``linking`` hold the laboratory labels of
     the three disjoint participation groups, in input order.  ``warnings``
@@ -196,7 +196,6 @@ class ComparisonDataset:
     only_b: tuple[str, ...] = field(init=False)
     linking: tuple[str, ...] = field(init=False)
     warnings: tuple[str, ...] = field(init=False)
-    cov: np.ndarray = field(init=False, repr=False)
     measured: np.ndarray = field(init=False, repr=False)
     bivariate: np.ndarray = field(init=False, repr=False)
 
@@ -209,7 +208,8 @@ class ComparisonDataset:
         with np.errstate(all="ignore"):  # u_a*u_b overflowing to inf still passes
             measured, reported = x == x, cov_ab == cov_ab
             good = np.isfinite(x) & (u > 0.0) & (u < inf)  # implies measured
-            bounded = np.abs(cov_ab) < u[0] * u[1]  # implies reported and linking
+            magnitude = np.abs(cov_ab)
+            bounded = magnitude < u[0] * u[1]  # implies reported and linking
         linked = measured[0] & measured[1]
         try:  # each lab as LabResult checks it
             "".join(labels)  # a TypeError for a label that is not a string
@@ -233,8 +233,7 @@ class ComparisonDataset:
         for standard, exclusive in (("A", only_a), ("B", only_b)):
             if not exclusive and not linking:
                 raise ValidationError(f"no laboratory measured standard {standard}")
-        cov = np.where(reported, cov_ab, 0.0)  # reported by linking labs only
-        bivariate = cov != 0.0  # a zero cov adds univariate terms: an identity, not a limit
+        bivariate = magnitude > 0.0  # ±0 or NaN: univariate terms, an identity, not a limit
         unreported = ", ".join(compress(labels, (linked ^ reported).tolist()))
         warnings = tuple(warning for warning, found in (
             ("no linking laboratories: the two comparisons are analysed as "
@@ -245,10 +244,10 @@ class ComparisonDataset:
              "to independent per-group weighted means",
              linking and not np.count_nonzero(bivariate)),
         ) if found)
-        for column in (x, u, cov_ab, cov, measured, bivariate):
+        for column in (x, u, cov_ab, measured, bivariate):
             column.setflags(write=False)
         vars(self).update(labels=labels, x=x, u=u, cov_ab=cov_ab, only_a=only_a,
-                          only_b=only_b, linking=linking, warnings=warnings, cov=cov,
+                          only_b=only_b, linking=linking, warnings=warnings,
                           measured=measured, bivariate=bivariate)
 
     def __eq__(self, other: object) -> bool:

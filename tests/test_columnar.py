@@ -162,16 +162,17 @@ class TestColumns:
             equal_nan=True)
         assert np.array_equal(synthetic.u, np.array(
             [[lab.u_a, lab.u_b] for lab in labs], dtype=float).T, equal_nan=True)
-        assert synthetic.cov.tolist() == [lab.covariance for lab in labs]
+        assert np.array_equal(synthetic.cov_ab, np.array(
+            [lab.cov_ab for lab in labs], dtype=float), equal_nan=True)
         assert synthetic.measured.tolist() == [
             [lab.in_group_a for lab in labs], [lab.in_group_b for lab in labs]]
         assert synthetic.bivariate.tolist() == [lab.covariance != 0.0 for lab in labs]
-        for column in (synthetic.x, synthetic.u, synthetic.cov):
+        for column in (synthetic.x, synthetic.u, synthetic.cov_ab):
             assert column.dtype == np.float64
 
     def test_columns_are_read_only(self, gauge_block):
         result = link(gauge_block)
-        for column in (gauge_block.x, gauge_block.u, gauge_block.cov,
+        for column in (gauge_block.x, gauge_block.u, gauge_block.cov_ab,
                        gauge_block.measured, gauge_block.bivariate, result.d, result.u_d):
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

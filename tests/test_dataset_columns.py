@@ -185,7 +185,7 @@ def test_the_covariance_keeps_its_reported_bit():
         2.0, 2.0, nan, 2.0]], [[1.0, 1.0, 1.0, nan], [1.0, 1.0, nan, 1.0]],
         [0.0, nan, nan, nan])
     assert np.array_equal(dataset.cov_ab, [0.0, nan, nan, nan], equal_nan=True)
-    assert dataset.cov.tolist() == [0.0] * 4
+    assert dataset.bivariate.tolist() == [False] * 4
     assert [lab.cov_ab for lab in dataset.labs] == [0.0, None, None, None]
     assert dataset.warnings[0] == ("covariance not reported by linking "
                                    "laboratories (C2); treated as zero")

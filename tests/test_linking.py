@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -10,6 +11,7 @@ from scipy.integrate import dblquad
 from kclink import linking
 from kclink.golden import gauge_block_dataset, synthetic_dataset
 from kclink.inflation import minimal_inflation
+from kclink.io import render_report
 from kclink.linking import (
     AuxQuantities,
     KcrvEstimate,
@@ -542,6 +544,55 @@ class TestLink:
             label = dataset.labels[index]
             assert (self._search(exchanged, label, "BA"[row])
                     == self._search(dataset, label, "AB"[row]))
+
+    @staticmethod
+    def _echo_free_report(result):
+        """The JSON report's text values, without what echoes the covariances:
+        ``input.labs[*].cov_ab`` and the warnings."""
+        report = json.loads(render_report(result, "json"), parse_float=str)
+        for lab in report["input"]["labs"]:
+            del lab["cov_ab"]
+        del report["warnings"]
+        return report
+
+    @given(datasets(), st.lists(st.sampled_from([math.nan, 0.0, -0.0]), min_size=3,
+                                max_size=3), st.integers(min_value=0, max_value=17))
+    @example(
+        validate_dataset([
+            LabResult("H01", value_a=1.0, u_a=0.5),
+            LabResult("H02", value_a=2.0, u_a=1.0, value_b=3.0, u_b=2.0, cov_ab=-0.0),
+            LabResult("H03", value_b=4.0, u_b=0.25),
+        ]),
+        [-0.0, math.nan, math.nan], 1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_an_absent_zero_or_negative_zero_covariance_gives_the_same_bits(
+            self, dataset, zeros, pick):
+        # a linking lab's covariance enters only through its bivariate term,
+        # and NaN (not reported), 0.0 and -0.0 all give two univariate terms
+        linked = dataset.measured.all(axis=0)
+        absent, variant = np.full((2, len(dataset.labels)), math.nan)
+        variant[linked] = zeros[:np.count_nonzero(linked)]
+        pair = [validate_dataset(dataset.labels, dataset.x, dataset.u, cov)
+                for cov in (absent, variant)]
+        row, index = np.argwhere(dataset.measured)[pick % dataset.n_total].tolist()
+        label, standard = dataset.labels[index], "AB"[row]
+        outcomes = []
+        for each in pair:
+            assert not each.bivariate.any()
+            try:
+                result = link(each)
+            except KclinkError as exc:
+                outcomes.append(repr(exc))
+                continue
+            try:
+                search = repr(minimal_inflation(each, label, standard).critical_u)
+            except KclinkError as exc:
+                search = repr(exc)
+            outcomes.append((repr(result.aux), repr(result.kcrv), repr(result.conformity.q2),
+                             result.d.tobytes(), result.u_d.tobytes(), search,
+                             self._echo_free_report(result)))
+        assert outcomes[0] == outcomes[1]
 
     def test_warnings_carried_from_dataset(self, gauge_block):
         result = link(gauge_block)
