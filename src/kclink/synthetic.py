@@ -5,16 +5,18 @@ travelling standard(s) from a Gaussian population and reporting the sample
 mean, the standard deviation of the mean, and (for linking laboratories)
 the covariance of the two means.
 
-Substream layout: attempt ``attempt`` at lab ``index`` of a kind (0 for
-A-only, 1 for linking, 2 for B-only) reads numpy's Philox4x64-10 generator
-with key ``SeedSequence(seed, spawn_key=(kind, index,
-attempt)).generate_state(2, np.uint64)`` from counter 0.  Each raw 64-bit
-output gives one uniform ``((raw >> 11) + 0.5) / 2**53`` in (0, 1) (``raw
->> 11`` is ``Generator.integers(0, 2**53)``) and one standard normal by the
-inverse CDF.  A single-standard lab takes ``n`` outputs.  A linking lab
-takes ``2n``: ``n`` normals for standard A, then ``n`` independent ones
-mixed with A's to give correlation ``rho`` for standard B.  So changing
-one group's size never perturbs the draws of other labs.
+Substream layout: lab ``index`` of a kind (0 for A-only, 1 for linking, 2
+for B-only) reads numpy's Philox4x64-10 generator with key
+``SeedSequence(seed, spawn_key=(kind, index, 0)).generate_state(2,
+np.uint64)`` from counter 0.  Each raw 64-bit output gives one uniform
+``((raw >> 11) + 0.5) / 2**53`` in (0, 1) (``raw >> 11`` is
+``Generator.integers(0, 2**53)``) and one standard normal by the inverse
+CDF.  A single-standard lab takes ``n`` outputs.  A linking lab takes
+``2n``: ``n`` normals for standard A, then ``n`` independent ones mixed
+with A's to give correlation ``rho`` for standard B.  So changing one
+group's size never perturbs the draws of other labs.  A lab reads only its
+one substream: a degenerate sample is reported with floored uncertainties
+(see :func:`generate_scenario`).
 
 A scenario's labs are keyed, drawn and reduced together, in blocks of
 ``_BLOCK_LABS`` labs, straight into the dataset's columns: see :func:`_keys`
@@ -42,12 +44,8 @@ import numpy as np
 
 from .model import ComparisonDataset, ValidationError, validate_dataset
 
-# retries with fresh substreams before giving up on a non-degenerate sample
-_MAX_ATTEMPTS = 8
-
-# relative floor for the reported uncertainty when every retry produced a
-# degenerate (zero spread) sample, e.g. when sigma underflows next to the
-# true value; keeps the lab valid
+# relative floor for the reported uncertainties of a degenerate sample, e.g.
+# of zero spread when sigma underflows next to the true value; keeps the lab valid
 _DEGENERATE_U_FLOOR = 1e-15
 
 # labs drawn and reduced together, so memory does not grow with their number
@@ -162,13 +160,12 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # word takes one step per pool slot), INIT_B * MULT_B**i for the output
 _A = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _M32 for i in range(29)]
 _B = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(5)]
-# MIX_MULT_R times the hash of every kind and attempt word into the 4 pool
-# slots: the right-hand words of their mixes
+# MIX_MULT_R times the hash of every kind word, and of the third spawn word
+# (0), into the 4 pool slots: the right-hand words of their mixes
 _KIND_WORDS = _MIX_R * _hashmix(np.arange(3, dtype=np.uint32), _column(_A[16:20]),
                                 _column(_A[17:21]))
 _INDEX_XOR, _INDEX_MULT = _column(_A[20:24]), _column(_A[21:25])
-_ATTEMPT_WORDS = _MIX_R * _hashmix(np.arange(_MAX_ATTEMPTS, dtype=np.uint32),
-                                   _column(_A[24:28]), _column(_A[25:29]))
+_ZERO_WORDS = _MIX_R * _hashmix(np.uint32(0), _column(_A[24:28]), _column(_A[25:29]))
 _STATE_XOR, _STATE_MULT = _column(_B[:4]), _column(_B[1:])
 
 
@@ -184,13 +181,13 @@ def _lab_words(kinds: np.ndarray, indices: np.ndarray) -> np.ndarray:
                      _MIX_R * _hashmix(indices, _INDEX_XOR, _INDEX_MULT)))
 
 
-def _keys(pool: np.ndarray, words: np.ndarray, attempt: int):
-    """``SeedSequence(seed, spawn_key=(kind, index, attempt))
+def _keys(pool: np.ndarray, words: np.ndarray):
+    """``SeedSequence(seed, spawn_key=(kind, index, 0))
     .generate_state(2, np.uint64)`` per lab, from the seed's ``pool`` and the
     labs' :func:`_lab_words`: the pool-dependent mixes, in place on one
     (4, labs) array."""
     keys = _MIX_L * pool - words[0]
-    for right in (words[1], _ATTEMPT_WORDS[:, attempt, None]):
+    for right in (words[1], _ZERO_WORDS):
         keys ^= keys >> 16
         keys *= _MIX_L
         keys -= right
@@ -219,10 +216,10 @@ def _ndtri():
     return ndtri
 
 
-def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
-    """Write the labs, in layout order, at ``attempt`` into their columns of
-    ``out``, rows x_a, x_b, u_a, u_b, cov_ab, and return where a finite sample
-    is degenerate; the rows of a standard not measured are left alone.
+def _draw(sc: SyntheticScenario, pool, philox, kinds, words, out):
+    """Write the labs, in layout order, into their columns of ``out``, rows
+    x_a, x_b, u_a, u_b, cov_ab, and return where a finite sample is
+    degenerate; the rows of a standard not measured are left alone.
     ``philox`` is re-keyed per lab, and one inverse CDF and one reduction
     serve all labs."""
     n = sc.n
@@ -231,7 +228,7 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     raw = []
-    for kind, lab_key in zip(kinds.tolist(), _keys(pool, words, attempt)):
+    for kind, lab_key in zip(kinds.tolist(), _keys(pool, words)):
         key["key"] = lab_key
         philox.state = state
         raw.append(philox.random_raw(widths[kind]))
@@ -254,9 +251,11 @@ def _draw(sc: SyntheticScenario, pool, philox, kinds, words, attempt: int, out):
     out[0, :a], out[1, b:], out[2, :a], out[3, b:], out[4, b:a] = (
         mean[:a], mean[a:], u[:a], u[a:], cov)
     # zero spread, or |cov| >= u_a * u_b (which a zero u_a or u_b implies), as
-    # comparisons that a NaN from an overflow fails: it is no degenerate sample
+    # comparisons that a NaN from an overflow fails: it is no degenerate sample.
+    # Two draws correlate exactly +-1, so at n = 2 every linking sample that
+    # did not overflow is, whatever the rounding gives
     bad = u <= 0.0
-    bad[a:a + links] = np.abs(cov) - u[b:a] * u[a:a + links] >= 0.0
+    bad[a:a + links] = np.abs(cov) - u[b:a] * u[a:a + links] >= (-np.inf if n == 2 else 0.0)
     return np.concatenate((bad[:b], bad[a:]))  # each lab's last series
 
 
@@ -269,25 +268,18 @@ def _sample(sc: SyntheticScenario, kinds, words, labels: Sequence[str]) -> np.nd
         philox = _THREAD.philox = np.random.Philox(0)
     rows = np.full((5, len(labels)), np.nan)
     # an overflow shows as a value the dataset's checks reject, not a NumPy
-    # warning; scoped here, not in a helper, to keep the redraws' stacklevel
+    # warning; scoped here, not in a helper, to keep the warnings' stacklevel
     with np.errstate(all="ignore"):
         for first in range(0, len(labels), _BLOCK_LABS):
             block = slice(first, first + _BLOCK_LABS)
-            bad = _draw(sc, pool, philox, kinds[block], words[..., block], 0, rows[:, block])
+            bad = _draw(sc, pool, philox, kinds[block], words[..., block], rows[:, block])
             for lab in compress(range(first, len(labels)), bad.tolist()):  # degenerate
-                one = slice(lab, lab + 1)  # the lab alone, at its next substreams
-                for attempt in range(1, _MAX_ATTEMPTS + 1):
-                    _warnings.warn(f"{labels[lab]}: degenerate sample (attempt {attempt}), "
-                                   f"redrawing from the next substream",
-                                   RuntimeWarning, stacklevel=3)
-                    if attempt == _MAX_ATTEMPTS:  # keep the means, floor the uncertainties
-                        x, u, cov = rows[:2, lab], rows[2:4, lab], rows[4, lab]
-                        rows[2:4, lab] = np.maximum(
-                            u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
-                        rows[4, lab] = cov if cov != cov else 0.0
-                    elif not _draw(sc, pool, philox, kinds[one], words[..., one], attempt,
-                                   rows[:, one])[0]:
-                        break
+                _warnings.warn(f"{labels[lab]}: degenerate sample, reported with floored "
+                               f"uncertainties and any covariance as 0.0",
+                               RuntimeWarning, stacklevel=3)
+                x, u, cov = rows[:2, lab], rows[2:4, lab], rows[4, lab]
+                rows[2:4, lab] = np.maximum(u, np.maximum(np.abs(x), 1.0) * _DEGENERATE_U_FLOOR)
+                rows[4, lab] = cov if cov != cov else 0.0  # a linking lab's is zero
     return rows
 
 
@@ -295,11 +287,12 @@ def generate_scenario(scenario: SyntheticScenario) -> ComparisonDataset:
     """Simulate the full comparison: labelled labs in layout order.
 
     Deterministic for a given scenario; labels run LAB-01, LAB-02, ... over
-    the A-only, linking and B-only groups in that order.  A sample with zero
-    spread (or, for a linking lab, a singular sample correlation) is redrawn
-    from the lab's next substream with a warning; after 8 degenerate attempts
-    the last one's means are reported with floored uncertainties.  A sample
-    that overflowed is not redrawn: the dataset's checks reject its value.
+    the A-only, linking and B-only groups in that order.  A degenerate
+    sample, one with zero spread or, for a linking lab, a singular sample
+    correlation (always so at ``n = 2``), gives one ``RuntimeWarning``; its
+    means are reported with each uncertainty raised to at least
+    ``max(|x|, 1) * 1e-15`` and a linking lab's covariance as 0.0.  A sample
+    that overflowed is no degenerate one: the dataset's checks reject its value.
     """
     kinds, words, labels = scenario.layout._labs
     rows = _sample(scenario, kinds, words, labels)

@@ -790,7 +790,6 @@ def reference_seed_pool(seed: int) -> list[int]:
 
 
 _KIND_KEYS = {"a_only": 0, "linking": 1, "b_only": 2}
-_MAX_ATTEMPTS = 8
 _DEGENERATE_U_FLOOR = 1e-15
 
 
@@ -809,52 +808,52 @@ def _reference_mean_and_u(obs: np.ndarray) -> tuple[float, float]:
 
 
 def reference_sample_lab(scenario, kind: str, index: int, label: str | None = None):
-    """One synthetic lab, simulated on its own, with the generator's
-    documented retries, warnings and floored fallback."""
+    """One synthetic lab, simulated on its own from its one substream, with
+    the generator's documented warning and floors for a degenerate sample."""
     from kclink.model import LabResult
 
     if label is None:
         label = f"{kind}-{index + 1:02d}"
-    for attempt in range(_MAX_ATTEMPTS):
-        seq = np.random.SeedSequence(
-            entropy=scenario.seed, spawn_key=(_KIND_KEYS[kind], index, attempt)
-        )
-        rng = np.random.Generator(np.random.Philox(seq))
-        if kind == "linking":
-            z_a = _reference_normals(rng, scenario.n)
-            z_i = _reference_normals(rng, scenario.n)
-            z_b = scenario.rho * z_a + np.sqrt(1.0 - scenario.rho**2) * z_i
-            obs_a = scenario.y_a_true + scenario.sigma_a * z_a
-            obs_b = scenario.y_b_true + scenario.sigma_b * z_b
-            x_a, u_a = _reference_mean_and_u(obs_a)
-            x_b, u_b = _reference_mean_and_u(obs_b)
-            sample_cov = float(
-                np.sum((obs_a - x_a) * (obs_b - x_b))
-            ) / (scenario.n - 1)
-            cov = sample_cov / scenario.n
-            if u_a > 0.0 and u_b > 0.0 and abs(cov) < u_a * u_b:
-                return LabResult(
-                    label=label, value_a=x_a, u_a=u_a, value_b=x_b, u_b=u_b,
-                    cov_ab=cov,
-                )
+    seq = np.random.SeedSequence(
+        entropy=scenario.seed, spawn_key=(_KIND_KEYS[kind], index, 0)
+    )
+    rng = np.random.Generator(np.random.Philox(seq))
+    if kind == "linking":
+        z_a = _reference_normals(rng, scenario.n)
+        z_i = _reference_normals(rng, scenario.n)
+        z_b = scenario.rho * z_a + np.sqrt(1.0 - scenario.rho**2) * z_i
+        obs_a = scenario.y_a_true + scenario.sigma_a * z_a
+        obs_b = scenario.y_b_true + scenario.sigma_b * z_b
+        x_a, u_a = _reference_mean_and_u(obs_a)
+        x_b, u_b = _reference_mean_and_u(obs_b)
+        sample_cov = float(
+            np.sum((obs_a - x_a) * (obs_b - x_b))
+        ) / (scenario.n - 1)
+        cov = sample_cov / scenario.n
+        # two draws correlate exactly +-1, however the rounding falls
+        if scenario.n > 2 and u_a > 0.0 and u_b > 0.0 and abs(cov) < u_a * u_b:
+            return LabResult(
+                label=label, value_a=x_a, u_a=u_a, value_b=x_b, u_b=u_b,
+                cov_ab=cov,
+            )
+    else:
+        z = _reference_normals(rng, scenario.n)
+        if kind == "a_only":
+            x, u = _reference_mean_and_u(scenario.y_a_true + scenario.sigma_a * z)
         else:
-            z = _reference_normals(rng, scenario.n)
+            x, u = _reference_mean_and_u(scenario.y_b_true + scenario.sigma_b * z)
+        if u > 0.0:
             if kind == "a_only":
-                x, u = _reference_mean_and_u(scenario.y_a_true + scenario.sigma_a * z)
-            else:
-                x, u = _reference_mean_and_u(scenario.y_b_true + scenario.sigma_b * z)
-            if u > 0.0:
-                if kind == "a_only":
-                    return LabResult(label=label, value_a=x, u_a=u)
-                return LabResult(label=label, value_b=x, u_b=u)
-        warnings.warn(
-            f"{label}: degenerate sample (attempt {attempt + 1}), redrawing "
-            f"from the next substream",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+                return LabResult(label=label, value_a=x, u_a=u)
+            return LabResult(label=label, value_b=x, u_b=u)
+    warnings.warn(
+        f"{label}: degenerate sample, reported with floored uncertainties "
+        f"and any covariance as 0.0",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 
-    # every retry degenerate: report the (exact) mean with a floored u
+    # degenerate: report the means with floored uncertainties
     if kind == "a_only":
         u = max(abs(x), 1.0) * _DEGENERATE_U_FLOOR
         return LabResult(label=label, value_a=x, u_a=u)

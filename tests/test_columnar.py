@@ -142,7 +142,7 @@ def test_ten_thousand_synthetic_labs_equal_the_reference(tmp_path):
         seed=20261018,
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # n = 5 redraws a few degenerate samples
+        warnings.simplefilter("error")  # no sample of this scenario is degenerate
         dataset = generate_scenario(scenario)
     assert len(dataset.labs) == 10_000
     assert_matches_reference(link(dataset), tmp_path)

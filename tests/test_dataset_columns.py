@@ -114,6 +114,11 @@ def _csv_rows(rows):
           ("A3", 1.0, 1.0, None, None, None), ("A4", "oops", 1.0, None, None, None),
           ("B1", None, None, 2.0, 1.0, None)])
 @example([("C1", 1.0, 1.0, 2.0, 1.0, 0.0), ("C2", 1.0, 1.0, 2.0, 1.0, None)])
+# CSV rows of only commas and spaces are skipped, and still counted in the
+# line number of the failing lab after them
+@example([("A1", 1.0, 1.0, None, None, None), ("", None, None, None, None, None),
+          (" ", " ", None, "  ", None, " "), ("A2", 1.0, 0.0, None, None, None),
+          ("B1", None, None, 2.0, 1.0, None)])
 def test_files_read_like_the_per_lab_path(tmp_path_factory, rows):
     directory = tmp_path_factory.mktemp("files")
     as_csv, as_json = directory / "labs.csv", directory / "labs.json"

@@ -166,13 +166,28 @@ class TestSampleLab:
         assert b_only.in_group_b and not b_only.in_group_a
 
     def test_vanishing_sigma_reports_truth_exactly(self):
-        # perturbations underflow next to the true value: every draw is
-        # degenerate and the sampler falls back to the exact mean
+        # perturbations underflow next to the true value: the sample is
+        # degenerate, and the exact mean is reported with the floored u
         scenario = reference_scenario(sigma_a=1e-30, layout=ScenarioLayout(1, 0, 1))
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            lab = generate_scenario(scenario).labs[0]
+        dataset, caught = recorded(lambda: generate_scenario(scenario))
+        assert [(category, message.split(",")[0]) for category, message in caught] == [
+            (RuntimeWarning, "LAB-01: degenerate sample")]
+        lab = dataset.labs[0]
         assert lab.value_a == 110.0
-        assert lab.u_a > 0.0
+        assert lab.u_a == 110.0 * 1e-15
+
+    def test_two_draws_always_link(self):
+        # at n = 2 a linking lab's two draws correlate exactly +-1, however the
+        # rounding falls: each such lab warns once and reports no covariance,
+        # so no seed gives a dataset that link rejects
+        layout = ScenarioLayout(2, 3, 2)
+        for seed in range(200):
+            scenario = reference_scenario(seed=seed, n=2, layout=layout)
+            dataset, caught = recorded(lambda: generate_scenario(scenario))
+            assert [(category, message.split(",")[0]) for category, message in caught] == [
+                (RuntimeWarning, f"{label}: degenerate sample") for label in dataset.linking]
+            assert dataset.cov_ab[dataset.measured.all(axis=0)].tolist() == [0.0] * 3
+            link(dataset)
 
     @pytest.mark.parametrize("y, sigma", [(0.0, 1e300), (1e308, 1e307), (0.0, 1e200)])
     def test_overflowing_draws_raise_without_numpy_warnings(self, y, sigma):
@@ -347,17 +362,17 @@ class TestBatchedGeneration:
         assert pool[:, 0].tolist() == oracles.reference_seed_pool(seed)
 
     @given(seeds, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1)),
-                           min_size=1, max_size=6), st.integers(0, 7))
-    @example(0, [(0, 0), (1, 0), (2, 0)], 0)
-    @example(2**32 - 1, [(1, 2**32 - 1)], 7)
-    @example(2**32, [(0, 1), (2, 2**31)], 3)
-    @example(2**64 - 1, [(2, 2**32 - 1), (0, 0)], 7)
+                           min_size=1, max_size=6))
+    @example(0, [(0, 0), (1, 0), (2, 0)])
+    @example(2**32 - 1, [(1, 2**32 - 1)])
+    @example(2**32, [(0, 1), (2, 2**31)])
+    @example(2**64 - 1, [(2, 2**32 - 1), (0, 0)])
     @settings(max_examples=200, deadline=None)
-    def test_keys_are_seed_sequence_states(self, seed, labs, attempt):
+    def test_keys_are_seed_sequence_states(self, seed, labs):
         words = synthetic._lab_words(*np.array(labs, dtype=np.uint32).T)
-        got = synthetic._keys(synthetic._seed_pool(seed), words, attempt)
+        got = synthetic._keys(synthetic._seed_pool(seed), words)
         want = [
-            np.random.SeedSequence(seed, spawn_key=(kind, index, attempt))
+            np.random.SeedSequence(seed, spawn_key=(kind, index, 0))
             .generate_state(2, np.uint64).tolist()
             for kind, index in labs
         ]
@@ -387,8 +402,8 @@ class TestBatchedGeneration:
 
     @given(seeds, layouts(), st.integers(2, 300),
            st.sampled_from([20.0, 1e-30]), st.floats(-0.99, 0.99), st.integers(1, 6))
-    @example(7, ScenarioLayout(0, 3, 0), 2, 20.0, 0.5, 256)  # every attempt degenerate
-    @example(11, ScenarioLayout(4, 2, 3), 5, 1e-30, 0.0, 2)  # retries across blocks
+    @example(7, ScenarioLayout(0, 3, 0), 2, 20.0, 0.5, 256)  # every lab degenerate
+    @example(11, ScenarioLayout(4, 2, 3), 5, 1e-30, 0.0, 2)  # degenerate labs across blocks
     @settings(max_examples=60, deadline=None)
     def test_datasets_equal_the_reference(self, seed, layout, n, sigma_a, rho, block):
         scenario = reference_scenario(
@@ -399,6 +414,8 @@ class TestBatchedGeneration:
         want, want_warnings = recorded(lambda: oracles.reference_scenario_labs(scenario))
         assert list(map(repr, got)) == list(map(repr, want))
         assert got_warnings == want_warnings
+        # each naming its lab: one warning per degenerate lab
+        assert len(set(got_warnings)) == len(got_warnings)
 
     @given(seeds, kinds, st.integers(0, 2**32 - 1), st.integers(2, 300),
            st.sampled_from([20.0, 1e-30]))
@@ -417,10 +434,11 @@ class TestBatchedGeneration:
         got = LabResult(label, *[None if v != v else v for v in numbers])
         want = recorded(lambda: oracles.reference_sample_lab(scenario, kind, index))
         assert repr((got, got_warnings)) == repr(want)
+        assert len(got_warnings) <= 1
 
 
 REFERENCE = reference_scenario()
-# two draws of a linking lab always correlate fully, so every attempt is degenerate
+# two draws of a linking lab always correlate fully, so every lab is degenerate
 DEGENERATE = reference_scenario(seed=7, layout=ScenarioLayout(0, 3, 0), n=2)
 
 
@@ -473,10 +491,10 @@ class TestKeptSetUp:
             words[..., 0] = 0
 
     @pytest.mark.parametrize("scenario", [REFERENCE, DEGENERATE],
-                             ids=["first-attempt", "every-attempt"])
+                             ids=["clean", "degenerate"])
     def test_kept_words_draw_as_a_fresh_layout(self, scenario):
-        # one layout object and its words across seeds and redraw attempts,
-        # against a fresh layout at each seed
+        # one layout object and its words across seeds, with and without
+        # degenerate labs, against a fresh layout at each seed
         for seed in (0, 1, 2**32, 2**64 - 1):
             kept = dataclasses.replace(scenario, seed=seed)
             fresh = dataclasses.replace(
@@ -489,7 +507,7 @@ class TestKeptSetUp:
             assert got_warnings == want_warnings
 
     def test_nothing_leaks_through_the_reused_generator(self):
-        # A, then B on another layout with retries, then A again
+        # A, then B on another layout with degenerate labs, then A again
         a = reference_scenario(seed=5)
         first = generate_scenario(a)
         recorded(lambda: generate_scenario(DEGENERATE))
@@ -519,7 +537,7 @@ class TestKeptSetUp:
 class TestThreads:
     def test_threads_draw_as_one_thread(self):
         # four threads take interleaved seeds of two shared scenarios, one of
-        # them redrawn at every attempt; switching threads as often as possible
+        # them degenerate in every lab; switching threads as often as possible
         seeds = range(48)
         jobs = [dataclasses.replace(scenario, seed=seed)
                 for seed in seeds for scenario in (REFERENCE, DEGENERATE)]
@@ -546,4 +564,4 @@ class TestThreads:
                 sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == want
-        assert any("attempt 8" in text for text in want)
+        assert [text.count("degenerate sample") for text in want] == [0, 3] * len(seeds)
