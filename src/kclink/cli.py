@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from functools import cache
 
@@ -86,7 +87,12 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset = generate_scenario(load_scenario(args.scenario))
+    # a degenerate sample's RuntimeWarning, one line each, as link prints its warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        dataset = generate_scenario(load_scenario(args.scenario))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     out = write_dataset(dataset, args.output)
     print(
         f"wrote {len(dataset.labels)} laboratories "

@@ -66,6 +66,11 @@ class AuxQuantities:
     laboratory each term carries the denominator
     ``u_a^2 * u_b^2 - cov_ab^2``; exclusive laboratories contribute plain
     inverse variances.
+
+    The one guard on the sums: each is finite, ``a`` and ``b`` are positive,
+    and where ``c`` is nonzero (the one case in which :func:`compute_kcrv`
+    divides by it) the weight determinant ``a*b - c^2`` is a positive finite
+    float; otherwise the sums are a :class:`ValidationError`.
     """
 
     a: float
@@ -75,14 +80,13 @@ class AuxQuantities:
     s2: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0 or not self.b > 0.0:
-            raise InternalInconsistencyError(
-                f"weight sums must be positive, got a={self.a}, b={self.b}"
-            )
-        if not self.a * self.b - self.c * self.c > 0.0:
-            raise InternalInconsistencyError(
-                "cross-weight exceeds the per-standard weights "
-                f"(a*b - c^2 = {self.a * self.b - self.c * self.c})"
+        if not all(map(isfinite, (self.a, self.b, self.c, self.s1, self.s2))):
+            raise ValidationError("the weight sums exceed the float range")
+        if not (self.a > 0.0 and self.b > 0.0
+                and (self.c == 0.0 or 0.0 < self.det < inf)):
+            raise ValidationError(
+                f"the weight sums are beyond the float range (a = {self.a}, "
+                f"b = {self.b}, a*b - c^2 = {self.det})"
             )
 
     @property
@@ -171,17 +175,17 @@ def _term_sums(*terms: list[float]) -> list[float]:
     try:
         return [fsum(column) for column in terms]
     except (OverflowError, ValueError):  # a sum past the float range, inf - inf
-        return [inf]
+        return [inf] * len(terms)
 
 
 def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
     """Accumulate the five estimator sums over the dataset.
 
     Uses exactly rounded summation, so any permutation of the labs yields
-    bit-identical results.  A weight term or sum beyond the float range
-    (1 / u^2 or x / u^2 overflowing for a tiny u) is a
-    :class:`ValidationError`, and so is a bivariate denominator that is not a
-    positive finite float, or a weight determinant ``a*b - c^2`` not positive.
+    bit-identical results.  A bivariate denominator that is not a positive
+    finite float is a :class:`ValidationError` naming its lab; the sums then
+    meet :class:`AuxQuantities`' one guard, so a weight term or sum beyond
+    the float range (1 / u^2 or x / u^2 overflowing for a tiny u) is one too.
     """
     with np.errstate(all="ignore"):
         return _aux(dataset, dataset.measured, dataset.bivariate)[2]
@@ -204,17 +208,8 @@ def _aux(dataset: ComparisonDataset, measured, bivariate):
     s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[
         measured].tolist()
     n_a = np.count_nonzero(measured[0])
-    sums = _term_sums(w[:n_a], w[n_a:], (cov / den)[bivariate].tolist(),
-                      s[:n_a], s[n_a:])
-    if not all(map(isfinite, sums)):
-        raise ValidationError("the weight sums exceed the float range")
-    a, b, c = sums[:3]
-    if not (a > 0.0 and b > 0.0 and a * b - c * c > 0.0):
-        raise ValidationError(
-            f"the weight sums are beyond the float range (a = {a}, b = {b}, "
-            f"a*b - c^2 = {a * b - c * c})"
-        )
-    return v, den, AuxQuantities(*sums)
+    return v, den, AuxQuantities(*_term_sums(
+        w[:n_a], w[n_a:], (cov / den)[bivariate].tolist(), s[:n_a], s[n_a:]))
 
 
 def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
@@ -223,8 +218,9 @@ def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
     With a zero cross-weight the two groups decouple and the estimator is
     evaluated in its reduced form (two independent weighted means, exactly
     zero covariance), keeping group A results bit-identical under changes
-    confined to group B and vice versa.  A weight determinant beyond the
-    float range is a :class:`ValidationError`.
+    confined to group B and vice versa.  Only the coupled form divides by
+    the weight determinant, which :class:`AuxQuantities`' guard has made a
+    positive finite float.
     """
     if aux.c == 0.0:
         return KcrvEstimate(
@@ -236,11 +232,6 @@ def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
             r_tilde=0.0,
         )
     det = aux.det
-    if det == inf:  # a*b overflows: the KCRV variances would round to zero
-        raise ValidationError(
-            f"the weight sums are beyond the float range (a = {aux.a}, "
-            f"b = {aux.b}, a*b - c^2 = {det})"
-        )
     u_a = sqrt(aux.b / det)
     u_b = sqrt(aux.a / det)
     cov = aux.c / det

@@ -168,9 +168,10 @@ class TestLinkCommand:
         ("A1,1,1\nC1,1,1e-100,2,1e-100,5e-201\nB1,,,2,1\n",
          "C1: u_a^2*u_b^2 - cov_ab^2 is not a positive finite float "
          "(beyond the float range or precision)"),
-        ("A1,1e100,1e100\nA2,2e100,1e100\nB1,,,1e100,1e100\nB2,,,2e100,1e100\n",
-         "the weight sums are beyond the float range (a = 2e-200, b = 2e-200, "
-         "a*b - c^2 = 0.0)"),
+        # a linking covariance gives c != 0, so a*b - c^2 must be finite
+        ("C1,0,2.220446049250313e-16,0,8.722066217371082e-141,3.026074605259569e-158\n",
+         "the weight sums are beyond the float range (a = 2.028736257302604e+31, "
+         "b = 1.3148229708621082e+280, a*b - c^2 = inf)"),
     ], ids=["covariance-denominator", "weight-determinant"])
     def test_float_range_limits_exit_1(self, tmp_path, capsys, rows, error):
         path = tmp_path / "labs.csv"
@@ -308,6 +309,18 @@ class TestSynthCommand:
         again = tmp_path / "again.json"
         main(["synth", "--scenario", str(scenario), "--output", str(again)])
         assert json.loads(again.read_text())["labs"] == base_labs
+
+    def test_degenerate_samples_warn_one_line_each(self, tmp_path, capsys):
+        # at n = 2 each linking lab's two draws correlate exactly +-1
+        scenario = tmp_path / "scenario.json"
+        document = json.loads(SCENARIO_JSON)
+        document.update(n=2, layout={"only_a": 2, "linking": 3, "only_b": 2}, seed=1)
+        scenario.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["synth", "--scenario", str(scenario),
+                     "--output", str(tmp_path / "out.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: LAB-0{lab}: degenerate sample, reported with floored "
+            "uncertainties and any covariance as 0.0" for lab in (3, 4, 5)]
 
     def test_seed_override_option_is_gone(self, tmp_path):
         scenario = tmp_path / "scenario.json"

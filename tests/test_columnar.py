@@ -94,8 +94,7 @@ def _guard(exc: KclinkError):
     found = re.match(r"(.*): (singular covariance denominator|u_a\^2\*u_b\^2)", text)
     if found:
         return "denominator", found.group(1)
-    if re.match(r"cross-weight exceeds|weight sums must be positive|"
-                r"the weight sums are beyond", text):
+    if re.match(r"the weight sums are beyond", text):
         return "determinant", None
     return type(exc).__name__, text
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from kclink import linking
@@ -85,10 +85,21 @@ class TestComputeAux:
             )
 
     def test_invariants_enforced(self):
-        with pytest.raises(InternalInconsistencyError, match="positive"):
-            AuxQuantities(a=0.0, b=1.0, c=0.0, s1=0.0, s2=0.0)
-        with pytest.raises(InternalInconsistencyError, match="cross-weight"):
-            AuxQuantities(a=1.0, b=1.0, c=1.0, s1=0.0, s2=0.0)
+        beyond = "the weight sums are beyond the float range "
+        for sums, message in [
+            ((1.0, 1.0, 0.0, math.inf, 0.0), "the weight sums exceed the float range"),
+            ((1.0, math.nan, 0.0, 0.0, 0.0), "the weight sums exceed the float range"),
+            ((0.0, 1.0, 0.0, 0.0, 0.0), beyond + "(a = 0.0, b = 1.0, a*b - c^2 = 0.0)"),
+            ((1.0, 1.0, 1.0, 0.0, 0.0), beyond + "(a = 1.0, b = 1.0, a*b - c^2 = 0.0)"),
+            ((1e200, 1e200, 1.0, 0.0, 0.0),
+             beyond + "(a = 1e+200, b = 1e+200, a*b - c^2 = inf)"),
+        ]:
+            with pytest.raises(ValidationError) as raised:
+                AuxQuantities(*sums)
+            assert str(raised.value) == message
+        # with c = 0, compute_kcrv never divides by a*b - c^2
+        for a in (1e-200, 1e200):
+            AuxQuantities(a=a, b=a, c=0.0, s1=0.0, s2=0.0)
 
     @pytest.mark.parametrize("fields, message", [
         ({"u_a": 0.0}, "KCRV uncertainties must be positive"),
@@ -121,7 +132,8 @@ class TestComputeAux:
 
     @pytest.mark.parametrize("scale", [1e100, 1e150])
     def test_weight_sums_beyond_the_float_range(self, gauge_block, scale):
-        # weights of 1e-202 or less: a*b underflows to zero
+        # weights of 1e-202 or less: a*b underflows to zero, but with no
+        # linking covariance (c = 0) the determinant is never divided by
         dataset = validate_dataset([
             replace(lab, **{
                 name: getattr(lab, name) * scale
@@ -130,9 +142,14 @@ class TestComputeAux:
             })
             for lab in gauge_block.labs
         ])
-        with pytest.raises(ValidationError, match=r"weight sums are beyond the "
-                           r"float range .*a\*b - c\^2 = 0\.0\)"):
-            link(dataset)
+        result, unscaled = link(dataset), link(gauge_block)
+        assert result.aux.a * result.aux.b == 0.0
+        for name in ("y_hat_a", "y_hat_b", "u_a", "u_b"):
+            assert getattr(result.kcrv, name) == pytest.approx(
+                getattr(unscaled.kcrv, name) * scale, rel=1e-12)
+        np.testing.assert_allclose(result.d, unscaled.d * scale, rtol=1e-12)
+        np.testing.assert_allclose(result.u_d, unscaled.u_d * scale, rtol=1e-12)
+        assert result.conformity.q2 == pytest.approx(unscaled.conformity.q2, rel=1e-12)
 
     def test_weight_determinant_overflow(self):
         # a = 2e31 and b = 1.3e280: a*b overflows, and the KCRV variances
@@ -464,6 +481,29 @@ class TestLink:
             mate = base_doe[(entry.label, entry.standard)]
             assert entry.d == lam * mate.d
             assert entry.u_d == lam * mate.u_d
+
+    @given(datasets().map(lambda dataset: validate_dataset(
+        [replace(lab, cov_ab=None) for lab in dataset.labs])),
+        st.integers(min_value=-440, max_value=440))
+    @example(gauge_block_dataset(), 400)
+    @example(gauge_block_dataset(), 500)
+    @settings(max_examples=100, deadline=None)
+    def test_covariance_free_scale_over_the_float_range(self, dataset, k):
+        # with no linking covariance (c = 0) the weight determinant a*b is
+        # never used: the two weighted means scale bit-exactly far beyond
+        # where a*b leaves the float range
+        base = link(dataset)
+        scaled = link(self._scaled(dataset, 2.0**k))
+        assert scaled.aux.c == 0.0
+        for name in ("y_hat_a", "y_hat_b", "u_a", "u_b"):
+            assert getattr(scaled.kcrv, name) == math.ldexp(getattr(base.kcrv, name), k)
+        for got, want in ((scaled.d, base.d), (scaled.u_d, base.u_d)):
+            np.testing.assert_array_equal(got, np.ldexp(want, k))
+        # q2's terms d * d / v scale exactly while each d * d stays a normal
+        # float: a nonzero residual below 2^-511 (say 5e-32 scaled by 2^-440)
+        # squares into the subnormal range and loses bits
+        assume(not np.any((scaled.d != 0.0) & (np.abs(scaled.d) < 2.0**-511)))
+        assert scaled.conformity == base.conformity
 
     @given(moderate_datasets(), st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100, deadline=None)
