@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from contextlib import nullcontext
 from functools import cache
 
@@ -38,9 +39,9 @@ EXIT_ERROR = 1
 EXIT_NONCONFORMING = 2
 
 
-def _print_warnings(result: LinkingResult) -> None:
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+def _print_warnings(messages: Iterable[object]) -> None:
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _read(args: argparse.Namespace) -> ComparisonDataset:
@@ -66,7 +67,7 @@ def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
 
 def _cmd_link(args: argparse.Namespace) -> int:
     result = link(_read(args))
-    _print_warnings(result)
+    _print_warnings(result.warnings)
     _emit_report(result, args)
     if args.plot_data:
         emit_plot_data(result, args.plot_data)
@@ -81,7 +82,7 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
         f"(was {found.original_u:g}; conformity boundary at "
         f"{found.critical_u:.6g})"
     )
-    _print_warnings(found.relinked)
+    _print_warnings(found.relinked.warnings)
     _emit_report(found.relinked, args)
     return EXIT_OK
 
@@ -91,8 +92,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         dataset = generate_scenario(load_scenario(args.scenario))
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    _print_warnings(warning.message for warning in caught)
     out = write_dataset(dataset, args.output)
     print(
         f"wrote {len(dataset.labels)} laboratories "

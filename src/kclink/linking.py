@@ -46,11 +46,6 @@ from .model import ComparisonDataset, InternalInconsistencyError, ValidationErro
 
 Standard = Literal["A", "B"]
 
-# q2 at or below this counts as a pass when there are no degrees of freedom
-# (one lab per standard, no linking): the estimates interpolate the data and
-# any residual is floating-point noise.
-ZERO_DOF_TIE_TOLERANCE = 1e-9
-
 # Relative tolerance on the DOE variance radicand u(x)^2 - u(y)^2, which is
 # non-negative in exact arithmetic for every lab in the dataset.
 _RADICAND_RTOL = 1e-9
@@ -132,9 +127,9 @@ class DegreeOfEquivalence:
 class ConformityReport:
     """Residual chi-square of the estimates against the data.
 
-    ``passed`` is ``q2 <= dof`` for ``dof > 0``.  With no degrees of
-    freedom the estimates interpolate the data, so the report passes iff
-    ``q2`` is zero up to :data:`ZERO_DOF_TIE_TOLERANCE`.
+    ``passed`` is ``q2 <= dof`` with ``dof`` = N - 2, without exception.
+    Two reported values (``dof`` 0) are fitted exactly by the two estimates,
+    so their ``q2`` is 0 and they pass.
     """
 
     q2: float
@@ -188,12 +183,13 @@ def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
     the float range (1 / u^2 or x / u^2 overflowing for a tiny u) is one too.
     """
     with np.errstate(all="ignore"):
-        return _aux(dataset, dataset.measured, dataset.bivariate)[2]
+        return _aux(dataset, dataset.measured, dataset.bivariate)[3]
 
 
 def _aux(dataset: ComparisonDataset, measured, bivariate):
-    """``(v, den, aux)``: ``u^2``, the bivariate terms' denominator
-    ``u_a^2 * u_b^2 - cov_ab^2`` and the five sums over the ``measured`` entries.
+    """``(v, den, n, aux)``: ``u^2``, the bivariate terms' denominator
+    ``u_a^2 * u_b^2 - cov_ab^2``, the number of ``measured`` entries and the
+    five sums over them.
     Every use of ``cov_ab``, NaN where not reported, is selected by ``bivariate``."""
     x, cov, v = dataset.x, dataset.cov_ab, dataset.u * dataset.u
     den = v[0] * v[1] - cov * cov
@@ -208,7 +204,7 @@ def _aux(dataset: ComparisonDataset, measured, bivariate):
     s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[
         measured].tolist()
     n_a = np.count_nonzero(measured[0])
-    return v, den, AuxQuantities(*_term_sums(
+    return v, den, len(w), AuxQuantities(*_term_sums(
         w[:n_a], w[n_a:], (cov / den)[bivariate].tolist(), s[:n_a], s[n_a:]))
 
 
@@ -275,9 +271,10 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
     """``(v, aux, kcrv, d, q2)``: ``u^2``, the five sums over the ``measured``
     entries, the KCRVs, the residuals ``d = x - y_hat`` and their chi-square.
     q2 substitutes the estimates into the weighted sum of squared deviations,
-    a bivariate form for a lab in ``bivariate``; it is returned as it is, and
-    :func:`_conformity` checks it after :func:`link`'s DOE guard has had the
-    chance to name a lab.
+    a bivariate form for a lab in ``bivariate``; over two values, which the
+    two estimates fit exactly, it is 0 (inf if a KCRV is not finite).  It is
+    returned as it is, and :func:`_conformity` checks it after :func:`link`'s
+    DOE guard has had the chance to name a lab.
 
     The caller passes the dataset's masks, or copies in which one lab's
     ``measured`` entry for one standard and its ``bivariate`` are cleared: the
@@ -287,9 +284,12 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
     errors up to the KCRVs, are the rest's ``link``'s, bit for bit.
     """
     with np.errstate(all="ignore"):
-        v, den, aux = _aux(dataset, measured, bivariate)
+        v, den, n, aux = _aux(dataset, measured, bivariate)
         kcrv = compute_kcrv(aux)
         d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
+        if n == 2:  # an exact fit: a computed q2 is rounding noise growing with x/u
+            q2 = 0.0 if isfinite(kcrv.y_hat_a) and isfinite(kcrv.y_hat_b) else inf
+            return v, aux, kcrv, d, q2
         # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
         dwd = d * (d * v[::-1] - dataset.cov_ab * d[::-1])  # its two products
         [q2] = _term_sums((d * d / v)[measured > bivariate].tolist() + (
@@ -303,9 +303,7 @@ def _conformity(q2: float, dof: int) -> ConformityReport:
     # a non-finite KCRV makes some d, and with it q2, non-finite as well
     if not isfinite(q2):
         raise ValidationError("the residual chi-square exceeds the float range")
-    if dof > 0:
-        return ConformityReport(q2, dof, q2 / dof, q2 <= dof)
-    return ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
+    return ConformityReport(q2, dof, q2 / dof if dof else None, q2 <= dof)
 
 
 def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:

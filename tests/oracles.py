@@ -44,7 +44,6 @@ import numpy as np
 from kclink.io import parse_number
 from kclink.linking import (
     _RADICAND_RTOL,
-    ZERO_DOF_TIE_TOLERANCE,
     AuxQuantities,
     ConformityReport,
     DegreeOfEquivalence,
@@ -569,17 +568,17 @@ def _reference_residuals(dataset: ComparisonDataset, kcrv: KcrvEstimate):
                 )
                 / den
             )
-    try:
-        q2 = fsum(terms)
-    except (OverflowError, ValueError):
-        q2 = inf
+    if dataset.n_total == 2:  # two values, two estimates: an exact fit
+        q2 = 0.0 if isfinite(kcrv.y_hat_a) and isfinite(kcrv.y_hat_b) else inf
+    else:
+        try:
+            q2 = fsum(terms)
+        except (OverflowError, ValueError):
+            q2 = inf
     if not isfinite(q2):
         raise ValidationError("the residual chi-square exceeds the float range")
     dof = dataset.n_total - 2
-    if dof > 0:
-        conformity = ConformityReport(q2, dof, q2 / dof, q2 <= dof)
-    else:
-        conformity = ConformityReport(q2, dof, None, q2 <= ZERO_DOF_TIE_TOLERANCE)
+    conformity = ConformityReport(q2, dof, q2 / dof if dof else None, q2 <= dof)
     return tuple(does_a + does_b), conformity
 
 

@@ -240,6 +240,24 @@ class TestLinkCommand:
         assert "--format" not in capsys.readouterr().out
 
 
+TWO_VALUE_FILES = {
+    "A1": "A1,1000000000000.7,0.001,,,\nB1,,,5.0,1.0,\n",
+    "C1": "C1,1000000000000.3,0.001,5.0,1.0,0.0005\n",
+}
+
+
+@pytest.mark.parametrize("lab", TWO_VALUE_FILES)
+def test_two_values_pass_at_a_large_shift(tmp_path, capsys, lab):
+    # two values fit exactly: x/u of 1e15 must not turn rounding into a failure
+    path = tmp_path / "two.csv"
+    path.write_text(TWO_VALUE_FILES[lab], encoding="utf-8")
+    assert main(["link", "--input", str(path)]) == 0
+    assert "(passed)   [q2 = 0, dof = 0]" in capsys.readouterr().out
+    assert main(["inflate", "--input", str(path), "--lab", lab, "--standard", "A"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"{lab} (standard A): minimal passing uncertainty 0.001 (was 0.001;")
+
+
 class TestInflateCommand:
     def test_golden_inflation(self, gauge_block_file, capsys):
         code = main(["inflate", "--input", str(gauge_block_file),

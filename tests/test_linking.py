@@ -14,6 +14,7 @@ from kclink.inflation import minimal_inflation
 from kclink.io import render_report
 from kclink.linking import (
     AuxQuantities,
+    ConformityReport,
     KcrvEstimate,
     compute_aux,
     compute_kcrv,
@@ -37,6 +38,20 @@ def two_lab_dataset():
         LabResult("A1", value_a=5.0, u_a=2.0),
         LabResult("B1", value_b=7.0, u_b=3.0),
     ])
+
+
+@st.composite
+def two_value_datasets(draw):
+    """One A-only and one B-only lab, or one linking lab with |r| < 1: u is
+    log-uniform over 10^-60..10^60 and x is up to 10^12 u from zero."""
+    u_a, u_b = (10.0 ** draw(st.floats(-60.0, 60.0)) for _ in "AB")
+    x_a, x_b = (draw(st.floats(-1e12, 1e12)) * u for u in (u_a, u_b))
+    if draw(st.booleans()):
+        return validate_dataset([LabResult("A1", value_a=x_a, u_a=u_a),
+                                 LabResult("B1", value_b=x_b, u_b=u_b)])
+    r = draw(st.floats(-0.99, 0.99))
+    return validate_dataset([LabResult("C1", value_a=x_a, u_a=u_a, value_b=x_b,
+                                       u_b=u_b, cov_ab=r * u_a * u_b)])
 
 
 class TestComputeAux:
@@ -271,12 +286,32 @@ class TestComputeQ2:
         result = link(two_lab_dataset())
         assert result.conformity.dof == 0
         assert result.conformity.ratio is None
-        assert result.conformity.q2 <= 1e-9
+        assert result.conformity.q2 == 0.0
         assert result.conformity.passed is True
         assert any("no degrees of freedom" in w for w in result.warnings)
 
     def test_exact_tie_passes(self):
         assert link(two_lab_dataset()).conformity.passed
+
+    @given(two_value_datasets())
+    @example(validate_dataset([LabResult("A1", value_a=1000000000000.7, u_a=0.001),
+                               LabResult("B1", value_b=5.0, u_b=1.0)]))
+    @example(validate_dataset([LabResult("C1", value_a=1000000000000.3, u_a=0.001,
+                                         value_b=5.0, u_b=1.0, cov_ab=0.0005)]))
+    @settings(max_examples=200, deadline=None)
+    def test_two_values_fit_exactly_at_any_shift(self, dataset):
+        # two values, two estimates: q2 is 0 in exact arithmetic, while the
+        # residuals' rounding noise grows with x/u; repr tells 0.0 from -0.0
+        assert repr(link(dataset).conformity) == repr(ConformityReport(0.0, 0, None, True))
+
+    def test_two_values_with_an_overflowing_kcrv_raise(self):
+        # s1 / a rounds x = DBL_MAX up to inf: the residual is not finite
+        dataset = validate_dataset([
+            LabResult("A1", value_a=1.7976931348623157e308, u_a=math.sqrt(3.0)),
+            LabResult("B1", value_b=1.0, u_b=1.0),
+        ])
+        with pytest.raises(ValidationError, match="residual chi-square exceeds"):
+            link(dataset)
 
     # (x, u) of two A labs, next to B labs (1, 1) and (2, 1)
     @pytest.mark.parametrize("a_labs, match", [
