@@ -67,7 +67,7 @@ def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
 
 def _cmd_link(args: argparse.Namespace) -> int:
     result = link(_read(args))
-    _print_warnings(result.warnings)
+    _print_warnings(result.dataset.warnings)
     _emit_report(result, args)
     if args.plot_data:
         emit_plot_data(result, args.plot_data)
@@ -82,7 +82,7 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
         f"(was {found.original_u:g}; conformity boundary at "
         f"{found.critical_u:.6g})"
     )
-    _print_warnings(found.relinked.warnings)
+    _print_warnings(found.relinked.dataset.warnings)
     _emit_report(found.relinked, args)
     return EXIT_OK
 

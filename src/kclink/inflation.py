@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 
 from .linking import LinkingResult, Standard, _conformity, _linked, _statistics, link
-from .model import ComparisonDataset, KclinkError, validate_dataset
+from .model import ComparisonDataset, KclinkError, ValidationError, validate_dataset
 
 _SIGNIFICANT_DIGITS = 3
+_BEYOND_FLOAT_RANGE = "the inflation boundary is beyond the float range"
 
 
 class InflationError(KclinkError):
@@ -70,10 +71,8 @@ def _with_uncertainty(dataset: ComparisonDataset, index: int, row: int,
 
 
 def _round_up_significant(x: float) -> float:
-    """Smallest number with three significant digits that is >= x, less a
+    """Smallest number with three significant digits that is >= x > 0, less a
     backoff of about 1e-9 of the last digit's unit: 11.2000000001 gives 11.2."""
-    if x <= 0.0:
-        raise ValueError("expected a positive value")
     exponent = math.floor(math.log10(x))
     decimals = _SIGNIFICANT_DIGITS - 1 - exponent
     quantum = 10.0 ** (-decimals)
@@ -100,6 +99,8 @@ def _nonnegative_intervals(a: float, b: float, c: float) -> list[tuple[float, fl
         root = -c / b
         return [(root, math.inf)] if b > 0.0 else [(-math.inf, root)]
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        raise ValidationError(_BEYOND_FLOAT_RANGE)
     if disc < 0.0:
         return [(-math.inf, math.inf)] if a > 0.0 else []
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
@@ -122,6 +123,9 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
     ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic in
     u.  The data fail at ``u0``, so the boundary is the first root above it,
     or ``u0`` itself when rounding puts it inside a passing interval.
+
+    u is in units of a power of two near ``max(|e_s|, sqrt(V_ss))``; dividing
+    ``e_s``, ``sqrt(V_ss)`` and ``V_so`` by it is exact and keeps squares in range.
     """
     if (dataset.card_a, dataset.card_b)[row] == 1:
         return None  # the target alone fixes this KCRV: q2 ignores u
@@ -132,19 +136,21 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
     if not k > 0.0:
         return None
 
-    v0 = kcrv.u_a * kcrv.u_a, kcrv.u_b * kcrv.u_b
+    u_y = kcrv.u_a, kcrv.u_b
     es, us = e[:, index].tolist(), dataset.u[:, index].tolist()
     e_s, u0, other = es[row], us[row], 1 - row
     p = r = e_o = v_oo = 0.0
     if dataset.bivariate[index]:
         r = dataset.cov_ab[index].item() / (u0 * us[other])
-        p, e_o, v_oo = r / us[other], es[other], v0[other]
+        p, e_o, v_oo = r / us[other], es[other], u_y[other] * u_y[other]
+    unit = 2.0 ** (math.frexp(max(abs(e_s), u_y[row]))[1] - 1)
+    e_s, u_s = e_s / unit, u_y[row] / unit
     alpha = k * (1.0 - r * r + p * p * v_oo) - p * p * (e_o * e_o)
-    beta = 2.0 * p * (e_s * e_o - k * kcrv.cov_ab)
-    gamma = k * v0[row] - e_s * e_s
+    beta = 2.0 * p * (e_s * e_o - k * (kcrv.cov_ab / unit))
+    gamma = k * (u_s * u_s) - e_s * e_s
     for lo, hi in _nonnegative_intervals(alpha, beta, gamma):
-        if hi >= u0:
-            return max(lo, u0)
+        if hi * unit >= u0:
+            return max(lo * unit, u0)
     return None
 
 
@@ -161,7 +167,8 @@ def minimal_inflation(
 
     Raises :class:`InflationError` if the lab did not measure the named
     standard or no uncertainty makes the dataset pass (the misfit is then
-    not attributable to this laboratory).
+    not attributable to this laboratory), :class:`ValidationError` if the
+    boundary is beyond the float range.
     """
     if standard not in ("A", "B"):
         raise InflationError(f"unknown standard {standard!r} (expected 'A' or 'B')")
@@ -186,6 +193,8 @@ def minimal_inflation(
             f"no uncertainty makes the dataset pass; the misfit is not "
             f"attributable to {label} (standard {standard})"
         )
+    if not critical_u < math.inf:  # a root beyond the float range
+        raise ValidationError(_BEYOND_FLOAT_RANGE)
 
     minimal_u = max(_round_up_significant(critical_u), original_u)
     for _ in range(100):

@@ -308,9 +308,9 @@ def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
         f"conformity: q2/(N-2) = {ratio} ({verdict})   "
         f"[q2 = {conf.q2:.6g}, dof = {conf.dof}]"
     )
-    if result.warnings:
+    if result.dataset.warnings:
         lines.append("warnings:")
-        lines.extend(f"  - {warning}" for warning in result.warnings)
+        lines.extend(f"  - {warning}" for warning in result.dataset.warnings)
     lines.append("")
     yield "\n".join(lines)
 
@@ -382,7 +382,7 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
                "ratio": None if conf.ratio is None else round_half_up(conf.ratio, 2)}
     head = _dumps({"aux": asdict(result.aux), "conformity": asdict(conf), "display": display})
     tail = _dumps({"kcrv": estimate, "tool": {"name": "kclink", "version": __version__},
-                   "units": units, "warnings": result.warnings})
+                   "units": units, "warnings": dataset.warnings})
     yield from _array(head[:-len("\n}")] + ',\n  "doe": ', (
         [f'\n    {{\n      "d": {d},\n      "label": {label},\n'
          f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'

@@ -144,14 +144,14 @@ class LinkingResult:
 
     The degrees of equivalence ``d`` and ``u_d`` are read-only columns
     shaped like ``dataset.x``: NaN where a lab did not measure a standard.
-    ``does`` holds them as objects, built on first access.
+    ``does`` holds them as objects, built on first access.  The caveats on
+    the analysis are the dataset's: ``dataset.warnings``.
     """
 
     dataset: ComparisonDataset
     aux: AuxQuantities
     kcrv: KcrvEstimate
     conformity: ConformityReport
-    warnings: tuple[str, ...]
     d: np.ndarray = field(repr=False, compare=False)
     u_d: np.ndarray = field(repr=False, compare=False)
 
@@ -339,10 +339,4 @@ def _linked(dataset: ComparisonDataset, v, aux, kcrv, d, q2) -> LinkingResult:
         u_d = _doe_uncertainty(dataset, v, v_y)
     conformity = _conformity(q2, dataset.n_total - 2)
     d.flags.writeable = u_d.flags.writeable = False
-    warnings = list(dataset.warnings)
-    if conformity.dof == 0:
-        warnings.append(
-            "conformity test has no degrees of freedom (one laboratory per "
-            "standard); the estimates interpolate the data"
-        )
-    return LinkingResult(dataset, aux, kcrv, conformity, tuple(warnings), d, u_d)
+    return LinkingResult(dataset, aux, kcrv, conformity, d, u_d)

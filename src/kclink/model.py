@@ -182,10 +182,12 @@ class ComparisonDataset:
 
     ``only_a``, ``only_b`` and ``linking`` hold the laboratory labels of
     the three disjoint participation groups, in input order.  ``warnings``
-    records non-fatal findings: an empty linking group, linking labs that
-    did not report a covariance (treated as zero), and the degenerate case
-    in which every linking covariance is zero or absent, where the joint
-    analysis reduces to two independent inverse-variance weighted means.
+    holds every caveat on an analysis of the dataset, in this order: an empty
+    linking group, linking labs that did not report a covariance (treated as
+    zero), the degenerate case in which every linking covariance is zero or
+    absent, where the joint analysis reduces to two independent
+    inverse-variance weighted means, and two reported values, which the two
+    estimates fit exactly, so the conformity test has no degrees of freedom.
     """
 
     labels: tuple[str, ...]
@@ -210,11 +212,11 @@ class ComparisonDataset:
             good = np.isfinite(x) & (u > 0.0) & (u < inf)  # implies measured
             magnitude = np.abs(cov_ab)
             bounded = magnitude < u[0] * u[1]  # implies reported and linking
-        linked = measured[0] & measured[1]
+        linked, values = measured[0] & measured[1], count(measured)
         try:  # each lab as LabResult checks it
             "".join(labels)  # a TypeError for a label that is not a string
-            passed = (all(labels) and count(good) == count(measured) == count(u == u)
-                      and count(measured) - count(linked) == len(labels)  # a value per lab
+            passed = (all(labels) and count(good) == values == count(u == u)
+                      and values - count(linked) == len(labels)  # a value per lab
                       and count(bounded) == count(reported))
         except TypeError:
             passed = False
@@ -241,8 +243,9 @@ class ComparisonDataset:
             ("covariance not reported by linking laboratories "
              f"({unreported}); treated as zero", unreported),
             ("all linking covariances are zero or absent: the linking degenerates "
-             "to independent per-group weighted means",
-             linking and not np.count_nonzero(bivariate)),
+             "to independent per-group weighted means", linking and not count(bivariate)),
+            ("conformity test has no degrees of freedom (one laboratory per "
+             "standard); the estimates interpolate the data", values == 2),
         ) if found)
         for column in (x, u, cov_ab, measured, bivariate):
             column.setflags(write=False)

@@ -462,6 +462,9 @@ def reference_dataset(rows):
         if all(lab.covariance == 0.0 for lab in groups["link"]):
             warnings.append("all linking covariances are zero or absent: the linking "
                             "degenerates to independent per-group weighted means")
+    if sum(lab.in_group_a + lab.in_group_b for lab in labs) == 2:
+        warnings.append("conformity test has no degrees of freedom (one laboratory per "
+                        "standard); the estimates interpolate the data")
     block = np.fromiter(chain.from_iterable(
         (lab.value_a, lab.value_b, lab.u_a, lab.u_b, lab.cov_ab) for lab in labs),
         float, 5 * len(labs)).reshape(len(labs), 5).T
@@ -480,7 +483,6 @@ class ReferenceLink(NamedTuple):
     kcrv: KcrvEstimate
     does: tuple[DegreeOfEquivalence, ...]
     conformity: ConformityReport
-    warnings: tuple[str, ...]
 
 
 def _bivariate_denominator(lab: LabResult) -> float | None:
@@ -588,13 +590,7 @@ def reference_link(dataset: ComparisonDataset) -> ReferenceLink:
     aux = _reference_aux(dataset)
     kcrv = compute_kcrv(aux)
     does, conformity = _reference_residuals(dataset, kcrv)
-    notes = list(dataset.warnings)
-    if conformity.dof == 0:
-        notes.append(
-            "conformity test has no degrees of freedom (one laboratory per "
-            "standard); the estimates interpolate the data"
-        )
-    return ReferenceLink(dataset, aux, kcrv, does, conformity, tuple(notes))
+    return ReferenceLink(dataset, aux, kcrv, does, conformity)
 
 
 def round_half_up(value: float, decimals: int) -> float:
@@ -654,9 +650,9 @@ def text_report(result: LinkingResult, decimals: int, units: str | None) -> str:
         f"conformity: q2/(N-2) = {ratio} ({verdict})   "
         f"[q2 = {conf.q2:.6g}, dof = {conf.dof}]"
     )
-    if result.warnings:
+    if result.dataset.warnings:
         lines.append("warnings:")
-        lines.extend(f"  - {warning}" for warning in result.warnings)
+        lines.extend(f"  - {warning}" for warning in result.dataset.warnings)
     lines.append("")
     return "\n".join(lines)
 
@@ -716,7 +712,7 @@ def json_report(result: LinkingResult, decimals: int, units: str | None) -> str:
             "ratio": conf.ratio,
             "passed": conf.passed,
         },
-        "warnings": list(result.warnings),
+        "warnings": list(result.dataset.warnings),
         "display": {
             "decimals": decimals,
             "kcrv": {

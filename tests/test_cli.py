@@ -14,6 +14,7 @@ from kclink.cli import main
 from kclink.version import __version__
 
 from .test_io import GAUGE_BLOCK_CSV
+from .test_inflation import HUGE_CSV, NAN_BOUNDARY_CSV
 
 PASSING_CSV = """\
 A1,10.0,1.0,,,
@@ -278,6 +279,20 @@ class TestInflateCommand:
                      "--lab", "NOBODY", "--standard", "B"])
         assert code == 1
         assert "unknown laboratory" in capsys.readouterr().err
+
+    def test_residual_whose_square_overflows(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_CSV, encoding="utf-8")
+        assert main(["inflate", "--input", str(path), "--lab", "A0", "--standard", "A"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "A0 (standard A): minimal passing uncertainty 8e+153 (was 1;")
+
+    def test_boundary_without_a_float_square_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "nan-boundary.csv"
+        path.write_text(NAN_BOUNDARY_CSV, encoding="utf-8")
+        assert main(["inflate", "--input", str(path), "--lab", "L0", "--standard", "A"]) == 1
+        assert capsys.readouterr().err == (
+            "error: L0: the DOE variance exceeds the float range\n")
 
 
 class TestSynthCommand:

@@ -33,8 +33,11 @@ from .strategies import datasets, full_range_datasets
 def assert_matches_reference(result: LinkingResult, directory, decimals=3, units=None):
     reference = oracles.reference_link(result.dataset)
     # repr is the shortest round-trip text, so equal reprs are equal bits
-    for name in ("aux", "kcrv", "conformity", "warnings"):
+    for name in ("aux", "kcrv", "conformity"):
         assert repr(getattr(result, name)) == repr(getattr(reference, name)), name
+    assert result.dataset.warnings == oracles.reference_dataset([
+        (lab.label, lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab)
+        for lab in result.dataset.labs]).warnings
     assert repr(result.does) == repr(reference.does)
     assert render_report(result, "text", decimals=decimals, units=units) == (
         oracles.text_report(reference, decimals, units))

@@ -6,7 +6,7 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kclink import inflation, linking
 from kclink.golden import gauge_block_dataset
@@ -207,8 +207,9 @@ class TestSearchBehaviour:
         assert found.critical_u == found.minimal_u
         relinked = found.relinked
         assert relinked.dataset is synthetic
-        for name in ("aux", "kcrv", "conformity", "warnings"):
+        for name in ("aux", "kcrv", "conformity"):
             assert getattr(relinked, name) == getattr(expected, name)
+        assert relinked.dataset.warnings == expected.dataset.warnings
         for name in ("d", "u_d"):
             assert repr(getattr(relinked, name).tolist()) == repr(getattr(expected, name).tolist())
 
@@ -307,6 +308,13 @@ class TestConfirmationLoop:
         with pytest.raises(InflationError, match="could not settle"):
             minimal_inflation(gauge_block, "INMETRO1", "B")
 
+    def test_boundary_beyond_the_float_range(self, gauge_block, monkeypatch):
+        # a root that overflows once multiplied back by the unit
+        monkeypatch.setattr(inflation, "_critical_u", lambda *args: math.inf)
+        with pytest.raises(ValidationError, match="^the inflation boundary is beyond "
+                                                  "the float range$"):
+            minimal_inflation(gauge_block, "INMETRO1", "B")
+
 
 def assert_intervals_match_sign(a, b, c):
     """``_nonnegative_intervals(a, b, c)`` holds exactly the sample points
@@ -346,6 +354,18 @@ class TestNonnegativeIntervals:
     ])
     def test_cases(self, a, b, c, expected):
         assert assert_intervals_match_sign(a, b, c) == expected
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1.0, 1e200, 1.0),  # b^2 overflows
+        (1e300, 0.0, -1e300),  # 4ac overflows
+        (-math.inf, 1.0, 1.0),
+        (1.0, math.nan, 1.0),
+    ])
+    def test_discriminant_beyond_the_float_range_raises(self, a, b, c):
+        # its roots would be inf and 0.0, whatever the true roots are
+        with pytest.raises(ValidationError, match="^the inflation boundary is beyond "
+                                                  "the float range$"):
+            inflation._nonnegative_intervals(a, b, c)
 
     def test_seeded_random_triples(self):
         rng = np.random.default_rng(20261018)
@@ -562,6 +582,88 @@ def test_boundary_scales_exactly_with_power_of_two_units():
             assert mate.critical_u == found.critical_u * unit
             scaled_searches += 1
     assert scaled_searches >= 150
+
+
+def power_of_two_dataset(k):
+    """A0 eight units of 2^k above A1, both of uncertainty 2^k, and B1: the
+    data fail, and inflating u(A0) alone restores conformity."""
+    unit = math.ldexp(1.0, k)
+    return validate_dataset([
+        LabResult("A0", value_a=8.0 * unit, u_a=unit),
+        LabResult("A1", value_a=0.0, u_a=unit),
+        LabResult("B1", value_b=0.0, u_b=1.0),
+    ])
+
+
+@pytest.mark.parametrize("k", [-500, 0, 400, 508, 509])
+def test_boundary_scales_exactly_up_to_the_float_range(k):
+    # from k = 509 on the residual's square overflows: the boundary is
+    # solved in units of the target standard's scale, so it still scales
+    found = minimal_inflation(power_of_two_dataset(k), "A0", "A")
+    assert found.critical_u == math.ldexp(7.937253933193771, k)
+    assert found.relinked.conformity.passed
+
+
+def test_residual_chi_square_beyond_the_float_range():
+    dataset = power_of_two_dataset(510)
+    for call in (link, lambda data: minimal_inflation(data, "A0", "A")):
+        with pytest.raises(ValidationError, match="^the residual chi-square exceeds "
+                                                  "the float range$"):
+            call(dataset)
+
+
+def csv_dataset(text):
+    """The dataset of ``label,x_a,u_a,x_b,u_b,cov_ab`` lines, an empty cell absent."""
+    return validate_dataset([
+        LabResult(label, *[float(cell) if cell else None for cell in cells])
+        for label, *cells in (line.split(",") for line in text.splitlines())])
+
+
+# a residual whose square overflows: the boundary is 8e153, where the data pass
+HUGE_CSV = "A0,8e153,1,,,\nA1,0,1,,,\nB1,,,0,1,\n"
+# the boundary for L0, about 9.5e237, has no float square: the confirming
+# analysis names the DOE variance
+NAN_BOUNDARY_CSV = (
+    "L0,999999996.628057,8.400174410556336e-05,,,\n"
+    "L1,1000000000.9429934,1.5041825987677364e+116,-1000000005.9886469,"
+    "1.913332663606128e-117,-0.28780016982473833\n")
+
+
+@st.composite
+def large_residual_datasets(draw):
+    """2 to 4 labs: u log-uniform over 1e-8 to 1e8, values up to 1e200 u and
+    correlations up to 1 - 1e-12 in magnitude."""
+    def measurement():
+        u = 10.0 ** draw(st.floats(-8.0, 8.0))
+        return draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(0.0, 200.0)) * u, u
+
+    kinds = draw(st.lists(st.sampled_from("abc"), min_size=2, max_size=4))
+    labs = []
+    for index, kind in enumerate(kinds):
+        a = measurement() if kind != "b" else (None, None)
+        b = measurement() if kind != "a" else (None, None)
+        cov = None
+        if kind == "c" and draw(st.booleans()):
+            cov = draw(st.floats(-1.0 + 1e-12, 1.0 - 1e-12)) * a[1] * b[1]
+        labs.append(LabResult(f"L{index}", *a, *b, cov))
+    try:
+        return validate_dataset(labs)
+    except ValidationError:  # a standard that no laboratory measured
+        assume(False)
+
+
+@given(large_residual_datasets())
+@example(csv_dataset(HUGE_CSV))
+@example(csv_dataset(NAN_BOUNDARY_CSV))
+@settings(max_examples=300, deadline=None)
+def test_search_returns_a_passing_boundary_or_raises_kclink_error(dataset):
+    for lab, standard in searches(dataset):
+        try:
+            found = minimal_inflation(dataset, lab.label, standard)
+        except KclinkError:
+            continue
+        assert math.isfinite(found.critical_u) and found.critical_u >= found.original_u
+        assert found.relinked.conformity.passed
 
 
 class TestRounding:

@@ -288,7 +288,7 @@ class TestComputeQ2:
         assert result.conformity.ratio is None
         assert result.conformity.q2 == 0.0
         assert result.conformity.passed is True
-        assert any("no degrees of freedom" in w for w in result.warnings)
+        assert any("no degrees of freedom" in w for w in result.dataset.warnings)
 
     def test_exact_tie_passes(self):
         assert link(two_lab_dataset()).conformity.passed
@@ -668,10 +668,6 @@ class TestLink:
                              result.d.tobytes(), result.u_d.tobytes(), search,
                              self._echo_free_report(result)))
         assert outcomes[0] == outcomes[1]
-
-    def test_warnings_carried_from_dataset(self, gauge_block):
-        result = link(gauge_block)
-        assert any("zero or absent" in w for w in result.warnings)
 
 
 class TestKnownDefects:

@@ -173,7 +173,10 @@ class TestValidateDataset:
             LabResult("C1", value_a=1.0, u_a=1.0, value_b=2.0, u_b=1.0,
                       cov_ab=0.5),
         ])
-        assert not dataset.warnings
+        # two values: only the no-degrees-of-freedom caveat
+        assert dataset.warnings == (
+            "conformity test has no degrees of freedom (one laboratory per "
+            "standard); the estimates interpolate the data",)
 
     def test_explicit_zero_covariances_warn_degenerate(self):
         dataset = validate_dataset([

@@ -59,7 +59,7 @@ def test_outputs_at_chunk_boundaries_match_the_references(count, tmp_path, capsy
     result = link(dataset)
     last = np.array([[result.d[0, -1], result.u_d[0, -1], result.d[1, -1], result.u_d[1, -1]]])
     assert kio._ties(last, 3).all()  # the last row is rounded through Decimal
-    assert result.warnings  # the lab without a covariance
+    assert result.dataset.warnings  # the lab without a covariance
     data = write_dataset(dataset, tmp_path / "labs.csv")
     for path in (data, write_dataset(dataset, tmp_path / "labs.json")):
         assert first_difference(path.read_bytes().decode("utf-8"),
