@@ -238,9 +238,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-def console() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

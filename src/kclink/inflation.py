@@ -16,18 +16,21 @@ one.  Adding the value back adds one scalar residual:
 quadratic in ``u`` because the target's correlation stays fixed.  So the
 boundary ``q2(u) = N - 2`` is exactly a root of a quadratic in ``u``.  It is
 reported rounded up to three significant digits and confirmed by one full
-re-analysis.
+re-analysis.  That grid is exact decimal at every scale: the gauge block in
+units 1e26 times smaller reports 1.12e27 where it reports 11.2, and a boundary
+beyond the float range is raised by the grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context, Decimal
 
 from .linking import LinkingResult, Standard, _conformity, _linked, _statistics, link
 from .model import ComparisonDataset, KclinkError, ValidationError, validate_dataset
 
-_SIGNIFICANT_DIGITS = 3
 _BEYOND_FLOAT_RANGE = "the inflation boundary is beyond the float range"
 
 
@@ -40,10 +43,12 @@ class InflationResult:
     """Outcome of the minimal-inflation search.
 
     ``minimal_u`` is the value to report: the smallest uncertainty with
-    three significant digits at which the dataset passes.  ``critical_u``
-    is the exact pass/fail boundary (``minimal_u`` is ``critical_u``
-    rounded up and confirmed by a full re-analysis; the rounding's backoff can
-    leave it just below ``critical_u`` where the re-analysis passes).
+    three significant digits at which the dataset passes, on an exact decimal
+    grid at every scale (1.12e27, not 1.1200000000000001e27, for the gauge
+    block in units 1e26 times smaller).  ``critical_u`` is the exact pass/fail
+    boundary (``minimal_u`` is ``critical_u`` rounded up and confirmed by a
+    full re-analysis; the rounding's backoff can leave it just below
+    ``critical_u`` where the re-analysis passes).
     ``relinked`` is the full analysis at ``minimal_u``.
     """
 
@@ -70,25 +75,24 @@ def _with_uncertainty(dataset: ComparisonDataset, index: int, row: int,
     return validate_dataset(dataset.labels, dataset.x, uncertainties, cov_ab)
 
 
-def _round_up_significant(x: float) -> float:
-    """Smallest number with three significant digits that is >= x > 0, less a
-    backoff of about 1e-9 of the last digit's unit: 11.2000000001 gives 11.2."""
-    exponent = math.floor(math.log10(x))
-    decimals = _SIGNIFICANT_DIGITS - 1 - exponent
-    quantum = 10.0 ** (-decimals)
-    # the tiny backoff keeps values already on the grid from being bumped up
-    candidate = math.ceil(x / quantum - 1e-9) * quantum
-    return round(candidate, decimals) if decimals > 0 else candidate
+def _three_digit_grid(x: float) -> Iterator[float]:
+    """The numbers with three significant digits from x up, in exact decimal.
 
-
-def _next_up_significant(x: float) -> float:
-    stepped = _round_up_significant(x)
-    if stepped > x:
-        return stepped
-    exponent = math.floor(math.log10(x))
-    decimals = _SIGNIFICANT_DIGITS - 1 - exponent
-    stepped = x + 10.0 ** (-decimals)
-    return round(stepped, decimals) if decimals > 0 else stepped
+    The first is x's decimal ``repr`` rounded up less a backoff of 1e-9 of its
+    third digit's unit, so 11.2000000001 gives 11.2; each next one adds a unit
+    of the current third digit: 9.99, 10.0, 10.1.  A non-finite x, or a number
+    past the float range, is a :class:`ValidationError`.
+    """
+    if not math.isfinite(x):
+        raise ValidationError(_BEYOND_FLOAT_RANGE)
+    context = Context(prec=20)  # exact: a repr has at most 17 digits
+    value = Decimal(repr(x))
+    unit = Decimal(1).scaleb(value.adjusted() - 2)
+    value = context.subtract(value, unit.scaleb(-9)).quantize(unit, ROUND_CEILING, context)
+    while float(value) < math.inf:
+        yield float(value)
+        value = context.add(value, Decimal(1).scaleb(value.adjusted() - 2))
+    raise ValidationError(_BEYOND_FLOAT_RANGE)
 
 
 def _nonnegative_intervals(a: float, b: float, c: float) -> list[tuple[float, float]]:
@@ -132,7 +136,11 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
     measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
     measured[row, index] = bivariate[index] = False
     _, _, kcrv, e, q0 = _statistics(dataset, measured, bivariate)
-    k = dof - _conformity(q0, dof - 1).q2  # the rest has one value less
+    if not math.isfinite(q0):
+        raise ValidationError(f"the residual chi-square of the data without "
+                              f"{dataset.labels[index]}'s standard-{'AB'[row]} value "
+                              "exceeds the float range")
+    k = dof - q0  # the rest has one value less
     if not k > 0.0:
         return None
 
@@ -168,7 +176,8 @@ def minimal_inflation(
     Raises :class:`InflationError` if the lab did not measure the named
     standard or no uncertainty makes the dataset pass (the misfit is then
     not attributable to this laboratory), :class:`ValidationError` if the
-    boundary is beyond the float range.
+    boundary, or the chi-square of the data without the target's value, is
+    beyond the float range.
     """
     if standard not in ("A", "B"):
         raise InflationError(f"unknown standard {standard!r} (expected 'A' or 'B')")
@@ -193,15 +202,11 @@ def minimal_inflation(
             f"no uncertainty makes the dataset pass; the misfit is not "
             f"attributable to {label} (standard {standard})"
         )
-    if not critical_u < math.inf:  # a root beyond the float range
-        raise ValidationError(_BEYOND_FLOAT_RANGE)
-
-    minimal_u = max(_round_up_significant(critical_u), original_u)
-    for _ in range(100):
+    for _, minimal_u in zip(range(100), _three_digit_grid(critical_u)):
+        minimal_u = max(minimal_u, original_u)  # the backoff may round below it
         relinked = link(_with_uncertainty(dataset, index, row, minimal_u))
         if relinked.conformity.passed:
             break
-        minimal_u = _next_up_significant(minimal_u)
     else:
         raise InflationError("could not settle on a rounded passing uncertainty")
 

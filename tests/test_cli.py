@@ -31,6 +31,17 @@ SCENARIO_JSON = json.dumps({
 })
 
 
+def scaled_gauge_block(tmp_path, factor):
+    """The gauge block file with every value and uncertainty times ``factor``."""
+    rows = [row.split(",") for row in GAUGE_BLOCK_CSV.splitlines()[1:]]
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text("".join(
+        ",".join([label, *(cell and repr(float(cell) * factor) for cell in cells)]) + "\n"
+        for label, *cells in rows
+    ), encoding="utf-8")
+    return scaled
+
+
 @pytest.fixture
 def gauge_block_file(tmp_path):
     path = tmp_path / "comparison.csv"
@@ -96,13 +107,7 @@ class TestLinkCommand:
 
     def test_gauge_block_scaled_by_1e30(self, tmp_path, capsys):
         # valid input far above the 28 digits of the default decimal context
-        rows = [row.split(",") for row in GAUGE_BLOCK_CSV.splitlines()[1:]]
-        scaled = tmp_path / "scaled.csv"
-        scaled.write_text("".join(
-            ",".join([label, *(cell and repr(float(cell) * 1e30)
-                               for cell in cells)]) + "\n"
-            for label, *cells in rows
-        ), encoding="utf-8")
+        scaled = scaled_gauge_block(tmp_path, 1e30)
         assert main(["link", "--input", str(scaled), "--decimals", "1"]) == 2
         out = capsys.readouterr().out
         assert "(failed)" in out and "y_A = -103614581130471" in out
@@ -286,6 +291,32 @@ class TestInflateCommand:
         assert main(["inflate", "--input", str(path), "--lab", "A0", "--standard", "A"]) == 0
         assert capsys.readouterr().out.startswith(
             "A0 (standard A): minimal passing uncertainty 8e+153 (was 1;")
+
+    def test_gauge_block_scaled_by_1e26_reports_three_digits(self, tmp_path, capsys):
+        scaled = scaled_gauge_block(tmp_path, 1e26)
+        assert main(["inflate", "--input", str(scaled), "--lab", "INMETRO1", "--standard", "B",
+                     "--report-format", "json"]) == 0
+        summary, report = capsys.readouterr().out.split("\n", 1)
+        assert summary.startswith("INMETRO1 (standard B): minimal passing uncertainty 1.12e+27 ")
+        [lab] = [lab for lab in json.loads(report)["input"]["labs"] if lab["label"] == "INMETRO1"]
+        assert lab["u_b"] == 1.12e27 and '"u_b": 1.12e+27,' in report
+
+    def test_rest_chi_square_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        # the data's q2 is 2.2e299, but without L0's B value it overflows
+        path = tmp_path / "rest.csv"
+        path.write_text(
+            "L0,-1.964847074018984e156,4215634.314818854,9.853009529832078e68,"
+            "1.2694357348712806e-06,-1.3538436626406296\n"
+            "L1,1.4580774066193927e24,0.05919779748888769,-2.27957625511089,"
+            "1.247894362967314,0.034398114716603534\n"
+            "L2,,,-5.497092295379949e71,282547.3289761407,\n"
+            "L3,-5.573871412773517e67,0.13734664029305343,,,\n", encoding="utf-8")
+        assert main(["link", "--input", str(path)]) == 2
+        assert "[q2 = 2.17236e+299, dof = 4]" in capsys.readouterr().out
+        assert main(["inflate", "--input", str(path), "--lab", "L0", "--standard", "B"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the residual chi-square of the data without L0's standard-B value "
+            "exceeds the float range\n")
 
     def test_boundary_without_a_float_square_exits_1(self, tmp_path, capsys):
         path = tmp_path / "nan-boundary.csv"

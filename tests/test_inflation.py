@@ -1,8 +1,10 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 import pytest
@@ -10,17 +12,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kclink import inflation, linking
 from kclink.golden import gauge_block_dataset
-from kclink.inflation import (
-    InflationError,
-    _next_up_significant,
-    _round_up_significant,
-    minimal_inflation,
-)
+from kclink.inflation import InflationError, _three_digit_grid, minimal_inflation
 from kclink.linking import _statistics, compute_aux, compute_kcrv, link
 from kclink.model import KclinkError, LabResult, ValidationError, validate_dataset
 
 from . import oracles
 from .strategies import datasets, full_range_datasets
+
+DBL_MAX = sys.float_info.max
 
 
 def failing_three_lab_dataset():
@@ -122,6 +121,13 @@ class TestGoldenInflation:
         assert found.minimal_u == 11.2
         assert found.critical_u == pytest.approx(11.1426943354, rel=1e-9)
         assert found.relinked.conformity.passed
+
+    def test_minimal_uncertainty_in_units_of_1e_26(self, gauge_block):
+        # every value and uncertainty times 1e26: the answer stays on the
+        # decimal grid, where float rounding gave 1.1200000000000001e27
+        scaled = validate_dataset(gauge_block.labels, gauge_block.x * 1e26,
+                                  gauge_block.u * 1e26, gauge_block.cov_ab * 1e52)
+        assert minimal_inflation(scaled, "INMETRO1", "B").minimal_u == 1.12e27
 
     @pytest.mark.parametrize("make, label", [
         (gauge_block_dataset, "INMETRO1"),  # an exclusive target
@@ -249,7 +255,7 @@ class TestSearchBehaviour:
         dataset = failing_three_lab_dataset()
         found = minimal_inflation(dataset, "B2", "B")
         assert found.critical_u <= found.minimal_u
-        assert found.minimal_u == _round_up_significant(found.critical_u)
+        assert found.minimal_u == next(_three_digit_grid(found.critical_u))
         assert found.relinked.conformity.passed
 
     def test_linking_lab_keeps_correlation_fixed(self):
@@ -309,11 +315,13 @@ class TestConfirmationLoop:
             minimal_inflation(gauge_block, "INMETRO1", "B")
 
     def test_boundary_beyond_the_float_range(self, gauge_block, monkeypatch):
-        # a root that overflows once multiplied back by the unit
-        monkeypatch.setattr(inflation, "_critical_u", lambda *args: math.inf)
-        with pytest.raises(ValidationError, match="^the inflation boundary is beyond "
-                                                  "the float range$"):
-            minimal_inflation(gauge_block, "INMETRO1", "B")
+        # a root that overflows once multiplied back by the unit, or one whose
+        # rounded value, 1.8e308, is past the float range
+        for boundary in (math.inf, math.nan, DBL_MAX):
+            monkeypatch.setattr(inflation, "_critical_u", lambda *args: boundary)
+            with pytest.raises(ValidationError, match="^the inflation boundary is beyond "
+                                                      "the float range$"):
+                minimal_inflation(gauge_block, "INMETRO1", "B")
 
 
 def assert_intervals_match_sign(a, b, c):
@@ -666,7 +674,13 @@ def test_search_returns_a_passing_boundary_or_raises_kclink_error(dataset):
         assert found.relinked.conformity.passed
 
 
+def significant_digits(value):
+    return len(Decimal(repr(value)).normalize().as_tuple().digits)
+
+
 class TestRounding:
+    """``_three_digit_grid`` rounds up, and steps, on an exact decimal grid."""
+
     @pytest.mark.parametrize("value, expected", [
         (11.1427, 11.2),
         (11.2, 11.2),
@@ -674,13 +688,54 @@ class TestRounding:
         (0.04231, 0.0424),
         (99.99, 100.0),
         (104327.0, 105000.0),
+        (1.1142694335424243e27, 1.12e27),  # the float grid gave 1.1200000000000001e27
+        (5.21e21, 5.21e21),
     ])
     def test_round_up_significant(self, value, expected):
-        assert _round_up_significant(value) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert next(_three_digit_grid(value)) == expected
 
     def test_next_up_moves_strictly(self):
-        assert _next_up_significant(11.2) == pytest.approx(11.3, rel=1e-12)
-        assert _next_up_significant(9.99) == pytest.approx(10.0, rel=1e-12)
-        assert _next_up_significant(11.14) == pytest.approx(11.2, rel=1e-12)
+        for value, expected in [
+            (11.2, [11.2, 11.3]),
+            (9.99, [9.99, 10.0, 10.1]),
+            (11.14, [11.2, 11.3]),  # an off-grid value first rounds up
+            (999.0, [999.0, 1e3, 1.01e3]),
+            (5.21e21, [5.21e21, 5.22e21]),  # the float step gave 5.219999999999999e21
+        ]:
+            assert list(islice(_three_digit_grid(value), len(expected))) == expected
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, DBL_MAX, 1.791e308])
+    def test_beyond_the_float_range_raises(self, value):
+        with pytest.raises(ValidationError, match="^the inflation boundary is beyond "
+                                                  "the float range$"):
+            next(_three_digit_grid(value))
+
+    def test_the_last_float_value_has_no_step(self):
+        grid = _three_digit_grid(1.7899e308)
+        assert next(grid) == 1.79e308
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            next(grid)
+
+    @given(st.floats(-150.0, math.log10(DBL_MAX)))
+    @example(-150.0)
+    @example(math.log10(DBL_MAX))
+    @settings(max_examples=2000, deadline=None)
+    def test_values_and_steps_have_three_digits_over_the_float_range(self, exponent):
+        # 10.0 ** exponent raises where it would round past DBL_MAX; a product saturates
+        x = min(10.0 ** (exponent - 8.0) * 1e8, DBL_MAX)
+        exact = Decimal(repr(x))
+        unit = Decimal(1).scaleb(exact.adjusted() - 2)
+        grid = _three_digit_grid(x)
+        try:
+            value = next(grid)
+        except ValidationError:  # rounds up past the largest float
+            assert exact > Decimal("1.79e308")
+            return
+        assert significant_digits(value) <= 3
+        assert -unit.scaleb(-9) <= Decimal(repr(value)) - exact < unit
+        try:
+            stepped = next(grid)
+        except ValidationError:
+            assert value == 1.79e308
+            return
+        assert stepped > value and significant_digits(stepped) <= 3
