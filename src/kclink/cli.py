@@ -8,7 +8,8 @@ subcommands only wire options to the library: every dataset file is read and
 written and every report made by :mod:`kclink.io`, a scenario file read by
 :func:`kclink.synthetic.load_scenario`; ``link`` and ``inflate`` take a report's
 chunks, whose options are then checked, before they open ``--output`` and
-write them there or to stdout.
+write them there or to stdout.  Nothing is printed before that: a rejected
+option or an ``--output`` that cannot be opened prints only its error line.
 
 Exit codes: 0 on success with a passing conformity check, 2 when the
 analysis ran but the conformity check failed, 1 on any error (without a
@@ -55,19 +56,23 @@ def _read(args: argparse.Namespace) -> ComparisonDataset:
     return dataset
 
 
-def _emit_report(result: LinkingResult, args: argparse.Namespace) -> None:
-    # the chunks first: a rejected option leaves no --output file, nor truncates one
+def _emit_report(result: LinkingResult, args: argparse.Namespace, *lines: str) -> None:
+    """Print ``lines`` and the dataset's warnings, then write the report."""
+    # the chunks first: a rejected option leaves no --output file, nor truncates
+    # one; nothing is printed until the options pass and --output is open
     chunks = report_chunks(result, args.report_format, decimals=args.decimals,
                            units=args.units)
     with (open(args.output, "w", encoding="utf-8") if args.output
           else nullcontext(sys.stdout)) as out:
+        for line in lines:
+            print(line)
+        _print_warnings(result.dataset.warnings)
         out.writelines(chunks)
         out.write("\n")
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
     result = link(_read(args))
-    _print_warnings(result.dataset.warnings)
     _emit_report(result, args)
     if args.plot_data:
         emit_plot_data(result, args.plot_data)
@@ -76,14 +81,11 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 def _cmd_inflate(args: argparse.Namespace) -> int:
     found = minimal_inflation(_read(args), args.lab, args.standard)
-    print(
-        f"{found.label} (standard {found.standard}): "
-        f"minimal passing uncertainty {found.minimal_u:g} "
-        f"(was {found.original_u:g}; conformity boundary at "
-        f"{found.critical_u:.6g})"
-    )
-    _print_warnings(found.relinked.dataset.warnings)
-    _emit_report(found.relinked, args)
+    _emit_report(found.relinked, args,
+                 f"{found.label} (standard {found.standard}): "
+                 f"minimal passing uncertainty {found.minimal_u:g} "
+                 f"(was {found.original_u:g}; conformity boundary at "
+                 f"{found.critical_u:.6g})")
     return EXIT_OK
 
 

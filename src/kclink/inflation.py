@@ -8,10 +8,11 @@ the dataset without the target's value for the inflated standard (a linking
 target stays as an exclusive lab of the other standard); one statistics pass
 with that value's ``measured`` entry and the target's ``bivariate`` cleared,
 in copies of the masks, gives the rest's KCRVs ``y0``, KCRV covariance ``V0``
-and residual ``q0``, bit for bit those of linking the rest.  The verdict on
-the original data comes from the unmasked pass, which also makes a passing
-dataset's result; a failing search makes one full analysis, the confirming
-one.  Adding the value back adds one scalar residual:
+and residual ``q0``, bit for bit those of linking the rest.  The search
+starts from :func:`~kclink.linking.link` of the data: data that ``link``
+rejects raise its error, data that pass are their own answer, and failing
+data make one more full analysis, the confirming one.  Adding the value back
+adds one scalar residual:
 ``q2(u) = q0 + eps(u)^2 / var(u)``, where ``eps`` and ``var`` are linear and
 quadratic in ``u`` because the target's correlation stays fixed.  So the
 boundary ``q2(u) = N - 2`` is exactly a root of a quadratic in ``u``.  It is
@@ -28,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 
-from .linking import LinkingResult, Standard, _conformity, _linked, _statistics, link
+from .linking import LinkingResult, Standard, _statistics, link
 from .model import ComparisonDataset, KclinkError, ValidationError, validate_dataset
 
 _BEYOND_FLOAT_RANGE = "the inflation boundary is beyond the float range"
@@ -175,9 +176,10 @@ def minimal_inflation(
 
     Raises :class:`InflationError` if the lab did not measure the named
     standard or no uncertainty makes the dataset pass (the misfit is then
-    not attributable to this laboratory), :class:`ValidationError` if the
-    boundary, or the chi-square of the data without the target's value, is
-    beyond the float range.
+    not attributable to this laboratory), the error of :func:`link` if it
+    rejects the data, and :class:`ValidationError` if the boundary, or the
+    chi-square of the data without the target's value, is beyond the float
+    range.
     """
     if standard not in ("A", "B"):
         raise InflationError(f"unknown standard {standard!r} (expected 'A' or 'B')")
@@ -190,13 +192,12 @@ def minimal_inflation(
         raise InflationError(f"{label} did not measure standard {standard}")
     original_u = dataset.u[row, index].item()
 
-    dof = dataset.n_total - 2
-    statistics = _statistics(dataset, dataset.measured, dataset.bivariate)
-    if _conformity(statistics[4], dof).passed:
+    original = link(dataset)
+    if original.conformity.passed:
         return InflationResult(label, standard, original_u, minimal_u=original_u,
-                               critical_u=original_u, relinked=_linked(dataset, *statistics))
+                               critical_u=original_u, relinked=original)
 
-    critical_u = _critical_u(dataset, index, row, dof)
+    critical_u = _critical_u(dataset, index, row, original.conformity.dof)
     if critical_u is None:
         raise InflationError(
             f"no uncertainty makes the dataset pass; the misfit is not "

@@ -19,9 +19,10 @@ under a power-of-two change of units.
 The engine works on the dataset's float64 columns.  One statistics pass
 (``_statistics``) gives the five sums (:func:`compute_aux`), which fix the
 KCRVs (:func:`compute_kcrv`), and the chi-square of the residuals against
-them; :func:`link` adds the degrees of equivalence.  The caller passes the
-masks: copies with one ``measured`` entry and its lab's ``bivariate`` cleared
-give the statistics of the dataset without that value, bit for bit.  Each
+them; :func:`link` adds the degrees of equivalence and the conformity verdict
+to the pass over the dataset's own masks.  The caller passes the masks:
+copies with one ``measured`` entry and its lab's ``bivariate`` cleared give
+the statistics of the dataset without that value, bit for bit.  Each
 per-lab term is computed elementwise in the expression order of its scalar
 formula, in which every ``+`` and ``*`` commutes when A and B are exchanged,
 and each sum is ``math.fsum`` over the terms' ``.tolist()``.
@@ -273,8 +274,8 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
     q2 substitutes the estimates into the weighted sum of squared deviations,
     a bivariate form for a lab in ``bivariate``; over two values, which the
     two estimates fit exactly, it is 0 (inf if a KCRV is not finite).  It is
-    returned as it is, and :func:`_conformity` checks it after :func:`link`'s
-    DOE guard has had the chance to name a lab.
+    returned as it is, and :func:`link` checks it after its DOE guard has had
+    the chance to name a lab.
 
     The caller passes the dataset's masks, or copies in which one lab's
     ``measured`` entry for one standard and its ``bivariate`` are cleared: the
@@ -295,15 +296,6 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
         [q2] = _term_sums((d * d / v)[measured > bivariate].tolist() + (
             (dwd[0] + dwd[1]) / den)[bivariate].tolist())
     return v, aux, kcrv, d, q2
-
-
-def _conformity(q2: float, dof: int) -> ConformityReport:
-    """The :class:`ConformityReport` of q2 with ``dof`` = N - 2 (N reported
-    values, two estimates); a non-finite q2 is a :class:`ValidationError`."""
-    # a non-finite KCRV makes some d, and with it q2, non-finite as well
-    if not isfinite(q2):
-        raise ValidationError("the residual chi-square exceeds the float range")
-    return ConformityReport(q2, dof, q2 / dof if dof else None, q2 <= dof)
 
 
 def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
@@ -327,16 +319,18 @@ def link(dataset: ComparisonDataset) -> LinkingResult:
     The DOEs ``d = x - y_hat`` and ``u(d) = sqrt(u(x)^2 - u(y_hat)^2)`` are
     read-only columns shaped like ``dataset.x``; the variances subtract
     because each result is itself part of the reference value, with
-    covariance between them equal to the KCRV variance.
+    covariance between them equal to the KCRV variance.  The conformity check
+    compares q2 with ``dof`` = N - 2 (N reported values, two estimates); a
+    non-finite q2 is a :class:`ValidationError`.
     """
-    return _linked(dataset, *_statistics(dataset, dataset.measured, dataset.bivariate))
-
-
-def _linked(dataset: ComparisonDataset, v, aux, kcrv, d, q2) -> LinkingResult:
-    """:func:`link`'s result from the dataset's unmasked statistics pass."""
+    v, aux, kcrv, d, q2 = _statistics(dataset, dataset.measured, dataset.bivariate)
     v_y = np.array(((kcrv.u_a * kcrv.u_a,), (kcrv.u_b * kcrv.u_b,)))  # u(y_hat)^2
     with np.errstate(all="ignore"):
         u_d = _doe_uncertainty(dataset, v, v_y)
-    conformity = _conformity(q2, dataset.n_total - 2)
+    # a non-finite KCRV makes some d, and with it q2, non-finite as well
+    if not isfinite(q2):
+        raise ValidationError("the residual chi-square exceeds the float range")
+    dof = dataset.n_total - 2
+    conformity = ConformityReport(q2, dof, q2 / dof if dof else None, q2 <= dof)
     d.flags.writeable = u_d.flags.writeable = False
     return LinkingResult(dataset, aux, kcrv, conformity, d, u_d)

@@ -209,15 +209,15 @@ class TestLinkCommand:
     def test_rejected_options_leave_no_report_file(self, gauge_block_file, tmp_path,
                                                     capsys, existing):
         out = tmp_path / "r.json"
-        for decimals in ("-1", "3000000"):  # below 0, above a double's 1074 digits
+        # below 0, above a double's 1074 digits
+        for decimals, bound in (("-1", "a non-negative integer"), ("3000000", "at most 1074")):
             if existing is not None:
                 out.write_text(existing, encoding="utf-8")
             assert main(["link", "--input", str(gauge_block_file), "--report-format", "json",
                          "--decimals", decimals, "--output", str(out)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "\nerror: decimals must be " in captured.err
-            assert captured.err.endswith(f", got {decimals}\n")
+            assert captured.err == f"error: decimals must be {bound}, got {decimals}\n"
             if existing is None:
                 assert not out.exists()
             else:
@@ -324,6 +324,22 @@ class TestInflateCommand:
         assert main(["inflate", "--input", str(path), "--lab", "L0", "--standard", "A"]) == 1
         assert capsys.readouterr().err == (
             "error: L0: the DOE variance exceeds the float range\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["link", "--decimals", "-1"],
+    ["inflate", "--lab", "INMETRO1", "--standard", "B", "--decimals", "2000"],
+    ["inflate", "--lab", "INMETRO1", "--standard", "B", "--output", "a directory"],
+], ids=["link-decimals", "inflate-decimals", "inflate-output"])
+def test_rejected_report_options_print_only_the_error(gauge_block_file, tmp_path, capsys,
+                                                      command):
+    # the summary line and the dataset's warnings wait for the report options
+    # and --output: a rejected one is the run's one line of output
+    argv = [str(tmp_path) if arg == "a directory" else arg for arg in command]
+    assert main([*argv, "--input", str(gauge_block_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 class TestSynthCommand:

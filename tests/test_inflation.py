@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kclink import inflation, linking
-from kclink.golden import gauge_block_dataset
+from kclink.golden import gauge_block_dataset, synthetic_dataset
 from kclink.inflation import InflationError, _three_digit_grid, minimal_inflation
 from kclink.linking import _statistics, compute_aux, compute_kcrv, link
 from kclink.model import KclinkError, LabResult, ValidationError, validate_dataset
@@ -28,6 +28,17 @@ def failing_three_lab_dataset():
         LabResult("A1", value_a=0.0, u_a=1.0),
         LabResult("B1", value_b=0.0, u_b=1.0),
         LabResult("B2", value_b=6.0, u_b=1.0),
+    ])
+
+
+def doe_failing_dataset():
+    # the B values disagree far beyond their uncertainties, and A2's u(x)^2
+    # overflows: link raises on A2's DOE variance
+    return validate_dataset([
+        LabResult("A1", value_a=0.0, u_a=1.0),
+        LabResult("A2", value_a=0.0, u_a=1e160),
+        LabResult("B1", value_b=1.0, u_b=1.0),
+        LabResult("B2", value_b=10.0, u_b=1.0),
     ])
 
 
@@ -114,6 +125,32 @@ def test_masked_statistics_are_the_rest_linked(dataset):
             assert statistics == bits(result.aux, result.kcrv, result.d, result.conformity.q2)
 
 
+@given(st.one_of(datasets(), full_range_datasets()))
+@example(doe_failing_dataset())
+@example(linking_target_dataset())
+@example(synthetic_dataset())  # every target passes
+@settings(max_examples=200, deadline=None)
+def test_search_starts_from_link(dataset):
+    """For every measured target: data that ``link`` rejects make the search
+    raise ``link``'s error, and data that pass are their own answer, with
+    ``relinked`` bit-identical to ``link``'s result."""
+    def bits(result):
+        # repr is the shortest round-trip text, so equal reprs are equal bits
+        return repr((result.aux, result.kcrv, result.conformity, result.d.tolist(),
+                     result.u_d.tolist()))
+
+    failed = error_of(lambda: link(dataset))
+    if failed is None and not link(dataset).conformity.passed:
+        return  # a failing search is checked by the tests below
+    for lab, standard in searches(dataset):
+        search = lambda: minimal_inflation(dataset, lab.label, standard)
+        if failed:
+            assert error_of(search) == failed
+        else:
+            relinked = search().relinked
+            assert relinked.dataset is dataset and bits(relinked) == bits(link(dataset))
+
+
 class TestGoldenInflation:
     def test_reported_minimal_uncertainty(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -134,20 +171,24 @@ class TestGoldenInflation:
         (linking_target_dataset, "C1"),  # a linking one keeps its A value
     ], ids=["INMETRO1", "C1"])
     def test_one_leave_one_out_and_three_links(self, make, label, monkeypatch):
-        # the verdict on the data and the leave-one-out come from statistics
-        # passes: the one full analysis is the confirming link, of the one
-        # dataset that the search validates, at full size
-        links, validations = [], []
+        # the verdict comes from the data's link and the leave-one-out from
+        # one statistics pass: the one more full analysis is the confirming
+        # link, of the one dataset that the search validates, at full size
+        links, validations, passes = [], [], []
         dataset = make()
+        counted = lambda *args: passes.append(args) or _statistics(*args)
+        monkeypatch.setattr(linking, "_statistics", counted)
+        monkeypatch.setattr(inflation, "_statistics", counted)
         monkeypatch.setattr(inflation, "link",
                             lambda trial: links.append(trial) or link(trial))
         monkeypatch.setattr(inflation, "validate_dataset",
                             lambda *args: validations.append(args) or validate_dataset(*args))
         found = minimal_inflation(dataset, label, "B")
+        assert len(passes) == 3
         assert len(validations) == 1
-        assert len(links) == 1 and links[0] is found.relinked.dataset
-        assert links[0].labels == dataset.labels
-        assert links[0].lab(label).u_b == found.minimal_u
+        assert len(links) == 2 and links[0] is dataset and links[1] is found.relinked.dataset
+        assert links[1].labels == dataset.labels
+        assert links[1].lab(label).u_b == found.minimal_u
 
     def test_matches_bisection_oracle(self, gauge_block):
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
@@ -201,14 +242,17 @@ class TestGoldenInflation:
 
 class TestSearchBehaviour:
     def test_already_passing_returns_original(self, synthetic, monkeypatch):
-        # the relinked result is the data's link, made from the verdict's pass
-        expected, passes, links = link(synthetic), [], []
+        # the relinked result is the data's link, the one analysis of the search
+        expected, passes, links, validations = link(synthetic), [], [], []
         counted = lambda *args: passes.append(args) or _statistics(*args)
         monkeypatch.setattr(linking, "_statistics", counted)
         monkeypatch.setattr(inflation, "_statistics", counted)
         monkeypatch.setattr(inflation, "link", lambda trial: links.append(trial) or link(trial))
+        monkeypatch.setattr(inflation, "validate_dataset",
+                            lambda *args: validations.append(args) or validate_dataset(*args))
         found = minimal_inflation(synthetic, "LAB-13", "B")
-        assert len(passes) == 1 and not links
+        assert len(passes) == 1 and len(links) == 1 and links[0] is synthetic
+        assert not validations
         assert found.minimal_u == synthetic.lab("LAB-13").u_b
         assert found.critical_u == found.minimal_u
         relinked = found.relinked
@@ -234,6 +278,21 @@ class TestSearchBehaviour:
                 with pytest.raises(ValidationError, match=r"^A2: the DOE variance "
                                                           r"exceeds the float range$"):
                     call(dataset)
+
+    def test_failing_data_raise_as_link_does(self, monkeypatch):
+        # the data fail (q2 = 40.5, dof 2) and u(x)^2 = inf for A2: the search
+        # raises link's error from its one statistics pass, before the
+        # leave-one-out, whose weight sums would be beyond the float range
+        passes, validations = [], []
+        counted = lambda *args: passes.append(args) or _statistics(*args)
+        monkeypatch.setattr(linking, "_statistics", counted)
+        monkeypatch.setattr(inflation, "_statistics", counted)
+        monkeypatch.setattr(inflation, "validate_dataset",
+                            lambda *args: validations.append(args) or validate_dataset(*args))
+        with pytest.raises(ValidationError, match=r"^A2: the DOE variance "
+                                                  r"exceeds the float range$"):
+            minimal_inflation(doe_failing_dataset(), "A1", "A")
+        assert len(passes) == 1 and not validations
 
     def test_agrees_with_fine_grid_scan(self):
         dataset = failing_three_lab_dataset()
@@ -305,7 +364,8 @@ class TestConfirmationLoop:
         found = minimal_inflation(gauge_block, "INMETRO1", "B")
         assert found.critical_u == 11.1
         assert found.minimal_u == 11.2
-        assert [dataset.lab("INMETRO1").u_b for dataset in links] == [11.1, 11.2]
+        assert links[0] is gauge_block  # the data's link gives the verdict
+        assert [dataset.lab("INMETRO1").u_b for dataset in links] == [4.0, 11.1, 11.2]
         assert found.relinked.conformity.passed
 
     def test_gives_up_after_100_steps(self, gauge_block, monkeypatch):
