@@ -184,8 +184,8 @@ def minimal_inflation(
     if standard not in ("A", "B"):
         raise InflationError(f"unknown standard {standard!r} (expected 'A' or 'B')")
     try:
-        index = dataset.index(label)
-    except KeyError:
+        index = dataset.labels.index(label)
+    except ValueError:
         raise InflationError(f"unknown laboratory label: {label}") from None
     row = "AB".index(standard)
     if not dataset.measured[row, index]:

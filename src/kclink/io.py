@@ -32,11 +32,13 @@ the text is made once and kept with the result (:func:`_doe_text`).  A block's
 labels are JSON-escaped by one ``map``, and searched once for a character that
 :func:`_csv_field` quotes as ``csv.writer`` does.
 
-The text report prints every DOE row by a ``%``-template per measured pattern,
-which rounds the binary value correctly: half-up rounding of its shortest
-digits but at a decimal tie.  A tie mask first replaces by its :func:`round_half_up`
-a cell that may be a tie (``k = rint(v * 10^(d+1))`` is an odd multiple of 5
-and ``k / 10^(d+1) == v``), one with ``|v| * 10^(d+1) >= 2^49`` (ulp(v) is then
+The text report formats a block of DOE rows by one ``%``: its format string
+joins a ``%``-template per row's measured pattern, and the rows' labels and
+cells are its arguments.  A template rounds the binary value correctly:
+half-up rounding of its shortest digits but at a decimal tie.  A tie mask
+first replaces by its :func:`round_half_up` a cell that may be a tie
+(``k = rint(v * 10^(d+1))`` is an odd multiple of 5 and
+``k / 10^(d+1) == v``), one with ``|v| * 10^(d+1) >= 2^49`` (ulp(v) is then
 not surely below 0.025 * 10^-d) and every cell when ``d > 21`` (inexact 10^(d+1)).
 """
 
@@ -49,7 +51,7 @@ import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from dataclasses import asdict
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
 from pathlib import Path
@@ -284,12 +286,13 @@ def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
                  for a, b in ((value, absent), (absent, value), (value, value))]
     for block in _blocks(len(labels)):
         d, u_d = result.d[:, block], result.u_d[:, block]
-        cells = np.stack([d[0], u_d[0], d[1], u_d[1]], axis=1)
+        cells = np.stack([d[0], u_d[0], d[1], u_d[1]])
         tie = _ties(cells, decimals)
         cells[tie] = [round_half_up(v, decimals) for v in cells[tie].tolist()]
         patterns = (np.dot([1, 2], result.dataset.measured[:, block]) - 1).tolist()
-        yield "".join([templates[pattern] % (label, *row)
-                       for label, pattern, row in zip(labels[block], patterns, cells.tolist())])
+        # one % per block: the labels are its arguments, never part of its format
+        yield "".join(map(templates.__getitem__, patterns)) % tuple(
+            chain.from_iterable(zip(labels[block], *cells.tolist())))
     lines = ["-" * len(header)]
     kcrv = result.kcrv
     lines.append(

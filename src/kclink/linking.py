@@ -25,7 +25,8 @@ copies with one ``measured`` entry and its lab's ``bivariate`` cleared give
 the statistics of the dataset without that value, bit for bit.  Each
 per-lab term is computed elementwise in the expression order of its scalar
 formula, in which every ``+`` and ``*`` commutes when A and B are exchanged,
-and each sum is ``math.fsum`` over the terms' ``.tolist()``.
+and each sum is ``math.fsum`` reading the term array's doubles through a
+``memoryview`` of its buffer.
 NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly rounded, as
 Python's float operations are, and ``fsum`` is exactly rounded whatever
 the order of its terms: the results are the bits a per-lab Python walk
@@ -167,9 +168,9 @@ class LinkingResult:
                 self.u_d.tolist()))))
 
 
-def _term_sums(*terms: list[float]) -> list[float]:
+def _term_sums(*terms: np.ndarray) -> list[float]:
     try:
-        return [fsum(column) for column in terms]
+        return [fsum(memoryview(column)) for column in terms]
     except (OverflowError, ValueError):  # a sum past the float range, inf - inf
         return [inf] * len(terms)
 
@@ -201,12 +202,11 @@ def _aux(dataset: ComparisonDataset, measured, bivariate):
             "not a positive finite float (beyond the float range or precision)"
         )
     # a bivariate term, else a univariate one; the mask flattens A's, then B's
-    w = np.where(bivariate, v[::-1] / den, np.reciprocal(v))[measured].tolist()
-    s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[
-        measured].tolist()
+    w = np.where(bivariate, v[::-1] / den, np.reciprocal(v))[measured]
+    s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[measured]
     n_a = np.count_nonzero(measured[0])
     return v, den, len(w), AuxQuantities(*_term_sums(
-        w[:n_a], w[n_a:], (cov / den)[bivariate].tolist(), s[:n_a], s[n_a:]))
+        w[:n_a], w[n_a:], (cov / den)[bivariate], s[:n_a], s[n_a:]))
 
 
 def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
@@ -293,8 +293,8 @@ def _statistics(dataset: ComparisonDataset, measured, bivariate):
             return v, aux, kcrv, d, q2
         # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
         dwd = d * (d * v[::-1] - dataset.cov_ab * d[::-1])  # its two products
-        [q2] = _term_sums((d * d / v)[measured > bivariate].tolist() + (
-            (dwd[0] + dwd[1]) / den)[bivariate].tolist())
+        [q2] = _term_sums(np.concatenate(((d * d / v)[measured > bivariate],
+                                          ((dwd[0] + dwd[1]) / den)[bivariate])))
     return v, aux, kcrv, d, q2
 
 

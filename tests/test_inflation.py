@@ -331,6 +331,11 @@ class TestSearchBehaviour:
         with pytest.raises(InflationError, match="unknown laboratory"):
             minimal_inflation(gauge_block, "NOBODY", "B")
 
+    def test_unhashable_label_is_unknown(self, gauge_block):
+        with pytest.raises(InflationError) as raised:
+            minimal_inflation(gauge_block, ["INMETRO1"], "B")
+        assert str(raised.value) == "unknown laboratory label: ['INMETRO1']"
+
     def test_lab_without_that_standard(self, gauge_block):
         with pytest.raises(InflationError, match="did not measure"):
             minimal_inflation(gauge_block, "METAS", "B")

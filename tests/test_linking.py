@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -52,6 +53,34 @@ def two_value_datasets(draw):
     r = draw(st.floats(-0.99, 0.99))
     return validate_dataset([LabResult("C1", value_a=x_a, u_a=u_a, value_b=x_b,
                                        u_b=u_b, cov_ab=r * u_a * u_b)])
+
+
+DBL_MAX = sys.float_info.max
+# signed zeros, subnormals (the least, and the largest below the normals) and
+# values near DBL_MAX
+EDGE_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+              DBL_MAX, -DBL_MAX, math.nextafter(DBL_MAX, 0.0), DBL_MAX / 2.0]
+
+
+@st.composite
+def term_arrays(draw):
+    """A 1-D float64 array of 0, 1, 17 or at least 1,024 terms: a few drawn
+    values, edge terms among them, each maybe followed by its negation (a
+    cancelling pair), repeated to the length."""
+    length = draw(st.sampled_from([0, 1, 17, 1024, 1537]))
+    values = draw(st.lists(st.one_of(st.sampled_from(EDGE_TERMS), st.floats(
+        allow_nan=False, allow_infinity=False)), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        values = [term for value in values for term in (value, -value)]
+    return np.resize(np.array(values, dtype=float), length)
+
+
+def fsum_of_lists(*terms):
+    """The sums from the terms' ``.tolist()``, ``[inf] * k`` where fsum raises."""
+    try:
+        return [math.fsum(column.tolist()) for column in terms]
+    except (OverflowError, ValueError):
+        return [math.inf] * len(terms)
 
 
 class TestComputeAux:
@@ -176,6 +205,19 @@ class TestComputeAux:
         with pytest.raises(ValidationError, match=r"weight sums are beyond the "
                            r"float range .*a\*b - c\^2 = inf\)"):
             link(dataset)
+
+
+class TestTermSums:
+    @given(st.lists(term_arrays(), min_size=1, max_size=5))
+    @example([np.array([])])
+    @example([np.array([-0.0]), np.array([0.0, -0.0]), np.array([5e-324] * 17)])
+    # a sum past the float range, and inf + -inf: every sum is inf
+    @example([np.array([1.0, 2.0]), np.array([DBL_MAX, DBL_MAX]), np.array([])])
+    @example([np.array([math.inf, -math.inf]), np.array([1.0])])
+    @settings(max_examples=200, deadline=None)
+    def test_buffer_sums_are_fsum_of_the_lists(self, arrays):
+        got = linking._term_sums(*arrays)
+        assert list(map(float.hex, got)) == list(map(float.hex, fsum_of_lists(*arrays)))
 
 
 class TestComputeKcrv:

@@ -81,6 +81,23 @@ def test_outputs_at_chunk_boundaries_match_the_references(count, tmp_path, capsy
         assert first_difference(capsys.readouterr().out, report + "\n") is None
 
 
+@pytest.mark.parametrize("decimals", [3, 22])
+def test_text_rows_take_labels_as_arguments(decimals):
+    # a block's rows are formatted by one %: a label that reads as a format
+    # directive stays an argument, before and after the block boundary; the
+    # labs cycle through all three row patterns, the last lab's cells are too
+    # large for the templates, and at 22 decimals every cell is rounded by Decimal
+    mixed = mixed_dataset(CHUNK + 1)
+    labels = list(mixed.labels)
+    labels[CHUNK - 2:] = "L%%", "L%s", "L%(x)d"
+    dataset = validate_dataset(labels, mixed.x, mixed.u, mixed.cov_ab)
+    assert set((np.dot([1, 2], dataset.measured) - 1).tolist()) == {0, 1, 2}
+    result = link(dataset)
+    report = render_report(result, "text", decimals=decimals, units="nm")
+    assert first_difference(report, oracles.text_report(result, decimals, "nm")) is None
+    assert all(f"\n{label}  " in report for label in labels[CHUNK - 2:])
+
+
 @pytest.mark.parametrize("format, decimals", [("xml", 3), ("json", -1), ("text", True),
                                               ("text", 1.5), ("json", 1075),
                                               ("text", 3_000_000)])
