@@ -5,21 +5,21 @@ to question a single suspiciously small uncertainty claim and ask: what is
 the smallest uncertainty for that laboratory at which the whole dataset
 passes?  One leave-one-out rule answers it for every target.  The rest is
 the dataset without the target's value for the inflated standard (a linking
-target stays as an exclusive lab of the other standard); one statistics pass
-with that value's ``measured`` entry and the target's ``bivariate`` cleared,
-in copies of the masks, gives the rest's KCRVs ``y0``, KCRV covariance ``V0``
-and residual ``q0``, bit for bit those of linking the rest.  The search
-starts from :func:`~kclink.linking.link` of the data: data that ``link``
-rejects raise its error, data that pass are their own answer, and failing
-data make one more full analysis, the confirming one.  Adding the value back
-adds one scalar residual:
-``q2(u) = q0 + eps(u)^2 / var(u)``, where ``eps`` and ``var`` are linear and
-quadratic in ``u`` because the target's correlation stays fixed.  So the
-boundary ``q2(u) = N - 2`` is exactly a root of a quadratic in ``u``.  It is
-reported rounded up to three significant digits and confirmed by one full
-re-analysis.  That grid is exact decimal at every scale: the gauge block in
-units 1e26 times smaller reports 1.12e27 where it reports 11.2, and a boundary
-beyond the float range is raised by the grid.
+target stays as an exclusive lab of the other standard).  One statistics
+pass on the dataset's arrays, with that value's ``measured`` entry and the
+target's ``bivariate`` cleared in copies of the masks, gives the rest's KCRVs
+``y0``, KCRV covariance ``V0`` and residual ``q0``: bit for bit those of
+linking the rest, with no dataset built.  The search starts from
+:func:`~kclink.linking.link` of the data: data that ``link`` rejects raise
+its error, data that pass are their own answer, and failing data make one
+more full analysis, the confirming one.  Adding the value back adds one
+scalar residual: ``q2(u) = q0 + eps(u)^2 / var(u)``, where ``eps`` and
+``var`` are linear and quadratic in ``u`` because the target's correlation
+stays fixed.  So the boundary ``q2(u) = N - 2`` is exactly a root of a
+quadratic in ``u``.  It is reported rounded up to three significant digits
+and confirmed by one full re-analysis.  That grid is exact decimal at every
+scale: the gauge block in units 1e26 times smaller reports 1.12e27 where it
+reports 11.2, and a boundary beyond the float range is raised by the grid.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
+
+import numpy as np
 
 from .linking import LinkingResult, Standard, _statistics, link
 from .model import ComparisonDataset, KclinkError, ValidationError, validate_dataset
@@ -119,11 +121,12 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
     The rest drops only the target's value ``x_s`` for the inflated standard s
     (row ``row`` of the columns); a linking target keeps its value ``x_o`` of
     the other standard o.  Its ``y0``, ``V0``, ``q0`` and residuals
-    ``e = x - y0`` come from the statistics pass with ``measured[row, index]``
-    and ``bivariate[index]`` cleared in copies of the masks: the rest's
-    ``link`` bit for bit, with no validation and no DOEs.  Given ``x_o``, the
-    value ``x_s`` adds one residual ``eps(u) = e_s - p u e_o`` with
-    ``p = r / u_o`` (``p = 0`` without a covariance), of variance
+    ``e = x - y0`` come from the statistics pass on the dataset's ``x``,
+    ``u^2`` and ``cov_ab`` with ``measured[row, index]`` and ``bivariate[index]``
+    cleared in copies of the masks: the rest's ``link`` bit for bit, with no
+    dataset built, no validation and no DOEs.  Given ``x_o``, the value ``x_s``
+    adds one residual ``eps(u) = e_s - p u e_o`` with ``p = r / u_o``
+    (``p = 0`` without a covariance), of variance
     ``var(u) = (1 - r^2) u^2 + V_ss - 2 p u V_so + p^2 u^2 V_oo``.  With
     ``k = dof - q0`` the data pass iff ``k var - eps^2 >= 0``, a quadratic in
     u.  The data fail at ``u0``, so the boundary is the first root above it,
@@ -136,7 +139,9 @@ def _critical_u(dataset: ComparisonDataset, index: int, row: int, dof: int) -> f
         return None  # the target alone fixes this KCRV: q2 ignores u
     measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
     measured[row, index] = bivariate[index] = False
-    _, _, kcrv, e, q0 = _statistics(dataset, measured, bivariate)
+    with np.errstate(all="ignore"):
+        _, kcrv, e, q0 = _statistics(dataset.labels, dataset.x, dataset.u * dataset.u,
+                                     dataset.cov_ab, measured, bivariate)
     if not math.isfinite(q0):
         raise ValidationError(f"the residual chi-square of the data without "
                               f"{dataset.labels[index]}'s standard-{'AB'[row]} value "

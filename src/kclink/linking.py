@@ -16,17 +16,18 @@ Squares are written as products: ``x * x`` is correctly rounded, while
 in the last place, and results would then no longer scale bit-exactly
 under a power-of-two change of units.
 
-The engine works on the dataset's float64 columns.  One statistics pass
-(``_statistics``) gives the five sums (:func:`compute_aux`), which fix the
-KCRVs (:func:`compute_kcrv`), and the chi-square of the residuals against
-them; :func:`link` adds the degrees of equivalence and the conformity verdict
-to the pass over the dataset's own masks.  The caller passes the masks:
-copies with one ``measured`` entry and its lab's ``bivariate`` cleared give
-the statistics of the dataset without that value, bit for bit.  Each
-per-lab term is computed elementwise in the expression order of its scalar
-formula, in which every ``+`` and ``*`` commutes when A and B are exchanged,
-and each sum is ``math.fsum`` reading the term array's doubles through a
-``memoryview`` of its buffer.
+One statistics pass (``_statistics``) is a function of (2, N) arrays: the
+values ``x``, the variances ``v = u^2``, the covariances ``cov`` and the two
+masks, ``measured`` and ``bivariate``, so it runs on inputs that no dataset
+holds.  It gives the five sums (:func:`compute_aux`), which fix the KCRVs
+(:func:`compute_kcrv`), the residuals and their chi-square; :func:`link` runs
+it on the dataset's columns and masks and adds the degrees of equivalence and
+the conformity verdict.  Copies of the masks with one ``measured`` entry and
+its lab's ``bivariate`` cleared give the statistics of the dataset without
+that value, bit for bit.  Each per-lab term is computed elementwise in the
+expression order of its scalar formula, in which every ``+`` and ``*``
+commutes when A and B are exchanged, and each sum is ``math.fsum`` reading
+the term array's doubles through a ``memoryview`` of its buffer.
 NumPy's elementwise ``+ - * /`` and ``sqrt`` are correctly rounded, as
 Python's float operations are, and ``fsum`` is exactly rounded whatever
 the order of its terms: the results are the bits a per-lab Python walk
@@ -176,37 +177,18 @@ def _term_sums(*terms: np.ndarray) -> list[float]:
 
 
 def compute_aux(dataset: ComparisonDataset) -> AuxQuantities:
-    """Accumulate the five estimator sums over the dataset.
+    """The five estimator sums over the dataset, from the statistics pass.
 
     Uses exactly rounded summation, so any permutation of the labs yields
     bit-identical results.  A bivariate denominator that is not a positive
     finite float is a :class:`ValidationError` naming its lab; the sums then
-    meet :class:`AuxQuantities`' one guard, so a weight term or sum beyond
-    the float range (1 / u^2 or x / u^2 overflowing for a tiny u) is one too.
+    meet :class:`AuxQuantities`' one guard, so a weight term or sum beyond the
+    float range (1 / u^2 or x / u^2 overflowing for a tiny u) is one too, and
+    the pass's :func:`compute_kcrv` of them raises the KCRVs' invariant errors.
     """
     with np.errstate(all="ignore"):
-        return _aux(dataset, dataset.measured, dataset.bivariate)[3]
-
-
-def _aux(dataset: ComparisonDataset, measured, bivariate):
-    """``(v, den, n, aux)``: ``u^2``, the bivariate terms' denominator
-    ``u_a^2 * u_b^2 - cov_ab^2``, the number of ``measured`` entries and the
-    five sums over them.
-    Every use of ``cov_ab``, NaN where not reported, is selected by ``bivariate``."""
-    x, cov, v = dataset.x, dataset.cov_ab, dataset.u * dataset.u
-    den = v[0] * v[1] - cov * cov
-    singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
-    if np.count_nonzero(singular):
-        raise ValidationError(
-            f"{dataset.labels[singular.argmax()]}: u_a^2*u_b^2 - cov_ab^2 is "
-            "not a positive finite float (beyond the float range or precision)"
-        )
-    # a bivariate term, else a univariate one; the mask flattens A's, then B's
-    w = np.where(bivariate, v[::-1] / den, np.reciprocal(v))[measured]
-    s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[measured]
-    n_a = np.count_nonzero(measured[0])
-    return v, den, len(w), AuxQuantities(*_term_sums(
-        w[:n_a], w[n_a:], (cov / den)[bivariate], s[:n_a], s[n_a:]))
+        return _statistics(dataset.labels, dataset.x, dataset.u * dataset.u,
+                           dataset.cov_ab, dataset.measured, dataset.bivariate)[0]
 
 
 def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
@@ -242,7 +224,7 @@ def compute_kcrv(aux: AuxQuantities) -> KcrvEstimate:
     )
 
 
-def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray):
+def _doe_uncertainty(labels, measured, v: np.ndarray, v_y: np.ndarray):
     """sqrt(u(x)^2 - u(y)^2), guarding the theoretically impossible sign.
 
     The estimator is a minimum-variance combination that includes x, hence
@@ -253,49 +235,60 @@ def _doe_uncertainty(dataset: ComparisonDataset, v: np.ndarray, v_y: np.ndarray)
     """
     radicand = v - v_y
     u_d = np.sqrt(radicand)  # NaN where not measured
-    if np.count_nonzero(np.isfinite(u_d)) == dataset.n_total:
+    if np.count_nonzero(np.isfinite(u_d)) == np.count_nonzero(measured):
         return u_d
     tolerated = (radicand >= -_RADICAND_RTOL * v) & (radicand < inf)
-    failed = dataset.measured > tolerated
+    failed = measured > tolerated
     lab = int(failed.any(axis=0).argmax())
     if not failed[:, lab].any():
         return np.sqrt(np.maximum(radicand, 0.0))
     row = 0 if failed[0, lab] else 1  # the A entry before the B entry
-    value, label = float(radicand[row, lab]), dataset.labels[lab]
+    value, label = float(radicand[row, lab]), labels[lab]
     if value < 0.0:
         raise InternalInconsistencyError(f"{label}: KCRV uncertainty exceeds the "
                                          f"reported uncertainty (radicand {value})")
     raise ValidationError(f"{label}: the DOE variance exceeds the float range")
 
 
-def _statistics(dataset: ComparisonDataset, measured, bivariate):
-    """``(v, aux, kcrv, d, q2)``: ``u^2``, the five sums over the ``measured``
-    entries, the KCRVs, the residuals ``d = x - y_hat`` and their chi-square.
-    q2 substitutes the estimates into the weighted sum of squared deviations,
-    a bivariate form for a lab in ``bivariate``; over two values, which the
-    two estimates fit exactly, it is 0 (inf if a KCRV is not finite).  It is
-    returned as it is, and :func:`link` checks it after its DOE guard has had
-    the chance to name a lab.
+def _statistics(labels, x, v, cov, measured, bivariate):
+    """``(aux, kcrv, d, q2)``: the five sums over the ``measured`` entries, the
+    KCRVs, the residuals ``d = x - y_hat`` and their chi-square, from (2, N)
+    values ``x`` and variances ``v = u^2``, and covariances ``cov``, NaN where
+    not reported and read only where ``bivariate`` is set; the caller opens the
+    ``np.errstate`` scope.  ``labels`` words the one error that names a lab.
+    q2 is the weighted sum of squared residuals, a bivariate form for a lab in
+    ``bivariate``; over two values, which the two estimates fit exactly, it is
+    0 (inf if a KCRV is not finite).  :func:`link` checks it after its DOE guard.
 
-    The caller passes the dataset's masks, or copies in which one lab's
-    ``measured`` entry for one standard and its ``bivariate`` are cleared: the
-    lab then adds no term for that standard and univariate terms for any other,
-    every other lab adds the terms it adds to the rest (the dataset without
-    that value), and ``fsum`` is exactly rounded, so the results, and the
-    errors up to the KCRVs, are the rest's ``link``'s, bit for bit.
+    Given copies of a dataset's masks with one lab's ``measured`` entry for one
+    standard and its ``bivariate`` cleared, the lab adds no term for that
+    standard and univariate terms for any other, every other lab adds the terms
+    it adds to the rest (the dataset without that value), and ``fsum`` is
+    exactly rounded, so the results, and the errors up to the KCRVs, are the
+    rest's ``link``'s, bit for bit.
     """
-    with np.errstate(all="ignore"):
-        v, den, n, aux = _aux(dataset, measured, bivariate)
-        kcrv = compute_kcrv(aux)
-        d = dataset.x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
-        if n == 2:  # an exact fit: a computed q2 is rounding noise growing with x/u
-            q2 = 0.0 if isfinite(kcrv.y_hat_a) and isfinite(kcrv.y_hat_b) else inf
-            return v, aux, kcrv, d, q2
-        # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
-        dwd = d * (d * v[::-1] - dataset.cov_ab * d[::-1])  # its two products
+    den = v[0] * v[1] - cov * cov
+    singular = ((den > 0.0) & (den < inf)) < bivariate  # inf: a weight of zero
+    if np.count_nonzero(singular):
+        raise ValidationError(
+            f"{labels[singular.argmax()]}: u_a^2*u_b^2 - cov_ab^2 is "
+            "not a positive finite float (beyond the float range or precision)"
+        )
+    # a bivariate term, else a univariate one; the mask flattens A's, then B's
+    w = np.where(bivariate, v[::-1] / den, np.reciprocal(v))[measured]
+    s = np.where(bivariate, (v[::-1] * x - cov * x[::-1]) / den, x / v)[measured]
+    n_a = np.count_nonzero(measured[0])
+    aux = AuxQuantities(*_term_sums(
+        w[:n_a], w[n_a:], (cov / den)[bivariate], s[:n_a], s[n_a:]))
+    kcrv = compute_kcrv(aux)
+    d = x - np.array(((kcrv.y_hat_a,), (kcrv.y_hat_b,)))
+    if len(w) == 2:  # an exact fit: a computed q2 is rounding noise growing with x/u
+        q2 = 0.0 if isfinite(kcrv.y_hat_a) and isfinite(kcrv.y_hat_b) else inf
+    else:  # bivariate: (d_a (d_a v_b - cov d_b) + d_b (d_b v_a - cov d_a)) / den
+        dwd = d * (d * v[::-1] - cov * d[::-1])  # its two products
         [q2] = _term_sums(np.concatenate(((d * d / v)[measured > bivariate],
                                           ((dwd[0] + dwd[1]) / den)[bivariate])))
-    return v, aux, kcrv, d, q2
+    return aux, kcrv, d, q2
 
 
 def posterior_density(y_a: float, y_b: float, kcrv: KcrvEstimate) -> float:
@@ -323,10 +316,12 @@ def link(dataset: ComparisonDataset) -> LinkingResult:
     compares q2 with ``dof`` = N - 2 (N reported values, two estimates); a
     non-finite q2 is a :class:`ValidationError`.
     """
-    v, aux, kcrv, d, q2 = _statistics(dataset, dataset.measured, dataset.bivariate)
-    v_y = np.array(((kcrv.u_a * kcrv.u_a,), (kcrv.u_b * kcrv.u_b,)))  # u(y_hat)^2
     with np.errstate(all="ignore"):
-        u_d = _doe_uncertainty(dataset, v, v_y)
+        v = dataset.u * dataset.u
+        aux, kcrv, d, q2 = _statistics(dataset.labels, dataset.x, v, dataset.cov_ab,
+                                       dataset.measured, dataset.bivariate)
+        v_y = np.array(((kcrv.u_a * kcrv.u_a,), (kcrv.u_b * kcrv.u_b,)))  # u(y_hat)^2
+        u_d = _doe_uncertainty(dataset.labels, dataset.measured, v, v_y)
     # a non-finite KCRV makes some d, and with it q2, non-finite as well
     if not isfinite(q2):
         raise ValidationError("the residual chi-square exceeds the float range")

@@ -67,7 +67,7 @@ class LabResult:
     cov_ab: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.label or not isinstance(self.label, str):
+        if not isinstance(self.label, str) or not self.label:
             raise ValidationError("laboratory label must be a non-empty string")
         for name in ("value_a", "u_a", "value_b", "u_b", "cov_ab"):
             value = getattr(self, name)
@@ -272,10 +272,13 @@ class ComparisonDataset:
         return dict(zip(self.labels, range(len(self.labels))))
 
     def index(self, label: str) -> int:
-        return self._index[label]
+        try:
+            return self._index[label]
+        except TypeError:  # an unhashable label names no lab
+            raise KeyError(label) from None
 
     def lab(self, label: str) -> LabResult:
-        return self.labs[self._index[label]]
+        return self.labs[self.index(label)]
 
     def linking_labs(self) -> tuple[LabResult, ...]:
         return tuple(lab for lab in self.labs if lab.is_linking)

@@ -82,6 +82,18 @@ def rest_of(dataset, index, row):
                             x[:, keep], u[:, keep], cov_ab[keep]), keep
 
 
+def columns(dataset):
+    """``dataset``'s labels, values, uncertainties and covariances."""
+    return dataset.labels, dataset.x, dataset.u, dataset.cov_ab
+
+
+def kernel(labels, x, u, cov, measured, bivariate):
+    """The statistics pass on arrays, with ``v = u*u``, in the ``np.errstate``
+    scope that its callers open."""
+    with np.errstate(all="ignore"):
+        return _statistics(labels, x, u * u, cov, measured, bivariate)
+
+
 def error_of(call):
     """The class and message of the ``KclinkError`` that ``call()`` raises,
     else None."""
@@ -107,7 +119,7 @@ def test_masked_statistics_are_the_rest_linked(dataset):
         rest, keep = rest_of(dataset, index, row)
         measured, bivariate = dataset.measured.copy(), dataset.bivariate.copy()
         measured[row, index] = bivariate[index] = False
-        masked = lambda: _statistics(dataset, measured, bivariate)[1:]
+        masked = lambda: kernel(*columns(dataset), measured, bivariate)
         failed = error_of(lambda: compute_kcrv(compute_aux(rest)))
         if failed:
             assert error_of(masked) == failed
@@ -119,10 +131,69 @@ def test_masked_statistics_are_the_rest_linked(dataset):
 
         aux, kcrv, d, q2 = masked()
         statistics = bits(aux, kcrv, d[:, keep], q2)
-        assert statistics == bits(*_statistics(rest, rest.measured, rest.bivariate)[1:])
+        assert statistics == bits(*kernel(*columns(rest), rest.measured, rest.bivariate))
         if error_of(lambda: link(rest)) is None:
             result = link(rest)
             assert statistics == bits(result.aux, result.kcrv, result.d, result.conformity.q2)
+
+
+def assert_kernel_is_link(labels, x, u, cov):
+    """The statistics pass on arrays that no dataset holds gives the bits of
+    ``link`` of the dataset they validate to: the sums, the KCRVs, the
+    residuals of the measured values and q2, or ``link``'s error."""
+    try:
+        dataset = validate_dataset(labels, x, u, cov)
+    except KclinkError:
+        return  # no dataset: outside the pass's preconditions
+    with np.errstate(all="ignore"):
+        measured, bivariate = x == x, np.abs(cov) > 0.0
+    statistics = lambda: kernel(labels, x, u, cov, measured, bivariate)
+    failed, raised = error_of(lambda: link(dataset)), error_of(statistics)
+    if raised:
+        assert raised == failed
+        return
+
+    def bits(aux, kcrv, d, q2):
+        # repr is the shortest round-trip text, so equal reprs are equal bits
+        return repr((aux, kcrv, d[measured].tolist(), q2))
+
+    aux, kcrv, d, q2 = statistics()
+    if failed:  # link's own checks after the pass: the DOEs, then q2
+        expected = compute_aux(dataset)
+        assert repr((aux, kcrv)) == repr((expected, compute_kcrv(expected)))
+        assert failed[1].endswith(": the DOE variance exceeds the float range") or (
+            failed == (ValidationError, "the residual chi-square exceeds the float range")
+            and not math.isfinite(q2))
+        return
+    result = link(dataset)
+    assert bits(aux, kcrv, d, q2) == bits(result.aux, result.kcrv, result.d,
+                                          result.conformity.q2)
+
+
+@given(st.one_of(datasets(), full_range_datasets()),
+       st.one_of(st.floats(0.25, 4.0), st.floats(min_value=0.0, exclude_min=True)))
+@example(gauge_block_dataset(), 2.8)  # INMETRO1's u_B 4 becomes 11.2
+@example(linking_target_dataset(), 3.0)  # C1 rescales its covariance
+@settings(max_examples=200, deadline=None)
+def test_statistics_on_arrays_are_link(dataset, factor):
+    """The statistics pass on arrays equals ``link`` of their dataset: (a) with
+    one lab's uncertainty times ``factor`` and its covariance rescaled as the
+    inflation search rescales it, for every measured value, and (b) with every
+    linking covariance ``r u_a u_b`` for r on a grid from -(1 - 2^-10) to
+    1 - 2^-10 through 0."""
+    labels, x = dataset.labels, dataset.x
+    for row, index in np.argwhere(dataset.measured).tolist():
+        u, cov = dataset.u.copy(), dataset.cov_ab.copy()
+        trial = u[row, index].item() * factor
+        cov[index] = cov[index].item() * (trial / u[row, index].item())
+        u[row, index] = trial
+        assert_kernel_is_link(labels, x, u, cov)
+    if dataset.linking:
+        linked = dataset.measured.all(axis=0)
+        for r in (-(1 - 2**-10), -0.5, -2**-10, 0.0, 2**-10, 0.5, 1 - 2**-10):
+            with np.errstate(all="ignore"):
+                cov = np.where(linked, r * dataset.u[0] * dataset.u[1], math.nan)
+            assert_kernel_is_link(labels, x, dataset.u, cov)
 
 
 @given(st.one_of(datasets(), full_range_datasets()))

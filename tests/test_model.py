@@ -8,6 +8,7 @@ from hypothesis import given
 from kclink.linking import link
 from kclink.model import (
     ComparisonDataset,
+    LabError,
     LabResult,
     ValidationError,
     validate_dataset,
@@ -15,6 +16,8 @@ from kclink.model import (
 
 from . import oracles
 from .strategies import datasets
+
+nan = math.nan
 
 
 class TestLabResult:
@@ -62,6 +65,18 @@ class TestLabResult:
     def test_empty_label(self):
         with pytest.raises(ValidationError, match="label"):
             LabResult("", value_a=1.0, u_a=1.0)
+
+    @pytest.mark.parametrize("label", [np.array(["a", "b"]), ["a"], None, 3, b"x"],
+                             ids=["array", "list", "None", "int", "bytes"])
+    def test_label_that_is_not_a_string(self, label):
+        # an array's truth value is ambiguous: the type is tested before it
+        message = "^laboratory label must be a non-empty string$"
+        with pytest.raises(ValidationError, match=message):
+            LabResult(label, value_a=1.0, u_a=1.0)
+        with pytest.raises(LabError, match=message) as caught:
+            ComparisonDataset([label, "B1"], [[1.0, nan], [nan, 1.0]],
+                              [[1.0, nan], [nan, 1.0]], [nan, nan])
+        assert caught.value.index == 0
 
     @pytest.mark.parametrize("bad", ["1.0", True, np.bool_(True), [1.0]])
     def test_rejects_non_real_numbers(self, bad):
@@ -190,6 +205,12 @@ class TestValidateDataset:
         assert gauge_block.lab("NIST").u_a == 17.9
         with pytest.raises(KeyError):
             gauge_block.lab("NOBODY")
+
+    @pytest.mark.parametrize("lookup", ["index", "lab"])
+    def test_unhashable_label_is_not_found(self, gauge_block, lookup):
+        with pytest.raises(KeyError) as caught:
+            getattr(gauge_block, lookup)(["INMETRO1"])
+        assert caught.value.args == (["INMETRO1"],)
 
     @given(datasets())
     def test_partition_covers_and_is_disjoint(self, dataset):
