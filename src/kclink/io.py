@@ -14,7 +14,15 @@ writer of dataset files.  The reader only turns cells into numbers (text
 through :func:`parse_number`, a JSON number through ``float``, an empty cell
 or ``null`` absent, a NaN as +inf) and fills the dataset's columns; their
 checks name the first failing lab in file order, by the line its row starts
-on or by its entry.
+on or by its entry.  A plain CSV file is read ``_PLAIN_CHARS`` characters at
+a time: a chunk's lines are split on ``,`` and its non-empty cells read by one
+``map(float, ...)`` into a float64 block.  Plain means no ``"``, data lines of
+exactly 5 commas within ``csv.field_size_limit()``, no empty label, cells
+that ``float`` reads and UTF-8 bytes; universal newlines end a line where
+``csv`` ends one, and NUL is text.  On any doubt the ``csv`` row loop reads
+the whole file (again, if its first ``"`` comes late); where ``csv.reader``
+rejects NUL (before Python 3.11), it hides each NUL behind a private-use
+character that the file lacks.
 :func:`report_chunks` is the one source of a report: it checks its options
 when called and returns the report's chunks, which :func:`render_report` joins
 and a caller may write as they are made.  Reports carry full-precision values
@@ -67,6 +75,11 @@ from .version import __version__
 _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
 # the table rows, DOEs, labs or labels that the writers format at a time
 _CHUNK_ROWS = 1024
+_PLAIN_CHARS = 1 << 16  # the characters of a plain CSV file read at a time
+try:  # whether csv.reader reads NUL as text (from Python 3.11)
+    _CSV_READS_NUL = bool(next(csv.reader(["\0"])))
+except csv.Error:
+    _CSV_READS_NUL = False
 
 
 class ParseError(KclinkError):
@@ -134,17 +147,58 @@ def _is_header(row: list[str], path: Path) -> bool:
     return True
 
 
+def _plain_csv(path: Path) -> tuple[range, list, np.ndarray] | None:
+    """The places, labels and (N, 5) numbers of a CSV file read a chunk of
+    ``_PLAIN_CHARS`` characters at a time, or None on any doubt (see the
+    module docstring), for :func:`_csv_rows` to read the whole file."""
+    first, labels, blocks, rest, chunk = None, [], [np.empty(0)], "", None
+    limit = csv.field_size_limit()
+    try:
+        with open(path, encoding="utf-8-sig") as handle:  # universal newlines
+            while chunk != "":
+                chunk = handle.read(_PLAIN_CHARS)
+                text = rest + chunk
+                lines = text.split("\n") if text else []
+                if '"' in chunk or len(text) > limit and max(map(len, lines)) > limit:
+                    return None
+                rest = lines.pop() if chunk else ""  # a partial last line
+                if first is None and lines:
+                    first = int(_is_header(lines[0].split(","), path))
+                    del lines[:first]
+                cells = ",".join(lines).split(",") if lines else []
+                names = list(map(str.strip, cells[::6]))
+                if set(map(str.count, lines, repeat(","))) - {5} or not all(names):
+                    return None
+                del cells[::6]
+                values = np.fromiter(map(float, filter(None, cells)), float)
+                values[values != values] = inf  # a cell read NaN
+                blocks.append(np.full(len(cells), _ABSENT))
+                blocks[-1][np.fromiter(map(bool, cells), bool, len(cells))] = values
+                labels += names
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    start = (first or 0) + 1
+    return range(start, start + len(labels)), labels, np.concatenate(blocks).reshape(-1, 5)
+
+
 def _csv_rows(path: Path, where: str, places: list, labels: list, numbers: list) -> None:
     """Append the line each data row starts on (a quoted cell may span lines),
     its label and numbers to the caller's columns: plain number cells through
     ``float``, a row with any other cell through :func:`_row`."""
     width = len(_CSV_COLUMNS)
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+        hide = None  # where csv rejects NUL, a private-use character the file lacks
+        if not _CSV_READS_NUL and b"\0" in (data := path.read_bytes()):
+            hide = next((c for c in map(chr, range(0xE000, 0xF900)) if c.encode() not in data),
+                        None)
+        reader = csv.reader(handle if hide is None else
+                            (line.replace("\0", hide) for line in handle))
         try:
             start = 1
             for row in reader:
                 lineno, start = start, reader.line_num + 1
+                if hide is not None:
+                    row = [cell.replace(hide, "\0") for cell in row]
                 label = row[0].strip() if row else ""
                 if not (label or "".join(row).strip()):  # a blank line
                     continue
@@ -215,12 +269,14 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
     lab in file order, even when a row after it cannot be read.  A cell read
     as NaN enters the columns as +inf, which :class:`LabResult` words alike."""
     path = Path(path)
-    where, units, stop = f"{path}:", None, None  # where + a row's place names it
+    where, units, stop, block = f"{path}:", None, None, None  # where + a row's place names it
     places, labels, numbers = [], [], []  # numbers: x_a, u_a, x_b, u_b, cov_ab per row
     try:
         if path.suffix.lower() == ".json":
             where = f"{path}: lab entry "
             units = _json_rows(path, where, places, labels, numbers)
+        elif (plain := _plain_csv(path)) is not None:
+            places, labels, block = plain
         else:
             _csv_rows(path, where, places, labels, numbers)
     except ParseError as exc:
@@ -229,10 +285,12 @@ def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str |
         stop = ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     if stop is None and units is not None and not isinstance(units, str):
         stop = ParseError(f"{path}: units must be a string")
-    block = np.array(numbers, dtype=float).reshape(-1, 5).T
-    if np.count_nonzero(block != block) > numbers.count(_ABSENT):  # a cell read NaN
-        block = np.array([v if v is _ABSENT or v == v else inf for v in numbers]
-                         ).reshape(-1, 5).T
+    if block is None:
+        block = np.array(numbers, dtype=float).reshape(-1, 5)
+        if np.count_nonzero(block != block) > numbers.count(_ABSENT):  # a cell read NaN
+            block = np.array([v if v is _ABSENT or v == v else inf for v in numbers]
+                             ).reshape(-1, 5)
+    block = block.T
     columns = labels, block[0:4:2], block[1:4:2], block[4]
     try:
         if stop is not None:

@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kclink import io as kio
 from kclink.io import (
     ParseError,
     emit_plot_data,
@@ -342,6 +345,119 @@ class TestParseDataset:
         assert parse_dataset(path).labels == ("\ufeffA1", "\ufeffB1")
 
 
+def _read(path: Path) -> tuple | str:
+    """A dataset file's labels, column bytes and units, or its error's text."""
+    try:
+        dataset, units = parse_dataset_with_units(path)
+    except KclinkError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (dataset.labels, dataset.x.tobytes(), dataset.u.tobytes(),
+            dataset.cov_ab.tobytes(), units)
+
+
+# cells that float reads in its own way: a signed zero, a NaN (read as +inf),
+# an infinity, an underscore and surrounding blanks
+odd_cells = st.sampled_from(["-0.0", "nan", "-nan", "inf", "-inf", "1_0", " 1 ", "\t2.5 "])
+
+
+@st.composite
+def csv_files(draw):
+    """A dataset of :func:`datasets` as CSV bytes: LF, CRLF, CR or mixed line
+    ends, a header or not, a final line end or not, blanks around the cells of
+    some rows and up to two cells of a row replaced by :data:`odd_cells`."""
+    rows = []
+    for lab in draw(datasets()).labs:
+        cells = ["" if v is None else repr(v)
+                 for v in (lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab)]
+        for k in draw(st.sets(st.integers(0, 4), max_size=2)):
+            cells[k] = draw(odd_cells)
+        pad = draw(st.sampled_from(["", " "]))
+        rows.append(",".join(f"{pad}{cell}{pad}" if cell else ""
+                             for cell in [lab.label, *cells]))
+    if draw(st.booleans()):
+        rows.insert(0, "label,x_a,u_a,x_b,u_b,cov_ab")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", None]))  # None: mixed
+    ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in rows]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, rows, ends)).encode("utf-8")
+
+
+# a file for each doubt on which the plain CSV path hands the file to the row loop
+FALLBACKS = {
+    "quote": b'A1,1,1,,,\n"B1",,,2,1,\n',
+    "blank line": b"A1,1,1,,,\n\nB1,,,2,1,\n",
+    "short line": b"A1,1,1\nB1,,,2,1,\n",
+    "seven columns": b"A1,1,1,,,,\nB1,,,2,1,\n",
+    "four then six commas": b"A1,1,1,,\n7,B1,,,2,1,\n",  # 10 commas in 2 lines
+    "long line": b"B1,,,7.5,2.0,\nA1," + b"1" * 200_000 + b",1,,,\n",
+    "empty label": b"A1,1,1,,,\n ,1,1,,,\nB1,,,2,1,\n",
+    "not a float": "A1,\u22121,1,,,\nB1,,,2,1,\n".encode("utf-8"),
+    "blank cell": b"A1,1,1,,,\nB1, ,,2,1,\n",
+    "not UTF-8": b"A1,1,1,,,\nB1,,,2,1,\nC\xff,1,1,,,\n",
+}
+# plain files: the plain CSV path reads them to the end
+PLAIN = {
+    "CR": b"label,x_a,u_a,x_b,u_b,cov_ab\rA1,1,1,,,\rB1,,,2,1,\r",
+    "CR and CRLF": b"A1,1,1,,,\r\nB1,,,2,1,\rC1,1,1,2,1,0.5",
+    "NUL labels": b"A\x001,1,1,,,\nB\x00,,,2,1,\n",
+    "odd cells": b" A1 , 1 ,1_0,,,\nB1,,,-0.0,inf,\nA2,nan,1,,,\n",
+    "line at the limit": b"A1,1,1,,,\nB1,,,2,1,\nA2," + b"1" * (131_072 - 8) + b",1,,,\n",
+    "header only": b"label,x_a,u_a,x_b,u_b,cov_ab\r\n",
+    "empty": b"",
+    "duplicate label": b"A1,1,1,,,\nA1,,,2,1,\n",
+    "bad u after a header": b"label,x_a,u_a,x_b,u_b,cov_ab\nA1,1,-1,,,\nB1,,,2,1,\n",
+}
+
+
+class TestPlainCsv:
+    """A CSV file without quotes is read a chunk at a time, and on any doubt
+    by the ``csv`` row loop: either way with the same result."""
+
+    @given(content=csv_files(), chunk=st.integers(1, 7))
+    @example(content=FALLBACKS["quote"], chunk=3)
+    @example(content=b"label,x_b,u_b,x_a,u_a,cov_ab\nA1,1,1,,,\n", chunk=5)  # header error
+    @example(content=FALLBACKS["blank line"], chunk=2)
+    @example(content=FALLBACKS["short line"], chunk=4)
+    @example(content=FALLBACKS["seven columns"], chunk=7)
+    @example(content=FALLBACKS["four then six commas"], chunk=50)
+    @example(content=FALLBACKS["long line"], chunk=1 << 12)
+    @example(content=FALLBACKS["empty label"], chunk=1)
+    @example(content=FALLBACKS["not a float"], chunk=6)
+    @example(content=FALLBACKS["blank cell"], chunk=3)
+    @example(content=FALLBACKS["not UTF-8"], chunk=2)
+    @example(content=b"A1,1,1,,,\nB1,,,2,1,\n\r\n\n", chunk=3)  # trailing blank lines
+    @example(content=b"A1,1\x002,1,,,\nB1,,,2,1,\n", chunk=2)  # a NUL in a number
+    @example(content=b'A\x001,1,1,,,\n"C,\x00",1,1,2,1,0\nB1,,,2,1,\n', chunk=4)
+    @example(content=b"\r\r\r", chunk=1)
+    @example(content=PLAIN["CR and CRLF"], chunk=1)
+    @example(content=PLAIN["line at the limit"], chunk=1 << 12)
+    @settings(deadline=None)
+    def test_plain_path_is_the_row_loop(self, content, chunk):
+        # chunks of a few characters: lines and CRLF pairs straddle their boundaries
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "labs.csv"
+            path.write_bytes(content)
+            with mock.patch.object(kio, "_PLAIN_CHARS", chunk):
+                got = _read(path)
+            with mock.patch.object(kio, "_plain_csv", lambda path: None):
+                assert got == _read(path)
+
+    @pytest.mark.parametrize("name", FALLBACKS)
+    def test_doubt_falls_back(self, tmp_path, name):
+        path = tmp_path / "labs.csv"
+        path.write_bytes(FALLBACKS[name])
+        assert kio._plain_csv(path) is None
+
+    @pytest.mark.parametrize("name", PLAIN)
+    def test_plain_files_skip_the_row_loop(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "labs.csv"
+        path.write_bytes(PLAIN[name])
+        want = _read(path)
+        monkeypatch.setattr(kio, "_csv_rows", None)  # a call would raise TypeError
+        assert _read(path) == want
+
+
 class TestRoundHalfUp:
     @pytest.mark.parametrize("value, decimals, expected", [
         (0.25, 1, 0.3),
@@ -638,15 +754,66 @@ class TestSharedDoeText:
         assert render_report(copy, "json") == render_report(result, "json")
 
 
+_csv_reader = csv.reader
+
+
+def _nul_rejecting_reader(lines):
+    """``csv.reader`` as before Python 3.11: a line holding NUL is an error."""
+    def checked():
+        for line in lines:
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+    return _csv_reader(checked())
+
+
+def _round_trip(dataset, suffix: str) -> None:
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
+        assert parse_dataset(path).labs == dataset.labs
+
+
+# NUL labels, the second of which csv.writer quotes
+NUL_LABELS = ["A\x001", "C,\x00", "B\x00"]
+
+
 class TestWriteDataset:
     @given(dataset=datasets(), names=st.lists(labels, min_size=9, max_size=9,
                                               unique=True),
            suffix=st.sampled_from([".csv", ".json"]))
+    @example(dataset=NO_WARNINGS, names=NUL_LABELS, suffix=".csv")
+    @example(dataset=NO_WARNINGS, names=["A\x001", "C\x00", "B\x00"], suffix=".csv")
     def test_round_trip(self, dataset, names, suffix):
-        dataset = _relabelled(dataset, names)
-        with tempfile.TemporaryDirectory() as directory:
-            path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
-            assert parse_dataset(path).labs == dataset.labs
+        _round_trip(_relabelled(dataset, names), suffix)
+
+    @given(dataset=datasets(),
+           names=st.lists(labels | st.text('\x00,"x', min_size=1), min_size=9, max_size=9,
+                          unique=True))
+    @example(dataset=NO_WARNINGS, names=NUL_LABELS)
+    def test_round_trip_where_csv_rejects_nul(self, dataset, names):
+        # every file through the row loop, whose csv.reader rejects NUL: a
+        # character that the file lacks stands in for NUL while csv tokenizes
+        with mock.patch.object(kio, "_CSV_READS_NUL", False), \
+                mock.patch.object(csv, "reader", _nul_rejecting_reader), \
+                mock.patch.object(kio, "_plain_csv", lambda path: None):
+            _round_trip(_relabelled(dataset, names), ".csv")
+
+    @pytest.mark.parametrize("stop", [0xF8FF, 0xF900], ids=["U+F8FF free", "none free"])
+    def test_nul_without_a_stand_in_is_csvs_error(self, tmp_path, monkeypatch, stop):
+        # a file holding every private-use character U+E000..U+F8FF leaves none
+        # to stand in for NUL; csv.reader's error is then the file's
+        path = tmp_path / "labs.csv"
+        path.write_text("".join(map(chr, range(0xE000, stop))) + ',1,1,,,\n"B\x00",,,2,1,\n',
+                        encoding="utf-8")
+        monkeypatch.setattr(csv, "reader", _nul_rejecting_reader)
+        with pytest.raises(ParseError, match=r"labs\.csv:2: line contains NUL$"):
+            parse_dataset(path)  # the probe found that csv.reader reads NUL
+        monkeypatch.setattr(kio, "_CSV_READS_NUL", False)
+        if stop == 0xF900:
+            with pytest.raises(ParseError, match=r"labs\.csv:2: line contains NUL$"):
+                parse_dataset(path)
+        else:
+            assert parse_dataset(path).labels[1] == "B\x00"
 
 
 class TestEmitPlotData:
