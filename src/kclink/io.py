@@ -10,19 +10,19 @@ either ASCII or typographic minus signs; output always uses points.  A
 UTF-8 byte-order mark at the start of an input file is skipped.
 
 :func:`parse_dataset` is the one reader and :func:`write_dataset` the one
-writer of dataset files.  The reader only turns cells into numbers (text
-through :func:`parse_number`, a JSON number through ``float``, an empty cell
-or ``null`` absent, a NaN as +inf) and fills the dataset's columns; their
-checks name the first failing lab in file order, by the line its row starts
-on or by its entry.  A plain CSV file is read ``_PLAIN_CHARS`` characters at
-a time: a chunk's lines are split on ``,`` and its non-empty cells read by one
-``map(float, ...)`` into a float64 block.  Plain means no ``"``, data lines of
-exactly 5 commas within ``csv.field_size_limit()``, no empty label, cells
-that ``float`` reads and UTF-8 bytes; universal newlines end a line where
-``csv`` ends one, and NUL is text.  On any doubt the ``csv`` row loop reads
-the whole file (again, if its first ``"`` comes late); where ``csv.reader``
-rejects NUL (before Python 3.11), it hides each NUL behind a private-use
-character that the file lacks.
+writer of dataset files.  A plain CSV file is read ``_PLAIN_CHARS`` characters
+at a time: a chunk's lines are split on ``,`` and its non-empty cells read by
+one ``map(float, ...)`` into a float64 block (a NaN as +inf), whose column
+checks name the first failing lab by its line.  Plain means no ``"``, data
+lines of exactly 5 commas within ``csv.field_size_limit()``, no empty label,
+cells that ``float`` reads and UTF-8 bytes; universal newlines end a line where
+``csv`` ends one, and NUL is text.  On any doubt the ``csv`` row loop reads the
+whole file (again, if its first ``"`` comes late; a file that is not a regular
+one, such as a pipe, is read once into memory); where ``csv.reader`` rejects
+NUL (before Python 3.11), it hides each NUL behind a private-use character that
+the file lacks.  The row loop and the JSON reader check each row as one
+:class:`LabResult` as they read it: the first row in file order that fails,
+named by the line it starts on or by its entry, is the error.
 :func:`report_chunks` is the one source of a report: it checks its options
 when called and returns the report's chunks, which :func:`render_report` joins
 and a caller may write as they are made.  Reports carry full-precision values
@@ -61,15 +61,15 @@ from dataclasses import asdict
 from functools import partial
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
-from math import inf
+from io import BytesIO, TextIOWrapper
+from math import inf, nan
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
 from .linking import LinkingResult
-from .model import (ComparisonDataset, KclinkError, LabError, LabResult, _rows,
-                    check_labs, validate_dataset)
+from .model import ComparisonDataset, KclinkError, LabError, LabResult, _rows, validate_dataset
 from .version import __version__
 
 _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
@@ -100,30 +100,20 @@ def parse_number(text: str) -> float | None:
     return float(cleaned)
 
 
-# an absent cell's number: this one NaN object, so that a NaN read from a
-# cell, another object, still counts as present
-_ABSENT = float("nan")
-
-
 def _row(label: object, cells: Iterable[object], where: str,
-         place: int) -> tuple[object, list[float]]:
-    """A row's label and numbers, an error as a :class:`ParseError` at ``where``
-    and ``place``: a string label is stripped, a string cell goes through
-    :func:`parse_number`, a number through ``float``, and an empty cell or
-    ``null`` is absent.  A JSON cell that is not a number (a boolean, an array,
-    an object or an integer beyond the float range) fails as :class:`LabResult`
-    words it, the label first."""
+         place: int) -> tuple[str, list[float]]:
+    """A row's label and numbers (NaN where absent) as one :class:`LabResult`
+    checks them, its error a :class:`ParseError` at ``where`` and ``place``: a
+    string label is stripped, a string cell read by :func:`parse_number`, and
+    an empty cell or ``null`` is absent."""
     try:
-        label = _utf8(label).strip() if isinstance(label, str) else label
-        cells = [parse_number(cell) if isinstance(cell, str) else cell for cell in cells]
-        if all(cell is None or type(cell) in (float, int) for cell in cells):
-            try:
-                return label, [_ABSENT if cell is None else float(cell) for cell in cells]
-            except OverflowError:  # an integer beyond the float range
-                pass
-        LabResult(label, *cells)  # raises, for the label or a cell that is not a number
+        lab = LabResult(_utf8(label).strip() if isinstance(label, str) else label,
+                        *[parse_number(cell) if isinstance(cell, str) else cell
+                          for cell in cells])
     except (ValueError, KclinkError) as exc:
         raise ParseError(f"{where}{place}: {exc}") from None
+    return lab.label, [nan if v is None else v
+                       for v in (lab.value_a, lab.u_a, lab.value_b, lab.u_b, lab.cov_ab)]
 
 
 def _utf8(text: object) -> object:
@@ -147,14 +137,22 @@ def _is_header(row: list[str], path: Path) -> bool:
     return True
 
 
-def _plain_csv(path: Path) -> tuple[range, list, np.ndarray] | None:
+def _text(path: Path, data: bytes | None, newline: str | None = None) -> TextIO:
+    """The text of the file at ``path``, after a byte-order mark, or of
+    ``data``, the bytes already read from a file that is not a regular one."""
+    if data is None:
+        return open(path, encoding="utf-8-sig", newline=newline)
+    return TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline=newline)
+
+
+def _plain_csv(path: Path, data: bytes | None = None) -> tuple[range, list, np.ndarray] | None:
     """The places, labels and (N, 5) numbers of a CSV file read a chunk of
     ``_PLAIN_CHARS`` characters at a time, or None on any doubt (see the
     module docstring), for :func:`_csv_rows` to read the whole file."""
     first, labels, blocks, rest, chunk = None, [], [np.empty(0)], "", None
     limit = csv.field_size_limit()
     try:
-        with open(path, encoding="utf-8-sig") as handle:  # universal newlines
+        with _text(path, data) as handle:  # universal newlines
             while chunk != "":
                 chunk = handle.read(_PLAIN_CHARS)
                 text = rest + chunk
@@ -172,7 +170,7 @@ def _plain_csv(path: Path) -> tuple[range, list, np.ndarray] | None:
                 del cells[::6]
                 values = np.fromiter(map(float, filter(None, cells)), float)
                 values[values != values] = inf  # a cell read NaN
-                blocks.append(np.full(len(cells), _ABSENT))
+                blocks.append(np.full(len(cells), nan))
                 blocks[-1][np.fromiter(map(bool, cells), bool, len(cells))] = values
                 labels += names
     except ValueError:  # UnicodeDecodeError too
@@ -181,14 +179,14 @@ def _plain_csv(path: Path) -> tuple[range, list, np.ndarray] | None:
     return range(start, start + len(labels)), labels, np.concatenate(blocks).reshape(-1, 5)
 
 
-def _csv_rows(path: Path, where: str, places: list, labels: list, numbers: list) -> None:
-    """Append the line each data row starts on (a quoted cell may span lines),
-    its label and numbers to the caller's columns: plain number cells through
-    ``float``, a row with any other cell through :func:`_row`."""
+def _csv_rows(path: Path, data: bytes | None, where: str) -> tuple[list, list, np.ndarray]:
+    """The line each data row starts on (a quoted cell may span lines), its
+    label and its numbers, each row checked by :func:`_row` as it is read."""
     width = len(_CSV_COLUMNS)
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    places, labels, numbers = [], [], []
+    with _text(path, data, newline="") as handle:
         hide = None  # where csv rejects NUL, a private-use character the file lacks
-        if not _CSV_READS_NUL and b"\0" in (data := path.read_bytes()):
+        if not _CSV_READS_NUL and b"\0" in (data := path.read_bytes() if data is None else data):
             hide = next((c for c in map(chr, range(0xE000, 0xF900)) if c.encode() not in data),
                         None)
         reader = csv.reader(handle if hide is None else
@@ -199,33 +197,25 @@ def _csv_rows(path: Path, where: str, places: list, labels: list, numbers: list)
                 lineno, start = start, reader.line_num + 1
                 if hide is not None:
                     row = [cell.replace(hide, "\0") for cell in row]
-                label = row[0].strip() if row else ""
-                if not (label or "".join(row).strip()):  # a blank line
+                if not "".join(row).strip():  # a blank line
                     continue
                 if lineno == 1 and _is_header(row, path):
                     continue
-                if len(row) != width:
-                    if len(row) > width:
-                        raise ParseError(f"{path}:{lineno}: expected at most "
-                                         f"{width} columns, got {len(row)}")
-                    row += [""] * (width - len(row))
-                _, x_a, u_a, x_b, u_b, cov_ab = row
-                try:  # unrolled, not a comprehension: this runs for every row of a file
-                    numbers += [float(x_a) if x_a else _ABSENT, float(u_a) if u_a else _ABSENT,
-                                float(x_b) if x_b else _ABSENT, float(u_b) if u_b else _ABSENT,
-                                float(cov_ab) if cov_ab else _ABSENT]
-                except ValueError:  # a decimal comma, a typographic minus, ...
-                    label, cells = _row(row[0], row[1:], where, lineno)
-                    numbers += cells
+                if len(row) > width:
+                    raise ParseError(f"{path}:{lineno}: expected at most "
+                                     f"{width} columns, got {len(row)}")
+                label, cells = _row(row[0], row[1:] + [""] * (width - len(row)), where, lineno)
                 places.append(lineno)
                 labels.append(label)
+                numbers += cells
         except csv.Error as exc:  # e.g. a cell beyond the reader's field size limit
             raise ParseError(f"{path}:{start}: {exc}") from None
+    return places, labels, np.array(numbers).reshape(-1, 5)
 
 
-def _json_rows(path: Path, where: str, places: list, labels: list, numbers: list) -> object:
-    """Append the index, label and numbers of each lab entry, through
-    :func:`_row`, to the caller's columns; return the units."""
+def _json_rows(path: Path, where: str) -> tuple[range, list, np.ndarray, str | None]:
+    """The index, label and numbers of each lab entry, each checked by
+    :func:`_row` as it is read, and the units."""
     text = path.read_text(encoding="utf-8-sig")
     try:
         data = json.loads(text)
@@ -244,15 +234,16 @@ def _json_rows(path: Path, where: str, places: list, labels: list, numbers: list
             f"{path}: expected an array of lab objects "
             f'(or {{"units": ..., "labs": [...]}})'
         )
+    labels, numbers = [], []
     for index, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: lab entry {index} is not an object")
-        label, *cells = map(entry.get, _CSV_COLUMNS)
-        label, cells = _row(label, cells, where, index)
-        numbers += cells
-        places.append(index)
+        label, cells = _row(entry.get("label"), map(entry.get, _CSV_COLUMNS[1:]), where, index)
         labels.append(label)
-    return units
+        numbers += cells
+    if units is not None and not isinstance(units, str):  # after the labs: they fail first
+        raise ParseError(f"{path}: units must be a string")
+    return range(len(labels)), labels, np.array(numbers).reshape(-1, 5), units
 
 
 def parse_dataset(path: str | Path) -> ComparisonDataset:
@@ -264,39 +255,23 @@ def parse_dataset(path: str | Path) -> ComparisonDataset:
 
 def parse_dataset_with_units(path: str | Path) -> tuple[ComparisonDataset, str | None]:
     """Like :func:`parse_dataset`, also returning the unit label carried in
-    the file's metadata (JSON wrapper form), or ``None``.  The rows are read
-    into columns, then checked together; an error names the first failing
-    lab in file order, even when a row after it cannot be read.  A cell read
-    as NaN enters the columns as +inf, which :class:`LabResult` words alike."""
+    the file's metadata (JSON wrapper form), or ``None``.  An error names the
+    first failing row in file order (see the module docstring); a file that is
+    not a regular one, such as a pipe, is read once."""
     path = Path(path)
-    where, units, stop, block = f"{path}:", None, None, None  # where + a row's place names it
-    places, labels, numbers = [], [], []  # numbers: x_a, u_a, x_b, u_b, cov_ab per row
+    where, units = f"{path}:", None  # where + a row's place names it
     try:
         if path.suffix.lower() == ".json":
             where = f"{path}: lab entry "
-            units = _json_rows(path, where, places, labels, numbers)
-        elif (plain := _plain_csv(path)) is not None:
-            places, labels, block = plain
+            places, labels, block, units = _json_rows(path, where)
         else:
-            _csv_rows(path, where, places, labels, numbers)
-    except ParseError as exc:
-        stop = exc
+            data = None if path.is_file() else path.read_bytes()
+            places, labels, block = _plain_csv(path, data) or _csv_rows(path, data, where)
     except UnicodeDecodeError as exc:
-        stop = ParseError(f"{path}: not UTF-8 text ({exc.reason})")
-    if stop is None and units is not None and not isinstance(units, str):
-        stop = ParseError(f"{path}: units must be a string")
-    if block is None:
-        block = np.array(numbers, dtype=float).reshape(-1, 5)
-        if np.count_nonzero(block != block) > numbers.count(_ABSENT):  # a cell read NaN
-            block = np.array([v if v is _ABSENT or v == v else inf for v in numbers]
-                             ).reshape(-1, 5)
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     block = block.T
-    columns = labels, block[0:4:2], block[1:4:2], block[4]
     try:
-        if stop is not None:
-            check_labs(*columns)
-            raise stop
-        return validate_dataset(*columns), units
+        return validate_dataset(labels, block[0:4:2], block[1:4:2], block[4]), units
     except LabError as exc:
         raise ParseError(f"{where}{places[exc.index]}: {exc}") from None
 

@@ -635,6 +635,32 @@ class TestClosedStdout:
             assert err.read() == b""
 
 
+class TestPipedInput:
+    """``cat labs.csv | kclink link --input /dev/stdin``: a file that is not
+    a regular file is read once, by whichever CSV reader takes it."""
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_stdin_reads_like_the_file(self, tmp_path, quoted):
+        text = GAUGE_BLOCK_CSV
+        if quoted:  # the row loop's file: every label in double quotes
+            text = "".join(line if number == 0 else '"{}",{}\n'.format(*line.split(",", 1))
+                           for number, line in enumerate(text.splitlines(keepends=True)))
+        path = tmp_path / "labs.csv"
+        path.write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(kclink.__file__).parents[1]))
+
+        def run(source, stdin):
+            return subprocess.run([sys.executable, "-m", "kclink.cli", "link", "--input",
+                                   source], input=stdin, capture_output=True, env=env,
+                                  timeout=120)
+
+        want = run(str(path), b"")
+        got = run("/dev/stdin", path.read_bytes())
+        assert want.returncode == 2 and want.stdout.startswith(b"distributed linking")
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout,
+                                                            want.stderr)
+
+
 class TestColdStart:
     # SciPy's inverse normal CDF serves the synthetic draws only: the
     # analysis commands must not pay its import

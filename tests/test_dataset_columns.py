@@ -86,9 +86,9 @@ def test_column_build_equals_the_per_lab_path(rows):
     assert_same(_build(rows), oracles.reference_dataset(absent))
 
 
-def _write_csv(rows, path):
+def _write_csv(rows, path, quoting=csv.QUOTE_MINIMAL):
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, quoting=quoting)
         writer.writerow(_FIELDS)
         for label, *cells in rows:
             writer.writerow([label, *("" if c is None else c if isinstance(c, str)
@@ -122,13 +122,16 @@ def _csv_rows(rows):
 def test_files_read_like_the_per_lab_path(tmp_path_factory, rows):
     directory = tmp_path_factory.mktemp("files")
     as_csv, as_json = directory / "labs.csv", directory / "labs.json"
+    quoted = directory / "quoted.csv"  # every cell quoted: only the row loop reads it
     _write_csv(rows, as_csv)
+    _write_csv(rows, quoted, csv.QUOTE_ALL)
     as_json.write_text(json.dumps([dict(zip(_FIELDS, row)) for row in rows]),
                        encoding="utf-8")
     lines, seen = _csv_rows(rows)
     stripped = [(label.strip(), *cells) for label, *cells in rows]
     for path, want, where in (
         (as_csv, oracles.reference_dataset(seen), lambda i: f"{as_csv}:{lines[i]}"),
+        (quoted, oracles.reference_dataset(seen), lambda i: f"{quoted}:{lines[i]}"),
         (as_json, oracles.reference_dataset(stripped),
          lambda i: f"{as_json}: lab entry {i}"),
     ):

@@ -145,6 +145,34 @@ class TestParseDataset:
             parse_dataset(path)
         assert str(caught.value) == f"{path}:5: {message}"
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("lab.csv", '"A1",1.0,-1.0,,,\n"B1",,,2.0,1.0,\n"B2",,,2.0,1.0,,7\n',
+         ":1: A1: uncertainty for standard A must be finite and positive"),
+        ("cell.csv", '"A1",1.0,-1.0,,,\n"B1",,,2.0,1.0,\n"B2",,,oops,1.0,\n',
+         ":1: A1: uncertainty for standard A must be finite and positive"),
+        ("repeat.csv", '"A1",1.0,1.0,,,\n"A1",,,2.0,1.0,\n"B2",,,2.0,1.0,,7\n',
+         ":3: expected at most 6 columns, got 7"),
+        ("entry.json", json.dumps([{"label": "A1", "x_a": 1.0, "u_a": -1.0},
+                                   {"label": "B1", "x_b": 2.0, "u_b": 1.0}, 3]),
+         ": lab entry 0: A1: uncertainty for standard A must be finite and positive"),
+        ("units.json", json.dumps({"units": 5, "labs": [
+            {"label": "A1", "x_a": 1.0, "u_a": 1.0}, {"label": "B1", "x_b": 2.0, "u_b": 0.0}]}),
+         ": lab entry 1: B1: uncertainty for standard B must be finite and positive"),
+        ("repeat.json", json.dumps({"units": 5, "labs": [
+            {"label": "A1", "x_a": 1.0, "u_a": 1.0}, {"label": "A1", "x_b": 2.0, "u_b": 1.0}]}),
+         ": units must be a string"),
+    ], ids=["lab-before-width", "lab-before-cell", "width-before-repeat",
+            "lab-before-entry", "lab-before-units", "units-before-repeat"])
+    def test_first_failing_row_in_file_order_is_the_error(self, tmp_path, name, content,
+                                                          message):
+        # a failing lab wins over a later row that cannot be read, and any
+        # error while reading over the checks of the whole dataset
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            parse_dataset(path)
+        assert str(caught.value) == f"{path}{message}"
+
     def test_too_many_columns(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("A1,1,1,1,1,0,999\n", encoding="utf-8")
@@ -440,7 +468,7 @@ class TestPlainCsv:
             path.write_bytes(content)
             with mock.patch.object(kio, "_PLAIN_CHARS", chunk):
                 got = _read(path)
-            with mock.patch.object(kio, "_plain_csv", lambda path: None):
+            with mock.patch.object(kio, "_plain_csv", lambda path, data: None):
                 assert got == _read(path)
 
     @pytest.mark.parametrize("name", FALLBACKS)
@@ -795,7 +823,7 @@ class TestWriteDataset:
         # character that the file lacks stands in for NUL while csv tokenizes
         with mock.patch.object(kio, "_CSV_READS_NUL", False), \
                 mock.patch.object(csv, "reader", _nul_rejecting_reader), \
-                mock.patch.object(kio, "_plain_csv", lambda path: None):
+                mock.patch.object(kio, "_plain_csv", lambda path, data: None):
             _round_trip(_relabelled(dataset, names), ".csv")
 
     @pytest.mark.parametrize("stop", [0xF8FF, 0xF900], ids=["U+F8FF free", "none free"])
