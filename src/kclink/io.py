@@ -16,13 +16,12 @@ one ``map(float, ...)`` into a float64 block (a NaN as +inf), whose column
 checks name the first failing lab by its line.  Plain means no ``"``, data
 lines of exactly 5 commas within ``csv.field_size_limit()``, no empty label,
 cells that ``float`` reads and UTF-8 bytes; universal newlines end a line where
-``csv`` ends one, and NUL is text.  On any doubt the ``csv`` row loop reads the
-whole file (again, if its first ``"`` comes late; a file that is not a regular
-one, such as a pipe, is read once into memory); where ``csv.reader`` rejects
-NUL (before Python 3.11), it hides each NUL behind a private-use character that
-the file lacks.  The row loop and the JSON reader check each row as one
-:class:`LabResult` as they read it: the first row in file order that fails,
-named by the line it starts on or by its entry, is the error.
+``csv`` ends one, and NUL is text.  On any doubt the ``csv`` row loop, where NUL
+is text too, reads the whole file (again, if its first ``"`` comes late; a file
+that is not a regular one, such as a pipe, is read once into memory).  The row
+loop and the JSON reader check each row as one :class:`LabResult` as they read
+it: the first row in file order that fails, named by the line it starts on or
+by its entry, is the error.
 :func:`report_chunks` is the one source of a report: it checks its options
 when called and returns the report's chunks, which :func:`render_report` joins
 and a caller may write as they are made.  Reports carry full-precision values
@@ -76,10 +75,6 @@ _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
 # the table rows, DOEs, labs or labels that the writers format at a time
 _CHUNK_ROWS = 1024
 _PLAIN_CHARS = 1 << 16  # the characters of a plain CSV file read at a time
-try:  # whether csv.reader reads NUL as text (from Python 3.11)
-    _CSV_READS_NUL = bool(next(csv.reader(["\0"])))
-except csv.Error:
-    _CSV_READS_NUL = False
 
 
 class ParseError(KclinkError):
@@ -185,18 +180,11 @@ def _csv_rows(path: Path, data: bytes | None, where: str) -> tuple[list, list, n
     width = len(_CSV_COLUMNS)
     places, labels, numbers = [], [], []
     with _text(path, data, newline="") as handle:
-        hide = None  # where csv rejects NUL, a private-use character the file lacks
-        if not _CSV_READS_NUL and b"\0" in (data := path.read_bytes() if data is None else data):
-            hide = next((c for c in map(chr, range(0xE000, 0xF900)) if c.encode() not in data),
-                        None)
-        reader = csv.reader(handle if hide is None else
-                            (line.replace("\0", hide) for line in handle))
+        reader = csv.reader(handle)
         try:
             start = 1
             for row in reader:
                 lineno, start = start, reader.line_num + 1
-                if hide is not None:
-                    row = [cell.replace(hide, "\0") for cell in row]
                 if not "".join(row).strip():  # a blank line
                     continue
                 if lineno == 1 and _is_header(row, path):

@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import tempfile
@@ -782,19 +781,6 @@ class TestSharedDoeText:
         assert render_report(copy, "json") == render_report(result, "json")
 
 
-_csv_reader = csv.reader
-
-
-def _nul_rejecting_reader(lines):
-    """``csv.reader`` as before Python 3.11: a line holding NUL is an error."""
-    def checked():
-        for line in lines:
-            if "\0" in line:
-                raise csv.Error("line contains NUL")
-            yield line
-    return _csv_reader(checked())
-
-
 def _round_trip(dataset, suffix: str) -> None:
     with tempfile.TemporaryDirectory() as directory:
         path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
@@ -818,30 +804,11 @@ class TestWriteDataset:
            names=st.lists(labels | st.text('\x00,"x', min_size=1), min_size=9, max_size=9,
                           unique=True))
     @example(dataset=NO_WARNINGS, names=NUL_LABELS)
-    def test_round_trip_where_csv_rejects_nul(self, dataset, names):
-        # every file through the row loop, whose csv.reader rejects NUL: a
-        # character that the file lacks stands in for NUL while csv tokenizes
-        with mock.patch.object(kio, "_CSV_READS_NUL", False), \
-                mock.patch.object(csv, "reader", _nul_rejecting_reader), \
-                mock.patch.object(kio, "_plain_csv", lambda path, data: None):
+    def test_round_trip_through_the_row_loop(self, dataset, names):
+        # every file through the row loop: its NUL, comma and quote labels
+        # reach csv.reader
+        with mock.patch.object(kio, "_plain_csv", lambda path, data: None):
             _round_trip(_relabelled(dataset, names), ".csv")
-
-    @pytest.mark.parametrize("stop", [0xF8FF, 0xF900], ids=["U+F8FF free", "none free"])
-    def test_nul_without_a_stand_in_is_csvs_error(self, tmp_path, monkeypatch, stop):
-        # a file holding every private-use character U+E000..U+F8FF leaves none
-        # to stand in for NUL; csv.reader's error is then the file's
-        path = tmp_path / "labs.csv"
-        path.write_text("".join(map(chr, range(0xE000, stop))) + ',1,1,,,\n"B\x00",,,2,1,\n',
-                        encoding="utf-8")
-        monkeypatch.setattr(csv, "reader", _nul_rejecting_reader)
-        with pytest.raises(ParseError, match=r"labs\.csv:2: line contains NUL$"):
-            parse_dataset(path)  # the probe found that csv.reader reads NUL
-        monkeypatch.setattr(kio, "_CSV_READS_NUL", False)
-        if stop == 0xF900:
-            with pytest.raises(ParseError, match=r"labs\.csv:2: line contains NUL$"):
-                parse_dataset(path)
-        else:
-            assert parse_dataset(path).labels[1] == "B\x00"
 
 
 class TestEmitPlotData:

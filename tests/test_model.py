@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from kclink import golden, model
 from kclink.linking import link
 from kclink.model import (
     ComparisonDataset,
+    InternalInconsistencyError,
     LabError,
     LabResult,
     ValidationError,
@@ -145,6 +147,20 @@ class TestComparisonDataset:
         built = ComparisonDataset(list(gauge_block.labels), *oracles.columns(
             gauge_block.labs)[1:])
         assert built.labels == gauge_block.labels and built == gauge_block
+
+    def test_equality_with_another_type(self, gauge_block):
+        assert gauge_block.__eq__("x") is NotImplemented
+        assert gauge_block != gauge_block.labels
+        assert gauge_block == golden.gauge_block_dataset()
+
+    def test_column_checks_that_name_no_lab(self, monkeypatch):
+        # the column checks reject u_a = -1, and check_labs, which must then
+        # name the lab, is made to find none
+        monkeypatch.setattr(model, "check_labs", lambda *columns: ())
+        with pytest.raises(InternalInconsistencyError,
+                           match="^the column checks reject a lab LabResult accepts$"):
+            ComparisonDataset(["A1", "B1"], [[1.0, nan], [nan, 1.0]],
+                              [[-1.0, nan], [nan, 1.0]], [nan, nan])
 
 
 class TestValidateDataset:
