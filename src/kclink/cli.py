@@ -9,7 +9,8 @@ written and every report made by :mod:`kclink.io`, a scenario file read by
 :func:`kclink.synthetic.load_scenario`; ``link`` and ``inflate`` take a report's
 chunks, whose options are then checked, before they open ``--output`` and
 write them there or to stdout.  Nothing is printed before that: a rejected
-option or an ``--output`` that cannot be opened prints only its error line.
+option, an ``--output`` that cannot be opened or a label or ``--units`` that
+stdout's encoding cannot write prints only its error line.
 
 Exit codes: 0 on success with a passing conformity check, 2 when the
 analysis ran but the conformity check failed, 1 on any error (without a
@@ -19,6 +20,7 @@ message when the reader of stdout closes it early).
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 import warnings
@@ -62,6 +64,18 @@ def _emit_report(result: LinkingResult, args: argparse.Namespace, *lines: str) -
     # one; nothing is printed until the options pass and --output is open
     chunks = report_chunks(result, args.report_format, decimals=args.decimals,
                            units=args.units)
+    # nor until stdout's encoding can write the lines, and a text report's labels
+    # and units (a JSON report is ASCII, an --output file UTF-8)
+    encoding = getattr(sys.stdout, "encoding", None)  # None: a StringIO
+    if encoding and not codecs.lookup(encoding).name.startswith("utf"):
+        shown = [*lines]
+        if args.report_format == "text" and not args.output:
+            shown += [args.units or "", *result.dataset.labels]
+        try:
+            "\n".join(shown).encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+        except UnicodeEncodeError as exc:
+            raise KclinkError(f"standard output's encoding ({encoding}) cannot write "
+                              f"{exc.object[exc.start:exc.end]!r}") from None
     with (open(args.output, "w", encoding="utf-8") if args.output
           else nullcontext(sys.stdout)) as out:
         for line in lines:

@@ -11,17 +11,20 @@ UTF-8 byte-order mark at the start of an input file is skipped.
 
 :func:`parse_dataset` is the one reader and :func:`write_dataset` the one
 writer of dataset files.  A plain CSV file is read ``_PLAIN_CHARS`` characters
-at a time: a chunk's lines are split on ``,`` and its non-empty cells read by
-one ``map(float, ...)`` into a float64 block (a NaN as +inf), whose column
-checks name the first failing lab by its line.  Plain means no ``"``, data
-lines of exactly 5 commas within ``csv.field_size_limit()``, no empty label,
-cells that ``float`` reads and UTF-8 bytes; universal newlines end a line where
-``csv`` ends one, and NUL is text.  On any doubt the ``csv`` row loop, where NUL
-is text too, reads the whole file (again, if its first ``"`` comes late; a file
-that is not a regular one, such as a pipe, is read once into memory).  The row
-loop and the JSON reader check each row as one :class:`LabResult` as they read
-it: the first row in file order that fails, named by the line it starts on or
-by its entry, is the error.
+at a time: one scan of the UTF-8 bytes of a chunk's complete lines finds their
+commas and line ends, which give each line's layout, each field's width and the
+absent (empty) cells, and the non-empty cells are read by one
+``map(float, ...)`` into a float64 block (a NaN as +inf), whose column checks
+name the first failing lab by its line.  Plain means no ``"``, data lines of
+exactly 5 commas, no field longer than ``csv.field_size_limit()`` in UTF-8
+bytes (which bound its characters), no empty label, cells that ``float`` reads
+and UTF-8 bytes; universal newlines end a line where ``csv`` ends one, and NUL
+is text.  On any doubt the ``csv`` row loop, where NUL is text too, reads the
+whole file (again, if its first ``"`` comes late; a file that is not a regular
+one, such as a pipe, is read once into memory).  The row loop and the JSON
+reader check each row as one :class:`LabResult` as they read it: the first row
+in file order that fails, named by the line it starts on or by its entry, is
+the error.
 :func:`report_chunks` is the one source of a report: it checks its options
 when called and returns the report's chunks, which :func:`render_report` joins
 and a caller may write as they are made.  Reports carry full-precision values
@@ -40,10 +43,11 @@ labels are JSON-escaped by one ``map``, and searched once for a character that
 :func:`_csv_field` quotes as ``csv.writer`` does.
 
 The text report formats a block of DOE rows by one ``%``: its format string
-joins a ``%``-template per row's measured pattern, and the rows' labels and
-cells are its arguments.  A template rounds the binary value correctly:
-half-up rounding of its shortest digits but at a decimal tie.  A tie mask
-first replaces by its :func:`round_half_up` a cell that may be a tie
+joins a ``%``-template per row's measured pattern, in which an absent cell is
+``-`` text, and the rows' labels and printed cells are its arguments.  A
+template rounds the binary value correctly: half-up rounding of its shortest
+digits but at a decimal tie.  A tie mask over the printed cells first replaces
+by its :func:`round_half_up` a cell that may be a tie
 (``k = rint(v * 10^(d+1))`` is an odd multiple of 5 and
 ``k / 10^(d+1) == v``), one with ``|v| * 10^(d+1) >= 2^49`` (ulp(v) is then
 not surely below 0.025 * 10^-d) and every cell when ``d > 21`` (inexact 10^(d+1)).
@@ -58,7 +62,7 @@ import re
 from decimal import ROUND_HALF_UP, Context, Decimal
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from io import BytesIO, TextIOWrapper
 from math import inf, nan
@@ -144,34 +148,50 @@ def _plain_csv(path: Path, data: bytes | None = None) -> tuple[range, list, np.n
     """The places, labels and (N, 5) numbers of a CSV file read a chunk of
     ``_PLAIN_CHARS`` characters at a time, or None on any doubt (see the
     module docstring), for :func:`_csv_rows` to read the whole file."""
-    first, labels, blocks, rest, chunk = None, [], [np.empty(0)], "", None
+    first, labels, blocks, rest, chunk = None, [], [np.empty((0, 5))], "", None
     limit = csv.field_size_limit()
     try:
         with _text(path, data) as handle:  # universal newlines
             while chunk != "":
                 chunk = handle.read(_PLAIN_CHARS)
-                text = rest + chunk
-                lines = text.split("\n") if text else []
-                if '"' in chunk or len(text) > limit and max(map(len, lines)) > limit:
+                rest += chunk if chunk or not rest else "\n"  # the last line ends too
+                cut = rest.rfind("\n") + 1
+                text, rest = rest[:cut], rest[cut:]  # complete lines, a partial one
+                # a longer partial line has a field beyond the limit or not 5 commas
+                if '"' in chunk or len(rest) > 6 * (limit + 1):
                     return None
-                rest = lines.pop() if chunk else ""  # a partial last line
-                if first is None and lines:
-                    first = int(_is_header(lines[0].split(","), path))
-                    del lines[:first]
-                cells = ",".join(lines).split(",") if lines else []
+                if not text:
+                    continue
+                # one scan of the lines' bytes for their stops, the commas and line
+                # ends: a field's bytes bound its characters, and 0 bytes is absent
+                raw = np.frombuffer(text.encode("utf-8"), np.uint8)
+                stops = np.flatnonzero((raw == 44) | (raw == 10))
+                ends, widths = raw[stops] == 10, np.diff(stops, prepend=-1) - 1
+                cells = text.replace("\n", ",").split(",")
+                if widths.max() > limit:
+                    return None
+                skip = 0
+                if first is None:  # line 1: its fields up to its line end
+                    skip = int(ends.argmax()) + 1
+                    first = int(_is_header(cells[:skip], path))
+                    skip *= first
+                ends, widths, cells = ends[skip:], widths[skip:], cells[skip:-1]
                 names = list(map(str.strip, cells[::6]))
-                if set(map(str.count, lines, repeat(","))) - {5} or not all(names):
+                # 5 commas a line: one stop in 6 ends a line, and it is every 6th
+                if (not all(names) or np.count_nonzero(ends) * 6 != len(ends)
+                        or not ends[5::6].all()):
                     return None
                 del cells[::6]
+                present = widths.reshape(-1, 6)[:, 1:] > 0
                 values = np.fromiter(map(float, filter(None, cells)), float)
                 values[values != values] = inf  # a cell read NaN
-                blocks.append(np.full(len(cells), nan))
-                blocks[-1][np.fromiter(map(bool, cells), bool, len(cells))] = values
+                blocks.append(np.full(present.shape, nan))
+                blocks[-1][present] = values
                 labels += names
     except ValueError:  # UnicodeDecodeError too
         return None
     start = (first or 0) + 1
-    return range(start, start + len(labels)), labels, np.concatenate(blocks).reshape(-1, 5)
+    return range(start, start + len(labels)), labels, np.concatenate(blocks)
 
 
 def _csv_rows(path: Path, data: bytes | None, where: str) -> tuple[list, list, np.ndarray]:
@@ -278,7 +298,7 @@ def _fmt(value: float, decimals: int) -> str:
 
 def _ties(cells: np.ndarray, decimals: int) -> np.ndarray:
     """Per cell, whether it needs :func:`round_half_up`: the tie mask above."""
-    with np.errstate(all="ignore"):  # NaN (absent) cells: flagged only when d > 21
+    with np.errstate(all="ignore"):  # a huge cell's scaled value may overflow to inf
         scale = np.float64(10.0) ** (decimals + 1)  # exact up to 10^22
         scaled = cells * scale
         k = np.rint(scaled)
@@ -301,19 +321,23 @@ def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
     lines.append(header)
     lines.append("-" * len(header))
     yield "\n".join(lines) + "\n"
-    # A-only, B-only and linking rows; "%.0s" prints an absent cell's NaN as nothing
-    value, absent = f"%{col}.{decimals}f", f"{'-':>{col}}%.0s"
+    # A-only, B-only and linking rows; an absent cell is "-" text, not an argument
+    value, absent = f"%{col}.{decimals}f", f"{'-':>{col}}"
     templates = [f"%-{width}s  {a} {a} {b} {b}\n"
                  for a, b in ((value, absent), (absent, value), (value, value))]
     for block in _blocks(len(labels)):
+        measured = result.dataset.measured[:, block]
         d, u_d = result.d[:, block], result.u_d[:, block]
-        cells = np.stack([d[0], u_d[0], d[1], u_d[1]])
+        shown = measured[[0, 0, 1, 1]].T  # each row's printed cells
+        cells = np.stack([d[0], u_d[0], d[1], u_d[1]], axis=1)[shown]
         tie = _ties(cells, decimals)
         cells[tie] = [round_half_up(v, decimals) for v in cells[tie].tolist()]
-        patterns = (np.dot([1, 2], result.dataset.measured[:, block]) - 1).tolist()
+        args = np.empty((len(shown), 5), object)  # each row's label and printed cells
+        args[:, 0], args[:, 1:][shown] = labels[block], cells
+        patterns = (np.dot([1, 2], measured) - 1).tolist()
         # one % per block: the labels are its arguments, never part of its format
         yield "".join(map(templates.__getitem__, patterns)) % tuple(
-            chain.from_iterable(zip(labels[block], *cells.tolist())))
+            args[np.insert(shown, 0, True, axis=1)].tolist())
     lines = ["-" * len(header)]
     kcrv = result.kcrv
     lines.append(

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -518,6 +519,70 @@ class TestSelftestCommand:
         expected[suite] = f"FAIL {suites[suite]}"
         assert lines[:suite + 1] + lines[suite + 2:] == expected
         assert re.fullmatch(rf"  {suites[suite]}: {failure}", lines[suite + 1])
+
+
+class TestStdoutEncoding:
+    """What goes to a stdout whose encoding cannot write it, a label or the
+    units of a text report or a summary line, is one error line instead, with
+    stdout left empty; a JSON report (ASCII) and --output (UTF-8) still work."""
+
+    @pytest.fixture
+    def accented_file(self, tmp_path):
+        path = tmp_path / "accented.csv"
+        path.write_text(PASSING_CSV.replace("A1,", "Aé1,"), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def run(monkeypatch, argv, encoding="ascii", errors=None) -> tuple[int, bytes]:
+        """``main(argv)`` with stdout a text stream of ``encoding``: its exit
+        code and the bytes written to stdout."""
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors=errors)
+        with monkeypatch.context() as patch:  # set here: capsys resets it per call
+            patch.setattr(sys, "stdout", stdout)
+            code = main(argv)
+        stdout.flush()
+        return code, stdout.buffer.getvalue()
+
+    @pytest.mark.parametrize("args, char", [
+        (["link"], "é"),
+        (["link", "--units", "µm"], "µ"),
+        (["inflate", "--lab", "A2", "--standard", "A"], "é"),
+        (["inflate", "--lab", "Aé1", "--standard", "A"], "é"),
+        (["inflate", "--lab", "Aé1", "--standard", "A", "--output"], "é"),
+    ], ids=["link", "link-units", "inflate-report", "inflate-summary", "inflate-output"])
+    def test_what_stdout_cannot_write_is_one_error(self, accented_file, passing_file,
+                                                   tmp_path, monkeypatch, capsys, args,
+                                                   char):
+        data = passing_file if char == "µ" else accented_file
+        report = tmp_path / "report.txt"
+        argv = [*args, str(report)] if args[-1] == "--output" else args
+        assert self.run(monkeypatch, [*argv, "--input", str(data)]) == (1, b"")
+        assert capsys.readouterr().err == (
+            f"error: standard output's encoding (ascii) cannot write {char!r}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["link", "--report-format", "json", "--units", "µm"],
+        ["inflate", "--lab", "A2", "--standard", "A", "--report-format", "json"],
+        ["link", "--output"],
+        ["inflate", "--lab", "A2", "--standard", "A", "--units", "µm", "--output"],
+    ], ids=["link-json", "inflate-json", "link-output", "inflate-output"])
+    def test_json_and_output_files_are_written(self, accented_file, tmp_path, monkeypatch,
+                                               capsys, args):
+        report = tmp_path / "report.txt"
+        argv = [*args, str(report)] if args[-1] == "--output" else args
+        outputs = []
+        for encoding in ("ascii", "utf-8"):
+            code, out = self.run(monkeypatch, [*argv, "--input", str(accented_file)],
+                                 encoding)
+            outputs.append((code, out, report.exists() and report.read_bytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_the_error_handler_of_stdout_is_used(self, accented_file, monkeypatch):
+        code, out = self.run(monkeypatch, ["link", "--input", str(accented_file)],
+                             errors="backslashreplace")
+        assert code == 0 and b"\nA\\xe91 " in out
 
 
 class TestUnitsFlow:

@@ -390,8 +390,9 @@ odd_cells = st.sampled_from(["-0.0", "nan", "-nan", "inf", "-inf", "1_0", " 1 ",
 @st.composite
 def csv_files(draw):
     """A dataset of :func:`datasets` as CSV bytes: LF, CRLF, CR or mixed line
-    ends, a header or not, a final line end or not, blanks around the cells of
-    some rows and up to two cells of a row replaced by :data:`odd_cells`."""
+    ends, a header or not, a final line end or not, labels with a character of
+    2, 3 or 4 UTF-8 bytes or none, blanks around the cells of some rows and up
+    to two cells of a row replaced by :data:`odd_cells`."""
     rows = []
     for lab in draw(datasets()).labs:
         cells = ["" if v is None else repr(v)
@@ -399,8 +400,9 @@ def csv_files(draw):
         for k in draw(st.sets(st.integers(0, 4), max_size=2)):
             cells[k] = draw(odd_cells)
         pad = draw(st.sampled_from(["", " "]))
+        label = lab.label + draw(st.sampled_from(["", "é", "日本", "😀"]))
         rows.append(",".join(f"{pad}{cell}{pad}" if cell else ""
-                             for cell in [lab.label, *cells]))
+                             for cell in [label, *cells]))
     if draw(st.booleans()):
         rows.insert(0, "label,x_a,u_a,x_b,u_b,cov_ab")
     end = draw(st.sampled_from(["\n", "\r\n", "\r", None]))  # None: mixed
@@ -422,6 +424,9 @@ FALLBACKS = {
     "not a float": "A1,\u22121,1,,,\nB1,,,2,1,\n".encode("utf-8"),
     "blank cell": b"A1,1,1,,,\nB1, ,,2,1,\n",
     "not UTF-8": b"A1,1,1,,,\nB1,,,2,1,\nC\xff,1,1,,,\n",
+    # 70,000 characters, 140,000 bytes: the row loop reads it
+    "multi-byte field": ("B1,,,2,1,\nA1,1,1,,,\nA" + "\u00e9" * 70_000 + ",1,1,,,\n")
+    .encode("utf-8"),
 }
 # plain files: the plain CSV path reads them to the end
 PLAIN = {
@@ -434,6 +439,11 @@ PLAIN = {
     "empty": b"",
     "duplicate label": b"A1,1,1,,,\nA1,,,2,1,\n",
     "bad u after a header": b"label,x_a,u_a,x_b,u_b,cov_ab\nA1,1,-1,,,\nB1,,,2,1,\n",
+    "multi-byte labels": "A\u00e9,1,1,,,\r\nB\u65e5\u672c,,,2,1,\r\nC\U0001f600,1,1,2,1,0.5\r\n"
+    .encode("utf-8"),
+    # 140,000 characters in a line, each field within the limit
+    "long line, short fields": b"A1,1,1,,,\nB1,,,2,1,\nA2,1." + b"0" * 69_997 + b",1."
+    + b"0" * 69_987 + b",,,\n",
 }
 
 
@@ -469,6 +479,20 @@ class TestPlainCsv:
                 got = _read(path)
             with mock.patch.object(kio, "_plain_csv", lambda path, data: None):
                 assert got == _read(path)
+
+    @pytest.mark.parametrize("chunk", [*range(1, 8), kio._PLAIN_CHARS])
+    @pytest.mark.parametrize("name", ["multi-byte labels", "long line, short fields",
+                                      "multi-byte field"])
+    def test_field_widths_in_bytes(self, tmp_path, name, chunk):
+        # a field's UTF-8 bytes bound its characters: within the limit in bytes
+        # the plain path reads it, beyond it the row loop, with the same result
+        path = tmp_path / "labs.csv"
+        path.write_bytes(PLAIN.get(name) or FALLBACKS[name])
+        with mock.patch.object(kio, "_PLAIN_CHARS", chunk):
+            assert (kio._plain_csv(path) is None) == (name in FALLBACKS)
+            got = _read(path)
+        with mock.patch.object(kio, "_plain_csv", lambda path, data: None):
+            assert got == _read(path)
 
     @pytest.mark.parametrize("name", FALLBACKS)
     def test_doubt_falls_back(self, tmp_path, name):

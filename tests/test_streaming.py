@@ -18,7 +18,7 @@ from kclink import io as kio
 from kclink.cli import main
 from kclink.io import emit_plot_data, render_report, report_chunks, write_dataset
 from kclink.linking import link
-from kclink.model import KclinkError, validate_dataset
+from kclink.model import KclinkError, LabResult, validate_dataset
 
 from . import oracles
 from .strategies import datasets
@@ -96,6 +96,23 @@ def test_text_rows_take_labels_as_arguments(decimals):
     report = render_report(result, "text", decimals=decimals, units="nm")
     assert first_difference(report, oracles.text_report(result, decimals, "nm")) is None
     assert all(f"\n{label}  " in report for label in labels[CHUNK - 2:])
+
+
+@pytest.mark.parametrize("decimals", [0, 3, 22])
+def test_text_blocks_of_one_row_pattern(decimals):
+    # blocks of 2 rows: A-only, B-only, then linking with and without a
+    # covariance, so that a block's absent cells are all in one column pair
+    # or none; at 22 decimals every printed cell is rounded by Decimal
+    dataset = validate_dataset([
+        LabResult("A1", value_a=1.0, u_a=0.5), LabResult("A2", value_a=2.25, u_a=0.75),
+        LabResult("B1", value_b=3.0, u_b=0.5), LabResult("B2", value_b=4.5, u_b=1.25),
+        LabResult("C1", value_a=1.5, u_a=0.5, value_b=3.5, u_b=0.5, cov_ab=0.1),
+        LabResult("C2", value_a=2.0, u_a=1.0, value_b=4.0, u_b=1.0)])
+    result = link(dataset)
+    assert (np.dot([1, 2], dataset.measured) - 1).tolist() == [0, 0, 1, 1, 2, 2]
+    with mock.patch.object(kio, "_CHUNK_ROWS", 2):
+        assert first_difference(render_report(result, "text", decimals=decimals),
+                                oracles.text_report(result, decimals, None)) is None
 
 
 @pytest.mark.parametrize("format, decimals", [("xml", 3), ("json", -1), ("text", True),
