@@ -7,10 +7,11 @@ built-in examples against their published reference results.  The
 subcommands only wire options to the library: every dataset file is read and
 written and every report made by :mod:`kclink.io`, a scenario file read by
 :func:`kclink.synthetic.load_scenario`; ``link`` and ``inflate`` take a report's
-chunks, whose options are then checked, before they open ``--output`` and
-write them there or to stdout.  Nothing is printed before that: a rejected
-option, an ``--output`` that cannot be opened or a label or ``--units`` that
-stdout's encoding cannot write prints only its error line.
+chunks, whose options are then checked, before they open ``--output``, then
+``--plot-data``: a rejected option leaves no report or plot file, nor truncates
+one.  Nothing is printed before that: a rejected option, an output file that
+cannot be opened or text that stdout's encoding cannot write (a label, ``--units``
+or ``synth``'s ``wrote`` line) prints only its error line; ``synth`` writes no file.
 
 Exit codes: 0 on success with a passing conformity check, 2 when the
 analysis ran but the conformity check failed, 1 on any error (without a
@@ -24,14 +25,17 @@ import codecs
 import os
 import sys
 import warnings
+from collections import deque
 from collections.abc import Iterable
 from contextlib import nullcontext
 from functools import cache
+from itertools import chain
+from pathlib import Path
 
 from . import golden
 from .inflation import minimal_inflation
-from .io import (_utf8, emit_plot_data, parse_dataset_with_units, report_chunks,
-                 write_dataset)
+from .io import (_doe_slices, _json_chunks, _plot_rows, _utf8, parse_dataset_with_units,
+                 report_chunks, write_dataset)
 from .linking import LinkingResult, link
 from .model import ComparisonDataset, KclinkError
 from .synthetic import generate_scenario, load_scenario
@@ -58,38 +62,45 @@ def _read(args: argparse.Namespace) -> ComparisonDataset:
     return dataset
 
 
-def _emit_report(result: LinkingResult, args: argparse.Namespace, *lines: str) -> None:
-    """Print ``lines`` and the dataset's warnings, then write the report."""
-    # the chunks first: a rejected option leaves no --output file, nor truncates
-    # one; nothing is printed until the options pass and --output is open
-    chunks = report_chunks(result, args.report_format, decimals=args.decimals,
-                           units=args.units)
-    # nor until stdout's encoding can write the lines, and a text report's labels
-    # and units (a JSON report is ASCII, an --output file UTF-8)
+def _check_stdout(lines: Iterable[str]) -> None:
+    """Raise a :class:`KclinkError` unless stdout's encoding can write ``lines``."""
     encoding = getattr(sys.stdout, "encoding", None)  # None: a StringIO
     if encoding and not codecs.lookup(encoding).name.startswith("utf"):
-        shown = [*lines]
-        if args.report_format == "text" and not args.output:
-            shown += [args.units or "", *result.dataset.labels]
         try:
-            "\n".join(shown).encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+            "\n".join(lines).encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
         except UnicodeEncodeError as exc:
             raise KclinkError(f"standard output's encoding ({encoding}) cannot write "
                               f"{exc.object[exc.start:exc.end]!r}") from None
+
+
+def _emit_report(result: LinkingResult, args: argparse.Namespace, *lines: str) -> None:
+    """Print ``lines`` and the dataset's warnings, then write the report and plot data."""
+    # the chunks first, so that a rejected option opens no file; then stdout's encoding
+    # must write the lines, and a text report's labels and units (a JSON report is
+    # ASCII, an --output file UTF-8); nothing is printed until the files are open
+    chunks = report_chunks(result, args.report_format, decimals=args.decimals,
+                           units=args.units)
+    text = args.report_format == "text"
+    _check_stdout(chain(lines, [args.units or ""], result.dataset.labels)
+                  if text and not args.output else lines)
     with (open(args.output, "w", encoding="utf-8") if args.output
-          else nullcontext(sys.stdout)) as out:
+          else nullcontext(sys.stdout)) as out, \
+         (open(args.plot_data, "w", encoding="utf-8", newline="") if args.plot_data
+          else nullcontext()) as plot:
+        does = _plot_rows(plot, _doe_slices(result)) if plot else ()
+        if plot and not text:  # one walk makes each DOE's text for both outputs
+            chunks = _json_chunks(result, args.decimals, args.units, does)
         for line in lines:
             print(line)
         _print_warnings(result.dataset.warnings)
         out.writelines(chunks)
         out.write("\n")
+        deque(does, maxlen=0)  # after a text report, the plot data walks on its own
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
     result = link(_read(args))
     _emit_report(result, args)
-    if args.plot_data:
-        emit_plot_data(result, args.plot_data)
     return EXIT_OK if result.conformity.passed else EXIT_NONCONFORMING
 
 
@@ -108,13 +119,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         dataset = generate_scenario(load_scenario(args.scenario))
+    wrote = (f"wrote {len(dataset.labels)} laboratories "
+             f"({len(dataset.only_a)} A-only, {len(dataset.linking)} linking, "
+             f"{len(dataset.only_b)} B-only) to {Path(args.output)}")
+    _check_stdout([wrote])  # before the file is written
     _print_warnings(warning.message for warning in caught)
-    out = write_dataset(dataset, args.output)
-    print(
-        f"wrote {len(dataset.labels)} laboratories "
-        f"({len(dataset.only_a)} A-only, {len(dataset.linking)} linking, "
-        f"{len(dataset.only_b)} B-only) to {out}"
-    )
+    write_dataset(dataset, args.output)
+    print(wrote)
     return EXIT_OK
 
 
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_inflate.add_argument("--lab", required=True, help="target laboratory")
     p_inflate.add_argument("--standard", required=True, choices=("A", "B"))
-    p_inflate.set_defaults(func=_cmd_inflate)
+    p_inflate.set_defaults(func=_cmd_inflate, plot_data=None)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--scenario", required=True,

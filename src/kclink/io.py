@@ -36,9 +36,9 @@ spliced in row by row, without building ``document``; a JSON dataset file
 is ``json.dumps({"labs": [...]}, sort_keys=True, indent=2)`` and a newline,
 its records written as the report's ``input.labs``.  Each output, a dataset
 file too, is made in chunks of rows from column slices of ``_CHUNK_ROWS``
-labs, in memory that does not grow with N.  Both DOE writers take a block's
-labels and the slices of its ``d`` and ``u_d`` text from :func:`_doe_slices`;
-the text is made once and kept with the result (:func:`_doe_text`).  A block's
+labs, in memory that does not grow with N.  :func:`_doe_slices` makes a block's
+``d`` and ``u_d`` text, kept with nothing; :func:`_plot_rows` writes a block's
+plot rows and passes it on, so one walk can feed both DOE writers.  A block's
 labels are JSON-escaped by one ``map``, and searched once for a character that
 :func:`_csv_field` quotes as ``csv.writer`` does.
 
@@ -59,6 +59,7 @@ import csv
 import json
 import operator
 import re
+from collections import deque
 from decimal import ROUND_HALF_UP, Context, Decimal
 from dataclasses import asdict
 from functools import partial
@@ -390,37 +391,39 @@ def _strings(head: str, values: Sequence[str], indent: str) -> Iterator[str]:
                          for block in _blocks(len(values))), indent)
 
 
-def _doe_text(result: LinkingResult) -> tuple[list[str], list[str]]:
-    """The text of each DOE's ``d`` and ``u_d``, in :attr:`LinkingResult.does`
-    order: made on first use and kept with the result, for both outputs."""
-    text = vars(result).get("_doe_text")
-    if text is None:
-        measured = result.dataset.measured
-        text = vars(result)["_doe_text"] = (list(map(_float, result.d[measured].tolist())),
-                                            list(map(_float, result.u_d[measured].tolist())))
-    return text
-
-
 def _doe_slices(result: LinkingResult) -> Iterator[tuple[str, list, list, list, np.ndarray]]:
     """Per standard and block of labs, in :attr:`LinkingResult.does` order: the
-    standard, the labels of the block's labs that measured it, their ``d`` and
-    ``u_d`` text (slices of :func:`_doe_text`) and their ``u_d``."""
+    standard, the labels of the block's labs that measured it, the text of their
+    ``d`` and ``u_d``, and their ``u_d``."""
     labels, measured = result.dataset.labels, result.dataset.measured
-    d_text, u_text = _doe_text(result)
-    stop = 0
     for row, standard in enumerate("AB"):
         for block in _blocks(len(labels)):
             mask = measured[row, block]
-            names = list(compress(labels[block], mask.tolist()))
-            start, stop = stop, stop + len(names)
-            yield (standard, names, d_text[start:stop], u_text[start:stop],
-                   result.u_d[row, block][mask])
+            u_d = result.u_d[row, block][mask]
+            yield (standard, list(compress(labels[block], mask.tolist())),
+                   list(map(_float, result.d[row, block][mask].tolist())),
+                   list(map(_float, u_d.tolist())), u_d)
 
 
-def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Iterator[str]:
-    # json.dumps writes the members before "doe" and after "input", whose
-    # arrays grow with N and go row by row; a dataset always has labs and DOEs.
-    # Rows inline NaN as "null": a call per field costs about a float's text.
+def _plot_rows(handle: TextIO, does: Iterable[tuple]) -> Iterator[tuple]:
+    """Write the plot data's header to ``handle``, then each block of ``does``
+    (from :func:`_doe_slices`): its rows, before the block is passed on."""
+    handle.write("label,standard,d,u_d,U_d_k2\r\n")
+    for block in does:
+        standard, labels, d_text, u_text, u_d = block
+        if labels:  # a row is its fields joined by commas, as csv.writer joins them
+            handle.write("\r\n".join(map(",".join, zip(
+                _csv_labels(labels), repeat(standard), d_text, u_text,
+                map(_float, (2.0 * u_d).tolist())))) + "\r\n")
+        yield block
+
+
+def _json_chunks(result: LinkingResult, decimals: int, units: str | None,
+                 does: Iterable[tuple]) -> Iterator[str]:
+    # json.dumps writes the members before "doe" and after "input", whose arrays
+    # grow with N and go row by row, the DOEs a block of does at a time; a dataset
+    # always has labs and DOEs.  Rows inline NaN as "null": a call per field costs
+    # about a float's text.
     kcrv, conf, dataset = result.kcrv, result.conformity, result.dataset
     estimate = {"cov_ab": kcrv.cov_ab, "r_tilde": kcrv.r_tilde, "u_a": kcrv.u_a,
                 "u_b": kcrv.u_b, "y_a": kcrv.y_hat_a, "y_b": kcrv.y_hat_b}
@@ -435,7 +438,7 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
         [f'\n    {{\n      "d": {d},\n      "label": {label},\n'
          f'      "standard": "{standard}",\n      "u_d": {u_d}\n    }}'
          for label, d, u_d in zip(map(_str, labels), d_text, u_text)]
-        for standard, labels, d_text, u_text, _ in _doe_slices(result)), "  ")
+        for standard, labels, d_text, u_text, _ in does), "  ")
     yield from _strings(',\n  "input": {\n    "groups": {\n      "linking": ', dataset.linking,
                         "      ")
     yield from _strings(',\n      "only_a": ', dataset.only_a, "      ")
@@ -474,7 +477,8 @@ def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text
         raise KclinkError(f"decimals must be a non-negative integer, got {decimals!r}")
     if places > 1074:  # more could only print zeros
         raise KclinkError(f"decimals must be at most 1074, got {decimals!r}")
-    return (_text_chunks if format == "text" else _json_chunks)(result, places, units)
+    return (_text_chunks(result, places, units) if format == "text"
+            else _json_chunks(result, places, units, _doe_slices(result)))
 
 
 def render_report(
@@ -537,10 +541,5 @@ def emit_plot_data(result: LinkingResult, path: str | Path) -> Path:
     expanded (k = 2) uncertainty, one row per degree of equivalence."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("label,standard,d,u_d,U_d_k2\r\n")
-        for standard, labels, d_text, u_text, u_d in _doe_slices(result):
-            if labels:  # a row is its fields joined by commas, as csv.writer joins them
-                handle.write("\r\n".join(map(",".join, zip(
-                    _csv_labels(labels), repeat(standard), d_text, u_text,
-                    map(_float, (2.0 * u_d).tolist())))) + "\r\n")
+        deque(_plot_rows(handle, _doe_slices(result)), maxlen=0)
     return path

@@ -209,20 +209,25 @@ class TestLinkCommand:
     @pytest.mark.parametrize("existing", [None, "an earlier report\n"])
     def test_rejected_options_leave_no_report_file(self, gauge_block_file, tmp_path,
                                                     capsys, existing):
-        out = tmp_path / "r.json"
+        # neither the report nor the plot data is opened before the options pass
+        out, plot = tmp_path / "r.json", tmp_path / "doe.csv"
         # below 0, above a double's 1074 digits
         for decimals, bound in (("-1", "a non-negative integer"), ("3000000", "at most 1074")):
-            if existing is not None:
-                out.write_text(existing, encoding="utf-8")
-            assert main(["link", "--input", str(gauge_block_file), "--report-format", "json",
-                         "--decimals", decimals, "--output", str(out)]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: decimals must be {bound}, got {decimals}\n"
-            if existing is None:
-                assert not out.exists()
-            else:
-                assert out.read_text(encoding="utf-8") == existing
+            for format in ("json", "text"):
+                if existing is not None:
+                    out.write_text(existing, encoding="utf-8")
+                    plot.write_text(existing, encoding="utf-8")
+                assert main(["link", "--input", str(gauge_block_file), "--report-format",
+                             format, "--decimals", decimals, "--output", str(out),
+                             "--plot-data", str(plot)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: decimals must be {bound}, got {decimals}\n"
+                for path in (out, plot):
+                    if existing is None:
+                        assert not path.exists()
+                    else:
+                        assert path.read_text(encoding="utf-8") == existing
 
     def test_many_decimals(self, gauge_block_file, capsys):
         for decimals in (400, 1074):  # 1074: a double's last fractional digit
@@ -578,6 +583,20 @@ class TestStdoutEncoding:
             outputs.append((code, out, report.exists() and report.read_bytes()))
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
         assert "error" not in capsys.readouterr().err
+
+    def test_synth_line_stdout_cannot_write_is_one_error(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # synth checks its "wrote" line, which names --output, before it writes
+        scenario, out = tmp_path / "scenario.json", tmp_path / "é.csv"
+        scenario.write_text(SCENARIO_JSON, encoding="utf-8")
+        argv = ["synth", "--scenario", str(scenario), "--output", str(out)]
+        assert self.run(monkeypatch, argv) == (1, b"")
+        assert capsys.readouterr().err == (
+            "error: standard output's encoding (ascii) cannot write 'é'\n")
+        assert not out.exists()
+        code, written = self.run(monkeypatch, argv, "utf-8")
+        assert code == 0 and out.exists()
+        assert written.decode("utf-8").endswith(f" to {out}\n")
 
     def test_the_error_handler_of_stdout_is_used(self, accented_file, monkeypatch):
         code, out = self.run(monkeypatch, ["link", "--input", str(accented_file)],

@@ -134,13 +134,22 @@ def _traced_peak(write) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("output", ["json", "text", "plot", "labs.csv", "labs.json"])
+@pytest.mark.parametrize("output", ["json", "text", "plot", "labs.csv", "labs.json", "cli"])
 def test_writer_memory_does_not_grow_with_the_labs(output, tmp_path):
+    # "cli": kclink link's one walk of the JSON report and plot data, on a fresh
+    # copy of the result per run, as a run links anew: the DOE text it makes is
+    # dropped a block at a time, neither kept for the run nor with the result
     path = tmp_path / "out"
 
     def write(result):
         if output == "plot":
             emit_plot_data(result, path)
+        elif output == "cli":
+            with mock.patch("kclink.cli.parse_dataset_with_units",
+                            return_value=(result.dataset, None)), \
+                    mock.patch("kclink.cli.link", side_effect=lambda _: replace(result)):
+                main(["link", "--input", "labs.csv", "--report-format", "json",
+                      "--output", str(path), "--plot-data", str(tmp_path / "plot.csv")])
         elif output.startswith("labs"):  # a dataset file
             write_dataset(result.dataset, tmp_path / output)
         else:
@@ -150,7 +159,6 @@ def test_writer_memory_does_not_grow_with_the_labs(output, tmp_path):
     peaks = []
     for count in (10_000, 40_000):
         result = link(mixed_dataset(count))
-        kio._doe_text(result)  # the one O(N) text, shared by two outputs
         write(result)  # warm up
         peaks.append(_traced_peak(lambda: write(result)))
     assert peaks[1] <= 1.25 * peaks[0], peaks
