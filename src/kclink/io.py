@@ -32,15 +32,17 @@ alongside display-rounded ones, and display rounding is half-up and never
 feeds back into any computation.  The JSON report's bytes are those of
 ``json.dumps(document, sort_keys=True, indent=2)`` of its documented structure:
 ``json.dumps`` writes the fixed members, and the arrays that grow with N are
-spliced in row by row, without building ``document``; a JSON dataset file
-is ``json.dumps({"labs": [...]}, sort_keys=True, indent=2)`` and a newline,
-its records written as the report's ``input.labs``.  Each output, a dataset
-file too, is made in chunks of rows from column slices of ``_CHUNK_ROWS``
-labs, in memory that does not grow with N.  :func:`_doe_slices` makes a block's
-``d`` and ``u_d`` text, kept with nothing; :func:`_plot_rows` writes a block's
-plot rows and passes it on, so one walk can feed both DOE writers.  A block's
-labels are JSON-escaped by one ``map``, and searched once for a character that
-:func:`_csv_field` quotes as ``csv.writer`` does.
+spliced in row by row, without building ``document``; a JSON dataset file is
+``json.dumps({"labs": [...]}, sort_keys=True, indent=2)`` and a newline, its
+records written as the report's ``input.labs``.  Each output, a dataset file
+too, is made from column slices of ``_CHUNK_ROWS`` labs, in memory that does
+not grow with N.  Each float is ``repr``'s text (NaN ``null`` or an empty CSV
+cell) by :func:`_texts`: one ``orjson.dumps`` per block column, and ``repr`` for
+the few values orjson writes in another form.  :func:`_doe_slices` makes a
+block's ``d`` and ``u_d`` text, kept with nothing; :func:`_plot_rows` writes a
+block's plot rows and passes it on, so one walk feeds both DOE writers.  A
+block's labels are JSON-escaped by one ``map``, and searched once for a
+character that :func:`_csv_field` quotes as ``csv.writer`` does.
 
 The text report formats a block of DOE rows by one ``%``: its format string
 joins a ``%``-template per row's measured pattern, in which an absent cell is
@@ -73,7 +75,7 @@ from typing import Iterable, Iterator, Literal, Sequence, TextIO
 import numpy as np
 
 from .linking import LinkingResult
-from .model import ComparisonDataset, KclinkError, LabError, LabResult, _rows, validate_dataset
+from .model import ComparisonDataset, KclinkError, LabError, LabResult, validate_dataset
 from .version import __version__
 
 _CSV_COLUMNS = ("label", "x_a", "u_a", "x_b", "u_b", "cov_ab")
@@ -365,8 +367,18 @@ def _text_chunks(result: LinkingResult, decimals: int, units: str | None) -> Ite
 
 
 _dumps = partial(json.dumps, sort_keys=True, indent=2)  # every JSON file kclink writes
-_float = float.__repr__  # json's text for a finite float
 _str = encode_basestring_ascii  # json's text for a str (ensure_ascii)
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each float64 of ``values``, ``"null"`` for NaN: orjson's text,
+    which has ``repr``'s form for 1e-4 <= |v| < 1e16 and +-0, and ``repr``'s for the rest."""
+    import orjson  # loaded by the first float text, not by every command
+    texts = orjson.dumps(values.tolist())[1:-1].decode().split(",") if values.size else []
+    size = np.abs(values)
+    for index in np.flatnonzero((size < 1e-4) & (size > 0.0) | (size >= 1e16)).tolist():
+        texts[index] = float.__repr__(float(values[index]))
+    return texts
 
 
 def _blocks(count: int) -> Iterator[slice]:
@@ -401,8 +413,7 @@ def _doe_slices(result: LinkingResult) -> Iterator[tuple[str, list, list, list, 
             mask = measured[row, block]
             u_d = result.u_d[row, block][mask]
             yield (standard, list(compress(labels[block], mask.tolist())),
-                   list(map(_float, result.d[row, block][mask].tolist())),
-                   list(map(_float, u_d.tolist())), u_d)
+                   _texts(result.d[row, block][mask]), _texts(u_d), u_d)
 
 
 def _plot_rows(handle: TextIO, does: Iterable[tuple]) -> Iterator[tuple]:
@@ -412,18 +423,15 @@ def _plot_rows(handle: TextIO, does: Iterable[tuple]) -> Iterator[tuple]:
     for block in does:
         standard, labels, d_text, u_text, u_d = block
         if labels:  # a row is its fields joined by commas, as csv.writer joins them
-            handle.write("\r\n".join(map(",".join, zip(
-                _csv_labels(labels), repeat(standard), d_text, u_text,
-                map(_float, (2.0 * u_d).tolist())))) + "\r\n")
+            rows = zip(_csv_labels(labels), repeat(standard), d_text, u_text, _texts(2.0 * u_d))
+            handle.write("\r\n".join(map(",".join, rows)) + "\r\n")
         yield block
 
 
 def _json_chunks(result: LinkingResult, decimals: int, units: str | None,
                  does: Iterable[tuple]) -> Iterator[str]:
-    # json.dumps writes the members before "doe" and after "input", whose arrays
-    # grow with N and go row by row, the DOEs a block of does at a time; a dataset
-    # always has labs and DOEs.  Rows inline NaN as "null": a call per field costs
-    # about a float's text.
+    # json.dumps writes the members before "doe" and after "input", whose arrays grow
+    # with N and go row by row, a block of DOEs at a time; a dataset has labs and DOEs.
     kcrv, conf, dataset = result.kcrv, result.conformity, result.dataset
     estimate = {"cov_ab": kcrv.cov_ab, "r_tilde": kcrv.r_tilde, "u_a": kcrv.u_a,
                 "u_b": kcrv.u_b, "y_a": kcrv.y_hat_a, "y_b": kcrv.y_hat_b}
@@ -447,19 +455,22 @@ def _json_chunks(result: LinkingResult, decimals: int, units: str | None,
     yield "\n  }," + tail[len("{"):]
 
 
+def _lab_rows(labels: Iterable[str], dataset: ComparisonDataset, block: slice) -> Iterator:
+    """``(label, x_a, u_a, x_b, u_b, cov_ab)`` text per lab of ``block``, its
+    label from ``labels``, its numbers by :func:`_texts`."""
+    (x_a, x_b), (u_a, u_b) = dataset.x[:, block], dataset.u[:, block]
+    return zip(labels, *map(_texts, (x_a, u_a, x_b, u_b, dataset.cov_ab[block])))
+
+
 def _lab_records(dataset: ComparisonDataset) -> Iterator[list[str]]:
     """Per block of labs, each lab's record in the JSON report's ``input.labs``,
     after its newline and indent."""
     for block in _blocks(len(dataset.labels)):
-        yield [f'\n      {{\n        "cov_ab": {"null" if c != c else _float(c)},\n'
-               f'        "label": {label},\n'
-               f'        "u_a": {"null" if u_a != u_a else _float(u_a)},\n'
-               f'        "u_b": {"null" if u_b != u_b else _float(u_b)},\n'
-               f'        "x_a": {"null" if x_a != x_a else _float(x_a)},\n'
-               f'        "x_b": {"null" if x_b != x_b else _float(x_b)}\n      }}'
-               for label, x_a, u_a, x_b, u_b, c in _rows(
-                   map(_str, dataset.labels[block]), dataset.x[:, block], dataset.u[:, block],
-                   dataset.cov_ab[block])]
+        yield [f'\n      {{\n        "cov_ab": {c},\n        "label": {label},\n'
+               f'        "u_a": {u_a},\n        "u_b": {u_b},\n'
+               f'        "x_a": {x_a},\n        "x_b": {x_b}\n      }}'
+               for label, x_a, u_a, x_b, u_b, c in _lab_rows(
+                   map(_str, dataset.labels[block]), dataset, block)]
 
 
 def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text", *,
@@ -481,29 +492,20 @@ def report_chunks(result: LinkingResult, format: Literal["text", "json"] = "text
             else _json_chunks(result, places, units, _doe_slices(result)))
 
 
-def render_report(
-    result: LinkingResult,
-    format: Literal["text", "json"] = "text",
-    *,
-    decimals: int = 3,
-    units: str | None = None,
-) -> str:
-    """Render a linking result as a text table or as a JSON document.
-
-    Only the requested format is built.  The JSON document carries
-    full-precision values and a ``display`` block rounded to ``decimals``;
-    it is deterministic: identical results give identical bytes.
-    """
+def render_report(result: LinkingResult, format: Literal["text", "json"] = "text", *,
+                  decimals: int = 3, units: str | None = None) -> str:
+    """Render a linking result as a text table or as a JSON document; only the
+    requested format is built.  The JSON document carries full-precision values
+    and a ``display`` block rounded to ``decimals``; it is deterministic:
+    identical results give identical bytes."""
     return "".join(report_chunks(result, format, decimals=decimals, units=units))
 
 
 def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
     """Write ``{"labs": [...]}`` JSON when the suffix is ``.json``, otherwise
-    CSV with a header row and ``repr`` numbers.
-
-    :func:`parse_dataset` reads either back to the same labs, as long as no
-    label has surrounding whitespace (labels are stripped on reading).
-    """
+    CSV with a header row and ``repr`` numbers.  :func:`parse_dataset` reads
+    either back to the same labs, as long as no label has surrounding
+    whitespace (labels are stripped on reading)."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if path.suffix.lower() == ".json":  # json.dumps(..., indent=2) + "\n", row by row:
@@ -513,12 +515,10 @@ def write_dataset(dataset: ComparisonDataset, path: str | Path) -> Path:
             handle.write("\n}\n")
         else:
             handle.write(",".join(_CSV_COLUMNS) + "\r\n")
-            for block in _blocks(len(dataset.labels)):
-                handle.write("".join([label + "".join(
-                    ["," if v != v else f",{v!r}" for v in numbers]) + "\r\n"
-                    for label, *numbers in _rows(_csv_labels(dataset.labels[block]),
-                                                 dataset.x[:, block], dataset.u[:, block],
-                                                 dataset.cov_ab[block])]))
+            for block in _blocks(len(dataset.labels)):  # an absent cell is empty, not null
+                rows = _lab_rows(_csv_labels(dataset.labels[block]), dataset, block)
+                handle.write("".join([label + ",".join(("", *cells)).replace("null", "")
+                                      + "\r\n" for label, *cells in rows]))
     return path
 
 

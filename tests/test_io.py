@@ -2,6 +2,7 @@ import hashlib
 import json
 import tempfile
 from dataclasses import replace
+from math import inf, nan
 from pathlib import Path
 from unittest import mock
 
@@ -711,6 +712,30 @@ NO_WARNINGS = validate_dataset([
     LabResult("C1", value_a=2.0, u_a=1.0, value_b=3.0, u_b=1.0, cov_ab=0.5),
     LabResult("B1", value_b=4.0, u_b=1.0),
 ])
+# between them, x, u, cov_ab, d, u_d and 2 u_d each fall on both sides of
+# 1e-4 and of 1e16, and x, cov_ab and d hold -0.0
+ACROSS_THE_RANGE = validate_dataset([
+    LabResult("A1", value_a=-0.0, u_a=6e-5),
+    LabResult("A2", value_a=0.0, u_a=2e16),
+    LabResult("A3", value_a=3e16, u_a=1.5e17),
+    LabResult("C1", value_a=-0.0, u_a=1e-4, value_b=-0.0, u_b=4e-5, cov_ab=-0.0),
+    LabResult("C2", value_a=2e-5, u_a=3e-5, value_b=1e17, u_b=5e16, cov_ab=1e-10),
+    LabResult("C3", value_a=1.0, u_a=1e9, value_b=12.0, u_b=1e9, cov_ab=2e16),
+    LabResult("C4", value_a=2.0, u_a=2.0, value_b=-3.0, u_b=1.0, cov_ab=0.5),
+    LabResult("B1", value_b=9.999999999999999e-05, u_b=7e-5),
+    LabResult("B2", value_b=-1e16, u_b=9999999999999998.0),
+])
+SIGNED_ZEROS = validate_dataset([  # no covariance: y_A is 0.0, and d is -0.0 where x_a is
+    LabResult("A1", value_a=-0.0, u_a=6e-5),
+    LabResult("A2", value_a=0.0, u_a=2e16),
+    LabResult("A3", value_a=-0.0, u_a=1.5),
+    LabResult("C1", value_a=-0.0, u_a=1e-4, value_b=-0.0, u_b=4e-5, cov_ab=-0.0),
+    LabResult("C2", value_a=0.0, u_a=3e-5, value_b=1e17, u_b=5e16),
+    LabResult("B1", value_b=9.999999999999999e-05, u_b=7e-5),
+    LabResult("B2", value_b=-1e16, u_b=9999999999999998.0),
+    LabResult("B3", value_b=2.5, u_b=3e3),
+])
+EDGE_DATASETS = [ACROSS_THE_RANGE, SIGNED_ZEROS]
 
 
 def _relabelled(dataset, names):
@@ -733,6 +758,8 @@ class TestReportBytes:
              decimals=0)
     @example(dataset=NO_WARNINGS, names=["é", "\ud800", "\t"], units=None,
              decimals=6)
+    @example(dataset=ACROSS_THE_RANGE, names=[], units=None, decimals=3)
+    @example(dataset=SIGNED_ZEROS, names=[], units=None, decimals=3)
     def test_json_report_is_json_dumps(self, dataset, names, units, decimals):
         if names:
             dataset = _relabelled(dataset, names)
@@ -744,6 +771,8 @@ class TestReportBytes:
            names=st.lists(st.text(',"\r\nx;') | st.text(min_size=1),
                           min_size=9, max_size=9, unique=True).filter(all))
     @example(dataset=NO_WARNINGS, names=['a,"b"', "\r\n", "µ;"])
+    @example(dataset=ACROSS_THE_RANGE, names=list(ACROSS_THE_RANGE.labels))
+    @example(dataset=SIGNED_ZEROS, names=list(SIGNED_ZEROS.labels))
     def test_plot_data_is_csv_writer(self, dataset, names):
         result = link(_relabelled(dataset, names))
         with tempfile.TemporaryDirectory() as directory:
@@ -753,11 +782,73 @@ class TestReportBytes:
     @given(dataset=datasets(), names=st.lists(labels, min_size=9, max_size=9, unique=True),
            suffix=st.sampled_from([".csv", ".json"]))
     @example(dataset=NO_WARNINGS, names=['a,"b"', "x\r\ny", "\x00\t"], suffix=".csv")
+    @example(dataset=ACROSS_THE_RANGE, names=list(ACROSS_THE_RANGE.labels), suffix=".csv")
+    @example(dataset=ACROSS_THE_RANGE, names=list(ACROSS_THE_RANGE.labels), suffix=".json")
+    @example(dataset=SIGNED_ZEROS, names=list(SIGNED_ZEROS.labels), suffix=".csv")
+    @example(dataset=SIGNED_ZEROS, names=list(SIGNED_ZEROS.labels), suffix=".json")
     def test_dataset_file_is_csv_writer_or_json_dumps(self, dataset, names, suffix):
         dataset = _relabelled(dataset, names)
         with tempfile.TemporaryDirectory() as directory:
             path = write_dataset(dataset, Path(directory) / f"labs{suffix}")
             assert path.read_bytes() == oracles.dataset_file(dataset, suffix).encode("utf-8")
+
+
+def _reprs(values) -> list[str]:
+    return ["null" if v != v else repr(v) for v in values]
+
+
+# orjson writes repr's text for 1e-4 <= |v| < 1e16 and for +-0, another form
+# elsewhere: the edges of that range and of the float range
+EDGE_FLOATS = [0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
+               *(np.nextafter(edge, side) for edge in (1e-4, 1e16) for side in (0.0, inf)),
+               1e-4, 1e16, 2.0 ** 53 - 1.0, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e15, 123456789012345.6,
+               1.7976931348623157e308, inf, nan]
+EDGE_FLOATS = [float(sign * v) for v in EDGE_FLOATS for sign in (1.0, -1.0)]
+
+
+class TestFloatText:
+    """``_texts`` is ``repr`` per float, ``null`` per NaN, whatever orjson writes."""
+
+    @given(st.lists(st.floats()))
+    @example([])
+    @example([1.5])
+    @example([nan])
+    @example([1e-5])
+    def test_any_floats(self, values):
+        assert kio._texts(np.array(values, dtype=float)) == _reprs(values)
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
+    def test_edges(self, value):
+        assert kio._texts(np.array([value])) == _reprs([value])
+        assert kio._texts(np.array([1.0, value, 1.0])) == _reprs([1.0, value, 1.0])
+
+    def test_edges_together(self):
+        assert kio._texts(np.array(EDGE_FLOATS)) == _reprs(EDGE_FLOATS)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261022).integers(0, 2 ** 64, 400_000, dtype=np.uint64)
+        # half with an exponent from 2^-20 to 2^60, around orjson's repr range
+        exponents = np.random.default_rng(7).integers(1003, 1084, 200_000, dtype=np.uint64)
+        bits[::2] = bits[::2] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        values = bits.view(np.float64)
+        assert kio._texts(values) == _reprs(values.tolist())
+
+    def test_writer_examples_cross_the_edges(self):
+        results = [link(dataset) for dataset in EDGE_DATASETS]
+        columns = {
+            "x": [v for data in EDGE_DATASETS for v in data.x.ravel().tolist()],
+            "u": [v for data in EDGE_DATASETS for v in data.u.ravel().tolist()],
+            "cov_ab": [v for data in EDGE_DATASETS for v in data.cov_ab.tolist()],
+            "d": [doe.d for result in results for doe in result.does],
+            "u_d": [doe.u_d for result in results for doe in result.does],
+            "2 u_d": [2.0 * doe.u_d for result in results for doe in result.does],
+        }
+        for name, values in columns.items():
+            sizes = [abs(v) for v in values if v == v]
+            for edge in (1e-4, 1e16):
+                assert min(sizes) < edge <= max(sizes), name
+        for name in ("x", "cov_ab", "d"):
+            assert "-0.0" in map(repr, columns[name]), name
 
 
 # labels as csv.writer quotes them, and any other text
