@@ -13,18 +13,18 @@ UTF-8 byte-order mark at the start of an input file is skipped.
 writer of dataset files.  A plain CSV file is read ``_PLAIN_CHARS`` characters
 at a time: one scan of the UTF-8 bytes of a chunk's complete lines finds their
 commas and line ends, which give each line's layout, each field's width and the
-absent (empty) cells, and the non-empty cells are read by one
-``map(float, ...)`` into a float64 block (a NaN as +inf), whose column checks
-name the first failing lab by its line.  Plain means no ``"``, data lines of
-exactly 5 commas, no field longer than ``csv.field_size_limit()`` in UTF-8
-bytes (which bound its characters), no empty label, cells that ``float`` reads
-and UTF-8 bytes; universal newlines end a line where ``csv`` ends one, and NUL
-is text.  On any doubt the ``csv`` row loop, where NUL is text too, reads the
-whole file (again, if its first ``"`` comes late; a file that is not a regular
-one, such as a pipe, is read once into memory).  The row loop and the JSON
-reader check each row as one :class:`LabResult` as they read it: the first row
-in file order that fails, named by the line it starts on or by its entry, is
-the error.
+absent (empty) cells, and the non-empty cells are read to ``float``'s bits by
+:func:`_floats` (one ``orjson.loads`` a chunk, or ``float`` a cell) into a
+float64 block (a NaN as +inf), whose column checks name the first failing lab
+by its line.  Plain means no ``"``, data lines of exactly 5 commas, no field
+longer than ``csv.field_size_limit()`` in UTF-8 bytes (which bound its
+characters), no empty label, cells that ``float`` reads and UTF-8 bytes;
+universal newlines end a line where ``csv`` ends one, and NUL is text.  On any
+doubt the ``csv`` row loop, where NUL is text too, reads the whole file (again,
+if its first ``"`` comes late; a file that is not a regular one, such as a
+pipe, is read once into memory).  The row loop and the JSON reader check each
+row as one :class:`LabResult` as they read it: the first row in file order that
+fails, named by the line it starts on or by its entry, is the error.
 :func:`report_chunks` is the one source of a report: it checks its options
 when called and returns the report's chunks, which :func:`render_report` joins
 and a caller may write as they are made.  Reports carry full-precision values
@@ -185,8 +185,9 @@ def _plain_csv(path: Path, data: bytes | None = None) -> tuple[range, list, np.n
                         or not ends[5::6].all()):
                     return None
                 del cells[::6]
-                present = widths.reshape(-1, 6)[:, 1:] > 0
-                values = np.fromiter(map(float, filter(None, cells)), float)
+                widths = widths.reshape(-1, 6)[:, 1:]
+                present = widths > 0
+                values = _floats(cells, widths)
                 values[values != values] = inf  # a cell read NaN
                 blocks.append(np.full(present.shape, nan))
                 blocks[-1][present] = values
@@ -195,6 +196,22 @@ def _plain_csv(path: Path, data: bytes | None = None) -> tuple[range, list, np.n
         return None
     start = (first or 0) + 1
     return range(start, start + len(labels)), labels, np.concatenate(blocks)
+
+
+def _floats(cells: list[str], widths: np.ndarray) -> np.ndarray:
+    """``float`` of each non-empty cell (of UTF-8 ``widths``), bit for bit: one
+    ``orjson.loads`` when each has one decimal point, so that each item read is a JSON
+    float, and at most 768 bytes (orjson reads 768 digits and rounds a halfway tail
+    up); else one ``float`` per cell, whose ValueError is the caller's."""
+    import orjson  # loaded by the first plain CSV chunk, not by every command
+    count = np.count_nonzero(widths)
+    text = ",".join(filter(None, cells))
+    if text.count(".") == count and widths.max(initial=0) <= 768:
+        try:
+            return np.fromiter(orjson.loads(f"[{text}]"), float, count)
+        except ValueError:  # not JSON (+1.5, 01.5, 1.0e400), or an item is a list ([1.5])
+            pass
+    return np.fromiter(map(float, filter(None, cells)), float, count)
 
 
 def _csv_rows(path: Path, data: bytes | None, where: str) -> tuple[list, list, np.ndarray]:
@@ -374,7 +391,8 @@ def _texts(values: np.ndarray) -> list[str]:
     """``float.__repr__`` of each float64 of ``values``, ``"null"`` for NaN: orjson's text,
     which has ``repr``'s form for 1e-4 <= |v| < 1e16 and +-0, and ``repr``'s for the rest."""
     import orjson  # loaded by the first float text, not by every command
-    texts = orjson.dumps(values.tolist())[1:-1].decode().split(",") if values.size else []
+    array = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = array[1:-1].decode().split(",") if values.size else []
     size = np.abs(values)
     for index in np.flatnonzero((size < 1e-4) & (size > 0.0) | (size >= 1e16)).tolist():
         texts[index] = float.__repr__(float(values[index]))

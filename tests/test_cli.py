@@ -12,6 +12,7 @@ import pytest
 import kclink
 from kclink import golden
 from kclink.cli import main
+from kclink.io import write_dataset
 from kclink.version import __version__
 
 from .test_io import GAUGE_BLOCK_CSV
@@ -747,18 +748,21 @@ class TestPipedInput:
 
 class TestColdStart:
     # SciPy's inverse normal CDF serves the synthetic draws only, and orjson
-    # the float text of JSON reports, plot data and dataset files: a command
-    # that needs neither must not pay its import
+    # the plain CSV reader's numbers and the float text of JSON reports, plot
+    # data and dataset files: a command that needs neither must not pay its
+    # import, such as link on a JSON dataset file with the text report
     @pytest.mark.parametrize("call, loaded", [
         ("", (False, False)),
         ("main(['link', '--input', data, '--report-format', 'json',"
          " '--output', 'report.json', '--plot-data', 'plot.csv'])", (False, True)),
         ("main(['inflate', '--input', data, '--lab', 'INMETRO1', '--standard', 'B'])",
-         (False, False)),
+         (False, True)),
+        ("main(['link', '--input', 'gauge_block.json'])", (False, False)),
         ("main(['selftest'])", (False, False)),
         ("generate_scenario(scenario_from_dict(json.loads(scenario)))", (True, False)),
-    ], ids=["import", "link", "inflate", "selftest", "generate_scenario"])
+    ], ids=["import", "link", "inflate", "link-json-text", "selftest", "generate_scenario"])
     def test_scipy_loads_on_the_first_draw(self, gauge_block_file, tmp_path, call, loaded):
+        write_dataset(golden.gauge_block_dataset(), tmp_path / "gauge_block.json")
         script = ("import json, sys\n"
                   "from kclink.cli import main\n"
                   "from kclink.synthetic import generate_scenario, scenario_from_dict\n"

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import tempfile
 from dataclasses import replace
+from decimal import Context, Decimal
 from math import inf, nan
 from pathlib import Path
 from unittest import mock
@@ -509,6 +511,93 @@ class TestPlainCsv:
         monkeypatch.setattr(kio, "_csv_rows", None)  # a call would raise TypeError
         assert _read(path) == want
 
+    def test_number_forms_read_alike(self, tmp_path):
+        # repr and %.17e cells are JSON floats, read by one orjson call a chunk;
+        # leading-zero cells (01.5, -01.5) are not JSON, and float reads them
+        head, *rows = write_dataset(synthetic_dataset(), tmp_path / "repr.csv").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        forms = {"e17": (r",([^,\r\n]+)", lambda m: ",%.17e" % float(m[1])),
+                 "zeros": (r",(-?)([0-9])", r",\g<1>0\2")}
+        for name, (pattern, cell) in forms.items():
+            (tmp_path / f"{name}.csv").write_text(
+                head + "".join(re.sub(pattern, cell, row) for row in rows), encoding="utf-8")
+        assert ",0" in (tmp_path / "zeros.csv").read_text(encoding="utf-8")
+        paths = [tmp_path / f"{name}.csv" for name in ("repr", "e17", "zeros")]
+        assert all(kio._plain_csv(path) is not None for path in paths)
+        assert _read(paths[0]) == _read(paths[1]) == _read(paths[2])
+
+
+def _float_bits(cells: list[str]) -> list[int]:
+    return np.array([float(cell) for cell in cells if cell]).view(np.uint64).tolist()
+
+
+def _read_bits(cells: list[str]) -> list[int]:
+    """:func:`kio._floats` of ``cells`` as bits, each cell's width its UTF-8 bytes."""
+    widths = np.array([len(cell.encode("utf-8")) for cell in cells], dtype=int)
+    return kio._floats(cells, widths).view(np.uint64).tolist()
+
+
+@st.composite
+def halfway_cells(draw):
+    """The exact decimal halfway between two adjacent doubles, signed, in
+    e-notation: as it is, with zeros past its 768th digit, or moved by 10^-780
+    of itself either way."""
+    low = draw(st.floats(0.0, 1.7976931348623157e308, exclude_max=True))
+    context = Context(prec=1600)  # a halfway decimal has at most 768 digits
+    half = context.divide(context.add(Decimal(low), Decimal(float(np.nextafter(low, inf)))), 2)
+    nudge = draw(st.sampled_from([None, 0, 1, -1]))
+    if nudge is not None:  # 0 * half keeps the exponent of 10^-780 * half: zeros
+        half = context.add(half, context.multiply(half, Decimal(nudge).scaleb(-780)))
+    return f"{draw(st.sampled_from(['', '-']))}{half:e}"
+
+
+# 1 + 2^-53, halfway between 1.0 and the next double, in 769 digits: orjson
+# reads 768 digits and rounds up, float reads them all and rounds to even (1.0)
+HALFWAY_ZEROS = "1.00000000000000011102230246251565404236316680908203125".ljust(770, "0")
+# cells that float reads and one orjson call does not, so that float reads the
+# block they are in; float rejects the last, and with it the block
+PER_CELL = ["0", "-0", "1e-05", " 1.5", "+1.5", "1_0", "nan", "inf", "1e400", "01.5",
+            "1.", ".5", "1.0e400", "2.5\u00a0", HALFWAY_ZEROS, "[1.5]"]
+finite_texts = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), "%.17e" % v, "%.25e" % v]))
+
+
+class TestReadFloats:
+    """``_floats`` reads a chunk's non-empty cells to ``float``'s bits, or fails
+    as ``float`` fails: by one ``orjson.loads`` or by one ``float`` per cell."""
+
+    @given(st.lists(finite_texts | halfway_cells() | st.sampled_from(["", *PER_CELL])))
+    @example([])
+    @example(["", ""])
+    @example(["-0.0", "", "0.1", "5e-324", "4.9406564584124654e-324", "-1.0e-400"])
+    @example(["1.5", " 2.5", "\t-2.5 ", "1.5E+3", "-2.4e-324", "1.5e400"])
+    @example(["[1.5", "2.5]"])  # float rejects both; JSON reads one list
+    @settings(deadline=None)
+    def test_float_bits(self, cells):
+        try:
+            want = _float_bits(cells)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _read_bits(cells)
+        else:
+            assert _read_bits(cells) == want
+
+    @pytest.mark.parametrize("cell", PER_CELL, ids=lambda cell: repr(cell[:20]))
+    def test_per_cell_forms_in_a_block(self, cell):
+        cells = ["1.5", "", cell, "-0.0", "2.5e-300"]
+        if cell == "[1.5]":
+            with pytest.raises(ValueError):
+                _read_bits(cells)
+        else:
+            assert _read_bits(cells) == _float_bits(cells)
+
+    def test_json_floats_take_one_loads(self, monkeypatch):
+        cells = ["1.5", "", "-0.0", " 2.5e-300 ", "1.7976931348623157e+308", "%.25e" % 0.1,
+                 HALFWAY_ZEROS[:768]]
+        want = _float_bits(cells)
+        monkeypatch.setattr(kio, "map", None, raising=False)  # float per cell: TypeError
+        assert _read_bits(cells) == want
+
 
 class TestRoundHalfUp:
     @pytest.mark.parametrize("value, decimals, expected", [
@@ -824,6 +913,12 @@ class TestFloatText:
 
     def test_edges_together(self):
         assert kio._texts(np.array(EDGE_FLOATS)) == _reprs(EDGE_FLOATS)
+
+    def test_non_contiguous_views(self):
+        block = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]).T.copy()
+        for view in (block[:, 0], block[::-1, 1], block.ravel()[::3]):
+            assert not view.flags.c_contiguous
+            assert kio._texts(view) == _reprs(view.tolist())
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(20261022).integers(0, 2 ** 64, 400_000, dtype=np.uint64)
